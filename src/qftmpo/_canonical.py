@@ -12,14 +12,31 @@ for operator chains.
 Singular values below NOISE_FLOOR relative to the bond maximum are pure
 double-precision noise and are always dropped, independent of the caller's
 truncation policy.
+
+The chain invariants (structure, bond norms, canonical defect) and the
+binary container live here once for both chain kinds; the ``normalize``
+flag that picks the norm convention of a sweep picks the same convention
+for the checks.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 
-from .errors import NumericalError
-from .tensor import TruncationPolicy, _svd_matrix, retained_count
+from .errors import DimensionMismatchError, NumericalError
+from .tensor import (
+    TruncationPolicy,
+    _read_exact,
+    _svd_matrix,
+    read_tensor_from,
+    retained_count,
+    write_tensor_to,
+)
 
 NOISE_FLOOR = 1e-14
 
@@ -169,3 +186,151 @@ def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, poli
     g_left_new = u.reshape(a, d, -1) / lam_left[:, None, None]
     g_right_new = vh.reshape(-1, d, c) / lam_right[None, None, :]
     return g_left_new, lam_new, g_right_new, discarded
+
+
+# ---------------------------------------------------------------- #
+# chain invariants
+# ---------------------------------------------------------------- #
+
+def check_structure(sites, bond_vectors, phys_shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Check the shape invariants of a chain; returns its bond vectors as
+    read-only float arrays.
+
+    Each site has legs (left bond, *phys_shape, right bond); both boundary
+    bonds have dimension 1, and bond j, between sites j and j+1, carries a
+    positive non-increasing vector of matching length.
+    """
+    n = len(sites)
+    if n == 0:
+        raise ValueError("need at least one site")
+    bonds = []
+    for j, lam in enumerate(bond_vectors):
+        arr = np.array(lam, dtype=np.float64, copy=True)
+        if arr.ndim != 1:
+            raise DimensionMismatchError(f"bond {j} vector has shape {arr.shape}, want (r,)")
+        arr.setflags(write=False)
+        bonds.append(arr)
+    if len(bonds) != n - 1:
+        raise DimensionMismatchError(f"{n} sites require {n - 1} bond vectors, got {len(bonds)}")
+    left = 1
+    for j, g in enumerate(sites):
+        if g.ndim != len(phys_shape) + 2 or g.shape[1:-1] != phys_shape:
+            want = ", ".join(str(d) for d in ("l", *phys_shape, "r"))
+            raise DimensionMismatchError(f"site {j} has shape {g.shape}, want ({want})")
+        if g.shape[0] != left:
+            raise DimensionMismatchError(
+                f"site {j} left bond {g.shape[0]} != previous right bond {left}"
+            )
+        if j < n - 1 and g.shape[-1] != len(bonds[j]):
+            raise DimensionMismatchError(
+                f"site {j} right bond {g.shape[-1]} != bond vector length {len(bonds[j])}"
+            )
+        left = g.shape[-1]
+    if left != 1:
+        raise DimensionMismatchError("right boundary bond must have dimension 1")
+    for j, lam in enumerate(bonds):
+        if len(lam) == 0 or np.any(lam <= 0) or np.any(np.diff(lam) > 0):
+            raise ValueError(f"bond {j} vector must be positive and non-increasing")
+    return tuple(bonds)
+
+
+def _weighted_deviation(gram, lam):
+    return float(np.max(np.abs(gram - np.diag(lam**2))) / float(np.max(lam) ** 2))
+
+
+def canonical_defect(sites, bond_vectors, *, normalize) -> float:
+    """Largest violation of the canonical conditions, bond-weighted.
+
+    ``sites`` are (left, d, right) arrays. With W = lambda_l * Gamma *
+    lambda_r, the left condition is W^dag W = diag(lambda_r^2) and the
+    right condition W W^dag = diag(lambda_l^2). Folding both bond vectors
+    in keeps the measure stable when a spectrum spans many decades (bare
+    Gamma conditions degrade as lambda_max/lambda_min); deviations are
+    relative to the largest squared weight. A normalized chain is checked
+    on every site; the norm-carrying convention (``normalize`` false)
+    leaves the left condition meaningful on sites 0..n-2 and the right
+    one on sites 1..n-1.
+    """
+    n = len(sites)
+    worst = 0.0
+    ones = np.ones(1)
+    for j, g in enumerate(sites):
+        lam_l = bond_vectors[j - 1] if j > 0 else ones
+        lam_r = bond_vectors[j] if j < n - 1 else ones
+        w = g * lam_l[:, None, None] * lam_r[None, None, :]
+        if normalize or j < n - 1:
+            left = np.tensordot(w.conj(), w, axes=((0, 1), (0, 1)))
+            worst = max(worst, _weighted_deviation(left, lam_r))
+        if normalize or j > 0:
+            right = np.tensordot(w, w.conj(), axes=((1, 2), (1, 2)))
+            worst = max(worst, _weighted_deviation(right, lam_l))
+    return worst
+
+
+def validate(sites, bond_vectors, tol_norm, tol_iso, *, normalize) -> None:
+    """Raise NumericalError unless the bond norms agree and the canonical
+    defect is within ``tol_iso``.
+
+    Every bond's squared weight must equal 1 for a normalized chain, or
+    bond 0's otherwise, within ``tol_norm`` times max(that weight, 1).
+    """
+    if bond_vectors:
+        ref = 1.0 if normalize else float(np.sum(bond_vectors[0] ** 2))
+        for j, lam in enumerate(bond_vectors):
+            total = float(np.sum(lam**2))
+            if abs(total - ref) > tol_norm * max(ref, 1.0):
+                raise NumericalError(f"bond {j} squared weight {total} differs from {ref}")
+    defect = canonical_defect(sites, bond_vectors, normalize=normalize)
+    if defect > tol_iso:
+        raise NumericalError(f"canonical defect {defect:.2e} exceeds {tol_iso:.0e}")
+
+
+# ---------------------------------------------------------------- #
+# binary container + JSON sidecar
+# ---------------------------------------------------------------- #
+# layout: magic | u32 version | u32 site count n | n site tensor records |
+# n-1 bond vector records stored as complex (see tensor.write_tensor_to),
+# all little-endian.
+
+CONTAINER_VERSION = 1
+CONTAINER_MAGIC = {"mps": b"MPSC", "mpo": b"MPOC"}
+
+
+def save_chain(path, kind: str, sites, bond_vectors, policy: TruncationPolicy | None,
+               **sidecar) -> None:
+    """Write a ``kind`` ("mps" or "mpo") container to ``path`` and a JSON
+    summary, extended by ``sidecar``, to ``path + '.json'``."""
+    path = Path(path)
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sII", CONTAINER_MAGIC[kind], CONTAINER_VERSION, len(sites)))
+        for t in sites:
+            write_tensor_to(f, t)
+        for lam in bond_vectors:
+            write_tensor_to(f, lam)
+    summary = {
+        "format": f"qftmpo-{kind}/1",
+        "n_qubits": len(sites),
+        "bond_ranks": [len(lam) for lam in bond_vectors],
+        "policy": None if policy is None else {
+            "rel_cutoff": policy.rel_cutoff, "max_rank": policy.max_rank,
+        },
+        **sidecar,
+    }
+    Path(str(path) + ".json").write_text(json.dumps(summary, indent=2) + "\n")
+
+
+def load_chain(path, kind: str):
+    """Read a container written by `save_chain`; returns (site tensors,
+    bond vectors). A truncated file or a header declaring more data than
+    the file holds fails with a ValueError."""
+    magic = CONTAINER_MAGIC[kind]
+    f = io.BytesIO(Path(path).read_bytes())
+    found = f.read(4)
+    if found != magic:
+        raise ValueError(f"bad container magic {found!r}, expected {magic!r}")
+    version, n = struct.unpack("<II", _read_exact(f, 8, "container header"))
+    if version != CONTAINER_VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    sites = [read_tensor_from(f) for _ in range(n)]
+    bonds = [read_tensor_from(f).data.real.copy() for _ in range(n - 1)]
+    return sites, bonds

@@ -146,6 +146,8 @@ class RotationScheme:
                 raise ValueError("perturbed schemes need a non-negative scale")
             if self.seed is None:
                 raise ValueError("perturbed schemes need a seed for reproducibility")
+        elif self.per_gate:
+            raise ValueError("per_gate applies to perturbed schemes only")
 
     @classmethod
     def standard(cls) -> "RotationScheme":
@@ -170,7 +172,9 @@ class RotationScheme:
     @classmethod
     def parse(cls, text: str) -> "RotationScheme":
         """Parse "standard", "power-law:P", "base-n:B",
-        "perturbed-exponent:SCALE:SEED", "perturbed-base:SCALE:SEED"."""
+        "perturbed-exponent:SCALE:SEED", "perturbed-base:SCALE:SEED"; the
+        perturbed forms take an optional ":per-gate" suffix. Inverse of
+        `label`."""
         parts = text.strip().split(":")
         kind = parts[0]
         try:
@@ -180,10 +184,11 @@ class RotationScheme:
                 return cls.power_law(int(parts[1]))
             if kind == "base-n":
                 return cls.base_n(int(parts[1]))
-            if kind == "perturbed-exponent":
-                return cls.perturbed_exponent(float(parts[1]), int(parts[2]))
-            if kind == "perturbed-base":
-                return cls.perturbed_base(float(parts[1]), int(parts[2]))
+            if kind in ("perturbed-exponent", "perturbed-base"):
+                if parts[3:] not in ([], ["per-gate"]):
+                    raise ValueError(f"unknown suffix {parts[3:]}")
+                return cls(kind, scale=float(parts[1]), seed=int(parts[2]),
+                           per_gate=parts[3:] == ["per-gate"])
         except (IndexError, ValueError) as exc:
             raise ValueError(f"cannot parse rotation scheme {text!r}") from exc
         raise ValueError(f"unknown rotation scheme {kind!r}")
@@ -195,7 +200,8 @@ class RotationScheme:
             return f"power-law:{self.exponent}"
         if self.kind == "base-n":
             return f"base-n:{self.base}"
-        return f"{self.kind}:{self.scale}:{self.seed}"
+        suffix = ":per-gate" if self.per_gate else ""
+        return f"{self.kind}:{self.scale}:{self.seed}{suffix}"
 
 
 class _AngleSource:

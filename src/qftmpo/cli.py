@@ -81,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
         p.add_argument("--cutoff", type=float, default=1e-14,
                        help="relative singular-value cutoff")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for interface stability; execution is serial")
         return p
 
     p = add("build", "compile a transform and save the operator chain")
@@ -307,10 +304,9 @@ def main(argv=None) -> int:
                 rel_cutoff=args.cutoff, repeats=args.repeats)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
-        result.metadata.setdefault("seed", args.seed)
         _emit(result, args)
         return 0
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"qftmpo: error: {exc}\n")
         return 1
     except QftmpoError as exc:

@@ -15,25 +15,17 @@ machinery is shared with `CanonicalMps`.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _canonical
-from .errors import (
-    DimensionMismatchError,
-    NonAdjacentGateError,
-    ResourceLimitError,
-)
-from .mps import CanonicalMps, _check_unitary, _dense_limit
-from .tensor import DenseTensor, TruncationPolicy, read_tensor_from, write_tensor_to
+from .errors import DimensionMismatchError, NonAdjacentGateError
+from .mps import CanonicalMps
+from .tensor import DenseTensor, TruncationPolicy, check_dense_size, check_unitary
 
-MPO_MAGIC = b"MPOC"
-MPO_FORMAT_VERSION = 1
 DENSE_OPERATOR_LIMIT = 12  # qubits; override with QFTMPO_DENSE_LIMIT
 
 
@@ -104,40 +96,10 @@ class CanonicalMpo:
     gamma_vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.site_tensors:
-            raise ValueError("need at least one site")
         sites = tuple(
             t if isinstance(t, DenseTensor) else DenseTensor(t) for t in self.site_tensors
         )
-        gammas = []
-        for gam in self.gamma_vectors:
-            arr = np.array(gam, dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            gammas.append(arr)
-        gammas = tuple(gammas)
-        n = len(sites)
-        if len(gammas) != n - 1:
-            raise DimensionMismatchError(
-                f"{n} sites require {n - 1} bond vectors, got {len(gammas)}"
-            )
-        left = 1
-        for j, t in enumerate(sites):
-            if t.ndim != 4 or t.shape[1] != 2 or t.shape[2] != 2:
-                raise DimensionMismatchError(f"site {j} has shape {t.shape}, want (l, 2, 2, r)")
-            if t.shape[0] != left:
-                raise DimensionMismatchError(
-                    f"site {j} left bond {t.shape[0]} != previous right bond {left}"
-                )
-            if j < n - 1 and t.shape[3] != len(gammas[j]):
-                raise DimensionMismatchError(
-                    f"site {j} right bond {t.shape[3]} != bond vector length {len(gammas[j])}"
-                )
-            left = t.shape[3]
-        if sites[-1].shape[3] != 1:
-            raise DimensionMismatchError("right boundary bond must have dimension 1")
-        for j, gam in enumerate(gammas):
-            if len(gam) == 0 or np.any(gam <= 0) or np.any(np.diff(gam) > 0):
-                raise ValueError(f"bond {j} vector must be positive and non-increasing")
+        gammas = _canonical.check_structure(sites, self.gamma_vectors, (2, 2))
         object.__setattr__(self, "site_tensors", sites)
         object.__setattr__(self, "gamma_vectors", gammas)
 
@@ -192,49 +154,23 @@ class CanonicalMpo:
         """Site tensor at position n // 2."""
         return self.site_tensors[self.n_qubits // 2]
 
-    def canonical_defect(self) -> float:
-        """Largest violation of the canonical conditions, bond-weighted.
+    def _fused_sites(self) -> list[np.ndarray]:
+        return [_fused(t.data) for t in self.site_tensors]
 
-        The norm-carrying convention leaves the left condition meaningful on
-        sites 0..n-2 and the right condition on sites 1..n-1. Conditions are
-        evaluated with both bond vectors folded in (stable when the spectrum
-        spans many decades) and reported relative to the largest squared
-        bond weight: left means W^dag W = diag(gamma_r^2) for
-        W = gamma_l * Gamma * gamma_r, right is the mirror statement.
-        """
-        n = self.n_qubits
-        worst = 0.0
-        ones = np.ones(1)
-        for j in range(n):
-            t = _fused(self.site_tensors[j].data)
-            lam_l = self.gamma_vectors[j - 1] if j > 0 else ones
-            lam_r = self.gamma_vectors[j] if j < n - 1 else ones
-            w = t * lam_l[:, None, None] * lam_r[None, None, :]
-            if j < n - 1:
-                left = np.tensordot(w.conj(), w, axes=((0, 1), (0, 1)))
-                dev = np.max(np.abs(left - np.diag(lam_r**2))) / float(np.max(lam_r) ** 2)
-                worst = max(worst, float(dev))
-            if j > 0:
-                right = np.tensordot(w, w.conj(), axes=((1, 2), (1, 2)))
-                dev = np.max(np.abs(right - np.diag(lam_l**2))) / float(np.max(lam_l) ** 2)
-                worst = max(worst, float(dev))
-        return worst
+    def canonical_defect(self) -> float:
+        """Largest violation of the canonical conditions, bond-weighted
+        (see `_canonical.canonical_defect`). The norm-carrying convention
+        leaves the left condition meaningful on sites 0..n-2 and the right
+        condition on sites 1..n-1."""
+        return _canonical.canonical_defect(
+            self._fused_sites(), self.gamma_vectors, normalize=False
+        )
 
     def validate(self, tol_norm: float = 1e-9, tol_iso: float = 1e-8) -> None:
         """Check cross-bond norm consistency and isometry conditions."""
-        if self.gamma_vectors:
-            norms = [float(np.sum(g**2)) for g in self.gamma_vectors]
-            ref = norms[0]
-            for j, val in enumerate(norms):
-                if abs(val - ref) > tol_norm * max(ref, 1.0):
-                    raise DimensionMismatchError(
-                        f"bond {j} squared weight {val} differs from bond 0 ({ref})"
-                    )
-        defect = self.canonical_defect()
-        if defect > tol_iso:
-            from .errors import NumericalError
-
-            raise NumericalError(f"canonical defect {defect:.2e} exceeds {tol_iso:.0e}")
+        _canonical.validate(
+            self._fused_sites(), self.gamma_vectors, tol_norm, tol_iso, normalize=False
+        )
 
     # ---------------------------------------------------------------- #
     # operations
@@ -253,7 +189,7 @@ class CanonicalMpo:
         if mat.shape == (2, 2):
             if not 0 <= site < n:
                 raise ValueError(f"site {site} out of range for {n} qubits")
-            _check_unitary(mat, 2)
+            check_unitary(mat, 2)
             sites = list(t.data for t in self.site_tensors)
             sites[site] = _single_site_apply(sites[site], mat, side)
             tensors = list(self.site_tensors)
@@ -264,7 +200,7 @@ class CanonicalMpo:
                 raise NonAdjacentGateError(
                     f"two-qubit gate needs sites ({site}, {site + 1}) inside 0..{n - 1}"
                 )
-            _check_unitary(mat, 4)
+            check_unitary(mat, 4)
             sites = [t.data for t in self.site_tensors]
             gammas = [g for g in self.gamma_vectors]
             _absorb_pair(sites, gammas, site, pair_operator(mat, side), policy)
@@ -291,9 +227,7 @@ class CanonicalMpo:
 
     def recanonicalize(self, policy: TruncationPolicy) -> "CanonicalMpo":
         """Full left-to-right then right-to-left sweep with truncation."""
-        train = _canonical.train_from_vidal(
-            [_fused(t.data) for t in self.site_tensors], list(self.gamma_vectors)
-        )
+        train = _canonical.train_from_vidal(self._fused_sites(), list(self.gamma_vectors))
         new_t, new_g, _ = _canonical.canonicalize_train(train, policy, normalize=False)
         return CanonicalMpo(
             tuple(DenseTensor(_unfused(t)) for t in new_t), tuple(new_g)
@@ -302,12 +236,8 @@ class CanonicalMpo:
     def to_dense(self) -> DenseTensor:
         """Dense matrix of the operator (guarded by the dense-size limit)."""
         n = self.n_qubits
-        limit = _dense_limit(DENSE_OPERATOR_LIMIT)
-        if n > limit:
-            raise ResourceLimitError(f"{n} qubits exceeds the dense limit of {limit}")
-        vec = _canonical.vector_from_vidal(
-            [_fused(t.data) for t in self.site_tensors], list(self.gamma_vectors)
-        )
+        check_dense_size(n, DENSE_OPERATOR_LIMIT, "dense operator matrix")
+        vec = _canonical.vector_from_vidal(self._fused_sites(), list(self.gamma_vectors))
         arr = vec.reshape((2,) * (2 * n))  # (i_0, j_0, i_1, j_1, ...)
         perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
         mat = np.transpose(arr, perm).reshape(2**n, 2**n)
@@ -364,9 +294,7 @@ def from_dense_operator(mat, policy: TruncationPolicy = TruncationPolicy()) -> C
     n = int(math.log2(arr.shape[0]))
     if 2**n != arr.shape[0]:
         raise DimensionMismatchError(f"matrix dimension {arr.shape[0]} is not a power of two")
-    limit = _dense_limit(DENSE_OPERATOR_LIMIT)
-    if n > limit:
-        raise ResourceLimitError(f"{n} qubits exceeds the dense limit of {limit}")
+    check_dense_size(n, DENSE_OPERATOR_LIMIT, "dense operator matrix")
     split = arr.reshape((2,) * (2 * n))  # (i_0..i_{n-1}, j_0..j_{n-1})
     perm = [ax for k in range(n) for ax in (k, n + k)]
     vec = np.transpose(split, perm).reshape(-1)
@@ -389,12 +317,8 @@ def hs_inner(a: CanonicalMpo, b: CanonicalMpo) -> complex:
         raise DimensionMismatchError(
             f"operand widths differ: {a.n_qubits} vs {b.n_qubits}"
         )
-    ta = _canonical.train_from_vidal(
-        [_fused(t.data) for t in a.site_tensors], list(a.gamma_vectors)
-    )
-    tb = _canonical.train_from_vidal(
-        [_fused(t.data) for t in b.site_tensors], list(b.gamma_vectors)
-    )
+    ta = _canonical.train_from_vidal(a._fused_sites(), list(a.gamma_vectors))
+    tb = _canonical.train_from_vidal(b._fused_sites(), list(b.gamma_vectors))
     env = np.ones((1, 1), dtype=np.complex128)
     for site_a, site_b in zip(ta, tb):
         env = np.tensordot(env, site_a.conj(), axes=(0, 0))  # (chi_b, p, r_a)
@@ -409,38 +333,13 @@ def hs_inner(a: CanonicalMpo, b: CanonicalMpo) -> complex:
 def save_mpo(op: CanonicalMpo, path: str | Path, policy: TruncationPolicy | None = None,
              circuit_fingerprint: str | None = None) -> None:
     """Write the chain to ``path`` and a JSON summary to ``path + '.json'``."""
-    path = Path(path)
-    n = op.n_qubits
-    with open(path, "wb") as f:
-        f.write(MPO_MAGIC)
-        f.write(np.uint32(MPO_FORMAT_VERSION).tobytes())
-        f.write(np.uint32(n).tobytes())
-        for t in op.site_tensors:
-            write_tensor_to(f, t)
-        for gam in op.gamma_vectors:
-            write_tensor_to(f, DenseTensor(gam.astype(np.complex128)))
-    sidecar = {
-        "format": "qftmpo-mpo/1",
-        "n_qubits": n,
-        "bond_ranks": list(op.bond_ranks),
-        "policy": None if policy is None else {
-            "rel_cutoff": policy.rel_cutoff, "max_rank": policy.max_rank,
-        },
-        "circuit_fingerprint": circuit_fingerprint,
-        "bond_spectra": [[float(v) for v in gam] for gam in op.gamma_vectors],
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    _canonical.save_chain(
+        path, "mpo", op.site_tensors, op.gamma_vectors, policy,
+        circuit_fingerprint=circuit_fingerprint,
+        bond_spectra=[[float(v) for v in gam] for gam in op.gamma_vectors],
+    )
 
 
 def load_mpo(path: str | Path) -> CanonicalMpo:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MPO_MAGIC:
-            raise ValueError(f"bad container magic {magic!r}, expected {MPO_MAGIC!r}")
-        version = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        if version != MPO_FORMAT_VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        n = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        sites = tuple(read_tensor_from(f) for _ in range(n))
-        gammas = tuple(read_tensor_from(f).data.real.copy() for _ in range(n - 1))
-    return CanonicalMpo(sites, gammas)
+    sites, gammas = _canonical.load_chain(path, "mpo")
+    return CanonicalMpo(tuple(sites), tuple(gammas))

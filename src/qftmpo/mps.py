@@ -10,44 +10,17 @@ binary order.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _canonical
-from .errors import (
-    DimensionMismatchError,
-    NonAdjacentGateError,
-    NumericalError,
-    ResourceLimitError,
-)
-from .tensor import DenseTensor, TruncationPolicy, read_tensor_from, write_tensor_to
+from .errors import DimensionMismatchError, NonAdjacentGateError
+from .tensor import DenseTensor, TruncationPolicy, check_dense_size, check_unitary
 
-MPS_MAGIC = b"MPSC"
-MPS_FORMAT_VERSION = 1
 DENSE_STATE_LIMIT = 20  # qubits; override with QFTMPO_DENSE_LIMIT
-
-
-def _dense_limit(default: int) -> int:
-    raw = os.environ.get("QFTMPO_DENSE_LIMIT")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"QFTMPO_DENSE_LIMIT must be an integer, got {raw!r}") from None
-
-
-def _check_unitary(mat: np.ndarray, dim: int, tol: float = 1e-10) -> None:
-    if mat.shape != (dim, dim):
-        raise DimensionMismatchError(f"expected a {dim}x{dim} gate, got shape {mat.shape}")
-    defect = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-    if defect > tol:
-        raise ValueError(f"gate is not unitary (defect {defect:.2e} > {tol:.0e})")
 
 
 def _parse_bits(bits, n: int) -> tuple[int, ...]:
@@ -68,40 +41,10 @@ class CanonicalMps:
     lambdas: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.gammas:
-            raise ValueError("need at least one site")
         gammas = tuple(
             g if isinstance(g, DenseTensor) else DenseTensor(g) for g in self.gammas
         )
-        lambdas = []
-        for lam in self.lambdas:
-            arr = np.array(lam, dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            lambdas.append(arr)
-        lambdas = tuple(lambdas)
-        n = len(gammas)
-        if len(lambdas) != n - 1:
-            raise DimensionMismatchError(
-                f"{n} sites require {n - 1} bond vectors, got {len(lambdas)}"
-            )
-        left = 1
-        for j, g in enumerate(gammas):
-            if g.ndim != 3 or g.shape[1] != 2:
-                raise DimensionMismatchError(f"site {j} has shape {g.shape}, want (l, 2, r)")
-            if g.shape[0] != left:
-                raise DimensionMismatchError(
-                    f"site {j} left bond {g.shape[0]} != previous right bond {left}"
-                )
-            if j < n - 1 and g.shape[2] != len(lambdas[j]):
-                raise DimensionMismatchError(
-                    f"site {j} right bond {g.shape[2]} != bond vector length {len(lambdas[j])}"
-                )
-            left = g.shape[2]
-        if gammas[-1].shape[2] != 1:
-            raise DimensionMismatchError("right boundary bond must have dimension 1")
-        for j, lam in enumerate(lambdas):
-            if len(lam) == 0 or np.any(lam <= 0) or np.any(np.diff(lam) > 0):
-                raise ValueError(f"bond {j} vector must be positive and non-increasing")
+        lambdas = _canonical.check_structure(gammas, self.lambdas, (2,))
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "lambdas", lambdas)
 
@@ -210,40 +153,17 @@ class CanonicalMps:
         return CanonicalMps(gammas, lambdas)
 
     def canonical_defect(self) -> float:
-        """Largest violation of the canonical conditions, bond-weighted.
-
-        The isometry conditions are checked with both bond vectors folded
-        in: left means W^dag W = diag(lambda_r^2), right means
-        W W^dag = diag(lambda_l^2) for W = lambda_l * Gamma * lambda_r.
-        The weighting keeps the measure stable when the spectrum spans many
-        decades (bare Gamma conditions degrade as lambda_max/lambda_min);
-        deviations are reported relative to the largest squared weight.
-        """
-        n = self.n_qubits
-        worst = 0.0
-        ones = np.ones(1)
-        for j in range(n):
-            g = self.gammas[j].data
-            lam_l = self.lambdas[j - 1] if j > 0 else ones
-            lam_r = self.lambdas[j] if j < n - 1 else ones
-            w = g * lam_l[:, None, None] * lam_r[None, None, :]
-            left = np.tensordot(w.conj(), w, axes=((0, 1), (0, 1)))
-            dev = np.max(np.abs(left - np.diag(lam_r**2))) / float(np.max(lam_r) ** 2)
-            worst = max(worst, float(dev))
-            right = np.tensordot(w, w.conj(), axes=((1, 2), (1, 2)))
-            dev = np.max(np.abs(right - np.diag(lam_l**2))) / float(np.max(lam_l) ** 2)
-            worst = max(worst, float(dev))
-        return worst
+        """Largest violation of the canonical conditions, bond-weighted
+        (see `_canonical.canonical_defect`)."""
+        return _canonical.canonical_defect(
+            [g.data for g in self.gammas], self.lambdas, normalize=True
+        )
 
     def validate(self, tol_norm: float = 1e-10, tol_iso: float = 1e-8) -> None:
         """Check bond-vector normalization and isometry conditions."""
-        for j, lam in enumerate(self.lambdas):
-            total = float(np.sum(lam**2))
-            if abs(total - 1.0) > tol_norm:
-                raise NumericalError(f"bond {j} squared weights sum to {total}, not 1")
-        defect = self.canonical_defect()
-        if defect > tol_iso:
-            raise NumericalError(f"canonical defect {defect:.2e} exceeds {tol_iso:.0e}")
+        _canonical.validate(
+            [g.data for g in self.gammas], self.lambdas, tol_norm, tol_iso, normalize=True
+        )
 
     # ---------------------------------------------------------------- #
     # operations
@@ -262,7 +182,7 @@ class CanonicalMps:
                 f"two-qubit gate needs sites ({site}, {site + 1}) inside 0..{n - 1}"
             )
         mat = np.asarray(gate, dtype=np.complex128)
-        _check_unitary(mat, 4)
+        check_unitary(mat, 4)
         ones = np.ones(1)
         lam_l = self.lambdas[site - 1] if site > 0 else ones
         lam_m = self.lambdas[site]
@@ -289,11 +209,7 @@ class CanonicalMps:
 
     def to_dense(self) -> DenseTensor:
         """Dense amplitude vector (guarded by the dense-size limit)."""
-        limit = _dense_limit(DENSE_STATE_LIMIT)
-        if self.n_qubits > limit:
-            raise ResourceLimitError(
-                f"{self.n_qubits} qubits exceeds the dense limit of {limit}"
-            )
+        check_dense_size(self.n_qubits, DENSE_STATE_LIMIT, "dense state vector")
         vec = _canonical.vector_from_vidal(
             [g.data for g in self.gammas], list(self.lambdas)
         )
@@ -306,36 +222,9 @@ class CanonicalMps:
 
 def save_mps(state: CanonicalMps, path: str | Path, policy: TruncationPolicy | None = None) -> None:
     """Write the chain to ``path`` and a JSON summary to ``path + '.json'``."""
-    path = Path(path)
-    n = state.n_qubits
-    with open(path, "wb") as f:
-        f.write(MPS_MAGIC)
-        f.write(np.uint32(MPS_FORMAT_VERSION).tobytes())
-        f.write(np.uint32(n).tobytes())
-        for g in state.gammas:
-            write_tensor_to(f, g)
-        for lam in state.lambdas:
-            write_tensor_to(f, DenseTensor(lam.astype(np.complex128)))
-    sidecar = {
-        "format": "qftmpo-mps/1",
-        "n_qubits": n,
-        "bond_ranks": list(state.bond_ranks),
-        "policy": None if policy is None else {
-            "rel_cutoff": policy.rel_cutoff, "max_rank": policy.max_rank,
-        },
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    _canonical.save_chain(path, "mps", state.gammas, state.lambdas, policy)
 
 
 def load_mps(path: str | Path) -> CanonicalMps:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MPS_MAGIC:
-            raise ValueError(f"bad container magic {magic!r}, expected {MPS_MAGIC!r}")
-        version = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        if version != MPS_FORMAT_VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        n = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        gammas = tuple(read_tensor_from(f) for _ in range(n))
-        lambdas = tuple(read_tensor_from(f).data.real.copy() for _ in range(n - 1))
-    return CanonicalMps(gammas, lambdas)
+    gammas, lambdas = _canonical.load_chain(path, "mps")
+    return CanonicalMps(tuple(gammas), tuple(lambdas))

@@ -10,33 +10,19 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .tensor import DenseTensor, _svd_matrix
+from .tensor import DenseTensor, _svd_matrix, check_dense_size
 
 DENSE_ORACLE_LIMIT = 14
 PERIODIC_ORACLE_LIMIT = 24
 
 
-def _limit(default: int) -> int:
-    value = os.environ.get("QFTMPO_DENSE_LIMIT")
-    if value is None:
-        return default
-    return int(value)
-
-
 def _check_qubits(n: int, default_cap: int, what: str) -> None:
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    cap = _limit(default_cap)
-    if n > cap:
-        raise ResourceLimitError(
-            f"{what} materializes 2^{n} entries; cap is {cap} qubits "
-            f"(QFTMPO_DENSE_LIMIT overrides)"
-        )
+    check_dense_size(n, default_cap, what)
 
 
 def bit_reversal_permutation(n: int) -> np.ndarray:

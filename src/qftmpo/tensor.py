@@ -1,23 +1,29 @@
-"""Dense complex tensors: contraction, axis reshuffling, truncated SVD.
+"""Dense complex tensors, truncation policies and the tensor record format.
 
-Values are immutable; every operation returns a fresh tensor. Data is
-stored row-major as complex128, which is also the on-disk layout (see
-`write_tensor`). The heavy lifting is delegated to LAPACK via numpy, with
-a scipy fallback driver for the occasional non-converging SVD.
+`DenseTensor` is an immutable complex128 array that refuses non-finite
+entries; `TruncationPolicy` says how a singular-value spectrum is cut.
+Data is stored row-major, which is also the on-disk layout of one tensor
+record (see `write_tensor`); the chain containers of `_canonical` are
+sequences of these records. The SVD driver used by the canonical sweeps
+lives here too, with a scipy fallback for the occasional non-converging
+SVD. Dense materializations anywhere in the package go through
+`check_dense_size`.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, NumericalError
+from .errors import DimensionMismatchError, NumericalError, ResourceLimitError
 
 TENSOR_MAGIC = b"MPOT"
 TENSOR_FORMAT_VERSION = 1
@@ -25,15 +31,9 @@ TENSOR_FORMAT_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class DenseTensor:
-    """Immutable complex tensor with optional axis labels.
-
-    ``labels`` tags axes for bookkeeping (bond names, physical legs); tags
-    are carried through operations where that makes sense but are never
-    interpreted.
-    """
+    """Immutable complex tensor."""
 
     data: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=np.complex128, order="C", copy=True)
@@ -41,13 +41,6 @@ class DenseTensor:
             raise NumericalError("tensor has non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        if self.labels is not None:
-            labels = tuple(str(lab) for lab in self.labels)
-            if len(labels) != arr.ndim:
-                raise DimensionMismatchError(
-                    f"{len(labels)} labels given for a rank-{arr.ndim} tensor"
-                )
-            object.__setattr__(self, "labels", labels)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -63,9 +56,6 @@ class DenseTensor:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.data, dtype=dtype)
-
-    def relabel(self, labels: Sequence[str] | None) -> "DenseTensor":
-        return DenseTensor(self.data, None if labels is None else tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -87,37 +77,30 @@ class TruncationPolicy:
             raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
 
 
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Truncated SVD of a tensor split into a (left | right) axis group.
+def check_dense_size(n: int, default_cap: int, what: str) -> None:
+    """Refuse a dense object over ``n`` qubits past the cap.
 
-    ``left_isometry`` has the left axes plus a trailing rank axis,
-    ``right_isometry`` a leading rank axis plus the right axes.
-    ``discarded_weight`` is the sum of squared dropped singular values,
-    which equals the squared Frobenius distance to the recomposition.
+    The environment variable QFTMPO_DENSE_LIMIT, when set, replaces every
+    default cap at once.
     """
+    raw = os.environ.get("QFTMPO_DENSE_LIMIT")
+    try:
+        cap = default_cap if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"QFTMPO_DENSE_LIMIT must be an integer, got {raw!r}") from None
+    if n > cap:
+        raise ResourceLimitError(
+            f"{what} on {n} qubits exceeds the dense cap of {cap} qubits "
+            f"(QFTMPO_DENSE_LIMIT overrides)"
+        )
 
-    left_isometry: DenseTensor
-    singular_values: np.ndarray
-    right_isometry: DenseTensor
-    discarded_weight: float
 
-    def __post_init__(self):
-        vals = np.array(self.singular_values, dtype=np.float64, copy=True)
-        vals.setflags(write=False)
-        object.__setattr__(self, "singular_values", vals)
-
-    @property
-    def rank(self) -> int:
-        return len(self.singular_values)
-
-    def recompose(self) -> DenseTensor:
-        """Multiply the three factors back into a single tensor."""
-        left = self.left_isometry.data
-        right = self.right_isometry.data
-        k = self.rank
-        mat = (left.reshape(-1, k) * self.singular_values) @ right.reshape(k, -1)
-        return DenseTensor(mat.reshape(left.shape[:-1] + right.shape[1:]))
+def check_unitary(mat: np.ndarray, dim: int, tol: float = 1e-10) -> None:
+    if mat.shape != (dim, dim):
+        raise DimensionMismatchError(f"expected a {dim}x{dim} gate, got shape {mat.shape}")
+    defect = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
+    if defect > tol:
+        raise ValueError(f"gate is not unitary (defect {defect:.2e} > {tol:.0e})")
 
 
 def _svd_matrix(mat: np.ndarray, context: str = "") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,108 +136,61 @@ def retained_count(s: np.ndarray, policy: TruncationPolicy, extra_cutoff: float 
     return k
 
 
-def contract(a: DenseTensor, b: DenseTensor, axis_pairs: Sequence[tuple[int, int]]) -> DenseTensor:
-    """Contract ``a`` with ``b`` over the given (axis of a, axis of b) pairs.
-
-    Result axes are the unpaired axes of ``a`` followed by the unpaired axes
-    of ``b``, in their original order. An empty pair list is an outer
-    product.
-    """
-    axes_a = [p[0] for p in axis_pairs]
-    axes_b = [p[1] for p in axis_pairs]
-    for name, axes, t in (("a", axes_a, a), ("b", axes_b, b)):
-        if len(set(axes)) != len(axes):
-            raise ValueError(f"repeated contraction axis for operand {name}: {axes}")
-        for ax in axes:
-            if not -t.ndim <= ax < t.ndim:
-                raise DimensionMismatchError(
-                    f"axis {ax} out of range for operand {name} with rank {t.ndim}"
-                )
-    for ax_a, ax_b in axis_pairs:
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise DimensionMismatchError(
-                f"cannot contract axis {ax_a} (dim {a.shape[ax_a]}) of {a.shape} "
-                f"with axis {ax_b} (dim {b.shape[ax_b]}) of {b.shape}"
-            )
-    out = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        norm_a = {ax % a.ndim for ax in axes_a}
-        norm_b = {ax % b.ndim for ax in axes_b}
-        labels = tuple(
-            [lab for i, lab in enumerate(a.labels) if i not in norm_a]
-            + [lab for i, lab in enumerate(b.labels) if i not in norm_b]
-        )
-    return DenseTensor(out, labels)
-
-
-def reshape_permute(t: DenseTensor, perm: Sequence[int], new_shape: Sequence[int]) -> DenseTensor:
-    """Transpose axes by ``perm``, then reshape row-major to ``new_shape``."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(t.ndim)):
-        raise ValueError(f"perm {perm} is not a permutation of axes 0..{t.ndim - 1}")
-    new_shape = tuple(int(d) for d in new_shape)
-    if math.prod(new_shape) != t.size:
-        raise DimensionMismatchError(
-            f"cannot reshape {t.size} entries into shape {new_shape}"
-        )
-    return DenseTensor(np.ascontiguousarray(np.transpose(t.data, perm)).reshape(new_shape))
-
-
-def svd_truncated(t: DenseTensor, left_axes: Sequence[int], policy: TruncationPolicy) -> SvdResult:
-    """Truncated SVD of ``t`` split into (left_axes | remaining axes)."""
-    left = tuple(ax % t.ndim for ax in left_axes)
-    if len(set(left)) != len(left):
-        raise ValueError(f"repeated axis in left_axes: {left_axes}")
-    if not left or len(left) >= t.ndim:
-        raise ValueError("left_axes must be a nonempty proper subset of the axes")
-    right = tuple(ax for ax in range(t.ndim) if ax not in left)
-    left_shape = tuple(t.shape[ax] for ax in left)
-    right_shape = tuple(t.shape[ax] for ax in right)
-    mat = np.transpose(t.data, left + right).reshape(math.prod(left_shape), math.prod(right_shape))
-    u, s, vh = _svd_matrix(mat, context=f"shape {t.shape}, left axes {left}")
-    k = retained_count(s, policy)
-    discarded = float(np.sum(s[k:] ** 2))
-    return SvdResult(
-        left_isometry=DenseTensor(u[:, :k].reshape(left_shape + (k,))),
-        singular_values=s[:k],
-        right_isometry=DenseTensor(vh[:k].reshape((k,) + right_shape)),
-        discarded_weight=discarded,
-    )
-
-
 # ---------------------------------------------------------------- #
 # binary serialization
 # ---------------------------------------------------------------- #
 # layout: magic "MPOT" | u32 version | u32 rank | rank * u64 shape |
 # row-major entries as little-endian f64 pairs (re, im).
 
-def write_tensor_to(f: BinaryIO, t: DenseTensor) -> None:
+def _read_exact(f: BinaryIO, size: int, what: str) -> bytes:
+    """Read exactly ``size`` bytes or fail with a ValueError naming ``what``."""
+    raw = f.read(size)
+    if len(raw) != size:
+        raise ValueError(f"truncated {what}: need {size} bytes, got {len(raw)}")
+    return raw
+
+
+def _bytes_left(f: BinaryIO) -> int:
+    """Bytes between the position of a seekable stream and its end."""
+    pos = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(pos)
+    return end - pos
+
+
+def write_tensor_to(f: BinaryIO, t) -> None:
+    """Write one tensor record; ``t`` is a DenseTensor or any array."""
+    arr = np.asarray(t, dtype="<c16")
     f.write(TENSOR_MAGIC)
-    f.write(struct.pack("<II", TENSOR_FORMAT_VERSION, t.ndim))
-    f.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-    f.write(t.data.astype("<c16", copy=False).tobytes())
+    f.write(struct.pack(f"<II{arr.ndim}Q", TENSOR_FORMAT_VERSION, arr.ndim, *arr.shape))
+    f.write(arr.tobytes())
 
 
 def read_tensor_from(f: BinaryIO) -> DenseTensor:
+    """Read one tensor record from a seekable stream.
+
+    The declared payload is checked against the bytes left in the stream
+    before it is read, so a damaged header fails with a ValueError instead
+    of an attempt to allocate what it claims.
+    """
     magic = f.read(4)
     if magic != TENSOR_MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    version, rank = struct.unpack("<II", f.read(8))
+    version, rank = struct.unpack("<II", _read_exact(f, 8, "tensor header"))
     if version != TENSOR_FORMAT_VERSION:
         raise ValueError(f"unsupported tensor format version {version}")
     if rank > 64:
         raise ValueError(f"implausible tensor rank {rank}")
-    shape = struct.unpack(f"<{rank}Q", f.read(8 * rank))
-    count = math.prod(shape) if shape else 1
-    raw = f.read(16 * count)
-    if len(raw) != 16 * count:
-        raise ValueError("truncated tensor payload")
-    data = np.frombuffer(raw, dtype="<c16").reshape(shape)
+    shape = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank, "tensor shape"))
+    size = 16 * math.prod(shape)
+    left = _bytes_left(f)
+    if size > left:
+        raise ValueError(f"tensor of shape {shape} needs {size} bytes, {left} left")
+    data = np.frombuffer(f.read(size), dtype="<c16").reshape(shape)
     return DenseTensor(data)
 
 
-def write_tensor(dest: str | Path | BinaryIO, t: DenseTensor) -> None:
+def write_tensor(dest: str | Path | BinaryIO, t) -> None:
     """Write a tensor to a path or an open binary stream."""
     if isinstance(dest, (str, Path)):
         with open(dest, "wb") as f:

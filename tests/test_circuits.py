@@ -221,6 +221,24 @@ class TestRotationScheme:
         assert scheme.kind == kind
         assert RotationScheme.parse(scheme.label()) == scheme
 
+    @pytest.mark.parametrize("scheme", [
+        RotationScheme.standard(),
+        RotationScheme.power_law(2),
+        RotationScheme.base_n(3),
+        RotationScheme.perturbed_exponent(0.1, 7),
+        RotationScheme.perturbed_exponent(0.1, 7, per_gate=True),
+        RotationScheme.perturbed_base(0.25, 9),
+        RotationScheme.perturbed_base(0.25, 9, per_gate=True),
+    ])
+    def test_label_roundtrip(self, scheme):
+        assert RotationScheme.parse(scheme.label()) == scheme
+
+    def test_per_gate_only_for_perturbed(self):
+        with pytest.raises(ValueError):
+            RotationScheme("standard", per_gate=True)
+        with pytest.raises(ValueError):
+            RotationScheme.parse("perturbed-base:0.2:9:per-order")
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             RotationScheme.parse("fibonacci:3")

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qftmpo
 from qftmpo.cli import main
 from qftmpo.oracle import periodic_peak_probabilities
 
@@ -76,7 +81,6 @@ class TestStudies:
         assert code == 0
         doc = json.loads(out)
         assert doc["study"] == "spectrum"
-        assert doc["metadata"]["seed"] == 0
 
     def test_out_file_both_formats(self, capsys, tmp_path):
         base = tmp_path / "report"
@@ -166,6 +170,23 @@ class TestBuildApply:
                            "--r", "3", "--bits", "0000")
         assert code == 1
 
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_unreadable_operator_is_one_line_input_error(self, capsys, tmp_path, damage):
+        mpo_path = tmp_path / "t.mpo"
+        if damage == "truncated":
+            run(capsys, "build", "--n", "4", "--out", str(mpo_path))
+            mpo_path.write_bytes(mpo_path.read_bytes()[:40])
+        src = str(Path(qftmpo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qftmpo.cli", "apply", "--mpo", str(mpo_path), "--r", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("qftmpo: error: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_build_aqft_and_scheme_exclusive(self, capsys, tmp_path):
         code, _, err = run(capsys, "build", "--n", "4", "--bandwidth", "2",
                            "--scheme", "standard", "--out", str(tmp_path / "x.mpo"))
@@ -190,6 +211,13 @@ class TestConfigFile:
         assert code == 0
         rows = parse_csv(out)
         assert all(r["n"] == "8" for r in rows)
+
+    def test_unknown_config_keys_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n-list = 6\nseed = 3\n")
+        code, out, _ = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 0
+        assert "seed" not in out
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

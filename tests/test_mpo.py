@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qftmpo.errors import DimensionMismatchError, NonAdjacentGateError
+from qftmpo.errors import DimensionMismatchError, NonAdjacentGateError, NumericalError
 from qftmpo.mpo import (
     CanonicalMpo,
     from_dense_operator,
@@ -56,6 +56,13 @@ class TestIdentityMpo:
         op = identity_mpo(4)
         for g in op.gamma_vectors:
             assert np.sum(g**2) == pytest.approx(16.0, rel=1e-12)
+
+    def test_validate_flags_bond_norm_mismatch(self):
+        op = identity_mpo(3)
+        bonds = (op.gamma_vectors[0], 2.0 * op.gamma_vectors[1])
+        bad = CanonicalMpo(op.site_tensors, bonds)
+        with pytest.raises(NumericalError, match="squared weight"):
+            bad.validate()
 
 
 class TestPairOperator:

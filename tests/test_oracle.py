@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qftmpo.errors import ResourceLimitError
+from qftmpo.mps import CanonicalMps
 from qftmpo.oracle import (
     bit_reversal_permutation,
     dense_circuit_matrix,
@@ -75,6 +76,15 @@ class TestDenseQftMatrix:
         monkeypatch.setenv("QFTMPO_DENSE_LIMIT", "4")
         with pytest.raises(ResourceLimitError):
             dense_qft_matrix(5)
+
+    def test_malformed_cap_same_error_everywhere(self, monkeypatch):
+        monkeypatch.setenv("QFTMPO_DENSE_LIMIT", "abc")
+        with pytest.raises(ValueError) as oracle_err:
+            dense_qft_matrix(3)
+        with pytest.raises(ValueError) as state_err:
+            CanonicalMps.from_basis_state(3, "010").to_dense()
+        assert "QFTMPO_DENSE_LIMIT must be an integer" in str(oracle_err.value)
+        assert str(oracle_err.value) == str(state_err.value)
 
     def test_cap_override(self, monkeypatch):
         monkeypatch.setenv("QFTMPO_DENSE_LIMIT", "2")

@@ -3,17 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from qftmpo.errors import DimensionMismatchError, NumericalError
+from qftmpo._canonical import _split_bond
+from qftmpo.errors import NumericalError
 from qftmpo.tensor import (
     DenseTensor,
-    SvdResult,
     TruncationPolicy,
-    contract,
     read_tensor,
     read_tensor_from,
-    reshape_permute,
     retained_count,
-    svd_truncated,
     write_tensor,
     write_tensor_to,
 )
@@ -39,18 +36,6 @@ class TestDenseTensor:
             DenseTensor([1.0, np.nan])
         with pytest.raises(NumericalError):
             DenseTensor([1.0, np.inf])
-
-    def test_labels_checked(self):
-        t = DenseTensor(np.zeros((2, 2)), labels=("in", "out"))
-        assert t.labels == ("in", "out")
-        with pytest.raises(DimensionMismatchError):
-            DenseTensor(np.zeros((2, 2)), labels=("only",))
-
-    def test_relabel(self):
-        t = DenseTensor(np.zeros((2, 2)))
-        got = t.relabel(("a", "b"))
-        assert got.labels == ("a", "b")
-        assert np.array_equal(got.data, t.data)
 
     def test_array_protocol(self):
         t = DenseTensor([[1, 0], [0, 1]])
@@ -95,69 +80,37 @@ class TestRetainedCount:
         assert retained_count(s, TruncationPolicy(0.0), extra_cutoff=1e-10) == 2
 
 
-class TestContract:
-    def test_matches_tensordot(self, rng):
-        a = DenseTensor(rng.normal(size=(2, 3, 4)))
-        b = DenseTensor(rng.normal(size=(4, 3, 5)))
-        got = contract(a, b, [(2, 0), (1, 1)])
-        want = np.tensordot(a.data, b.data, axes=((2, 1), (0, 1)))
-        assert np.allclose(got.data, want)
-
-    def test_dimension_mismatch(self):
-        a = DenseTensor(np.zeros((2, 3)))
-        b = DenseTensor(np.zeros((4, 5)))
-        with pytest.raises(DimensionMismatchError):
-            contract(a, b, [(1, 0)])
-
-    def test_label_propagation(self):
-        a = DenseTensor(np.zeros((2, 3)), labels=("keepA", "sum"))
-        b = DenseTensor(np.zeros((3, 4)), labels=("sum", "keepB"))
-        got = contract(a, b, [(1, 0)])
-        assert got.labels == ("keepA", "keepB")
-
-
-class TestReshapePermute:
-    def test_roundtrip(self, rng):
-        t = DenseTensor(rng.normal(size=(2, 3, 4)))
-        got = reshape_permute(t, (2, 0, 1), (4, 6))
-        want = t.data.transpose(2, 0, 1).reshape(4, 6)
-        assert np.allclose(got.data, want)
-
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            reshape_permute(DenseTensor(np.zeros((2, 3))), (0, 1), (5,))
-
-
 class TestSvdTruncated:
+    """The truncated SVD at the heart of every canonical sweep."""
+
+    @staticmethod
+    def split(mat, policy):
+        return _split_bond(mat, policy, floor=0.0)
+
     def test_exact_recompose(self, rng):
-        t = DenseTensor(rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5)))
-        res = svd_truncated(t, left_axes=(0, 1), policy=TruncationPolicy())
-        assert isinstance(res, SvdResult)
-        assert res.discarded_weight == 0.0
-        assert np.allclose(res.recompose(), t.data, atol=1e-12)
+        t = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+        u, s, vh, discarded = self.split(t.reshape(12, 5), TruncationPolicy())
+        assert discarded == 0.0
+        assert np.allclose(((u * s) @ vh).reshape(t.shape), t, atol=1e-12)
 
     def test_truncation_drops_weight(self, rng):
         u = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         v = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         s = np.array([1.0, 0.5, 1e-3, 1e-9, 1e-9, 1e-12])
         mat = (u * s) @ v
-        res = svd_truncated(DenseTensor(mat), left_axes=(0,), policy=TruncationPolicy(1e-6))
-        assert res.rank == 3
-        assert res.discarded_weight == pytest.approx(2e-18 + 1e-24, rel=1e-6)
-        assert np.allclose(res.recompose(), mat, atol=1e-8)
+        uk, sk, vhk, discarded = self.split(mat, TruncationPolicy(1e-6))
+        assert len(sk) == 3
+        assert discarded == pytest.approx(2e-18 + 1e-24, rel=1e-6)
+        assert np.allclose((uk * sk) @ vhk, mat, atol=1e-8)
 
     def test_isometry_conditions(self, rng):
-        t = DenseTensor(rng.normal(size=(4, 4)))
-        res = svd_truncated(t, left_axes=(0,), policy=TruncationPolicy())
-        left = res.left_isometry.data.reshape(-1, res.rank)
-        assert np.allclose(left.conj().T @ left, np.eye(res.rank), atol=1e-12)
-        right = res.right_isometry.data.reshape(res.rank, -1)
-        assert np.allclose(right @ right.conj().T, np.eye(res.rank), atol=1e-12)
+        u, s, vh, _ = self.split(rng.normal(size=(4, 4)), TruncationPolicy())
+        k = len(s)
+        assert np.allclose(u.conj().T @ u, np.eye(k), atol=1e-12)
+        assert np.allclose(vh @ vh.conj().T, np.eye(k), atol=1e-12)
 
     def test_singular_values_sorted(self, rng):
-        t = DenseTensor(rng.normal(size=(5, 7)))
-        res = svd_truncated(t, left_axes=(0,), policy=TruncationPolicy())
-        s = res.singular_values
+        _, s, _, _ = self.split(rng.normal(size=(5, 7)), TruncationPolicy())
         assert np.all(np.diff(s) <= 0)
         assert np.all(s > 0)
 
@@ -189,3 +142,10 @@ class TestSerialization:
         write_tensor_to(buf, t)
         buf.seek(0)
         assert read_tensor_from(buf).data == 3.0 + 1j
+
+    def test_any_array_writes_like_its_tensor(self, rng):
+        vals = rng.random(5)
+        direct, wrapped = io.BytesIO(), io.BytesIO()
+        write_tensor_to(direct, vals)
+        write_tensor_to(wrapped, DenseTensor(vals.astype(np.complex128)))
+        assert direct.getvalue() == wrapped.getvalue()
