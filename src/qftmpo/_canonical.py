@@ -170,8 +170,9 @@ def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, poli
     """Apply a two-site operator and restore the shared bond by one SVD.
 
     ``pair_op`` has legs (new1, new2, old1, old2) over the train's physical
-    dimension. Neighbouring bond vectors are folded in before the SVD, so
-    the new bond vector holds the updated Schmidt coefficients directly.
+    dimension d, as a (d, d, d, d) array or its (d*d, d*d) matrix.
+    Neighbouring bond vectors are folded in before the SVD, so the new bond
+    vector holds the updated Schmidt coefficients directly.
 
     Returns (g_left', bond', g_right', discarded_weight).
     """
@@ -180,7 +181,7 @@ def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, poli
     theta = g_left * lam_left[:, None, None]
     theta = theta * lam_mid[None, None, :]
     theta = np.tensordot(theta, g_right * lam_right[None, None, :], axes=(2, 0))  # a p q c
-    theta = np.einsum("xypq,apqc->axyc", pair_op, theta, optimize=True)
+    theta = np.matmul(pair_op.reshape(d * d, d * d), theta.reshape(a, d * d, c))  # a xy c
     u, s, vh, discarded = _split_bond(theta.reshape(a * d, d * c), policy, floor)
     lam_new = s / np.linalg.norm(s) if normalize else s
     g_left_new = u.reshape(a, d, -1) / lam_left[:, None, None]

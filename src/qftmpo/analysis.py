@@ -254,15 +254,20 @@ def _degenerate_blocks(values: np.ndarray, rtol: float = 1e-8):
 def middle_tensor_difference(mpo_a, mpo_b) -> float:
     """Gauge-tolerant distance between the central site tensors.
 
-    Entries are compared in absolute value (phase gauge). Bonds of the
-    larger tensor are truncated to the smaller's dimensions; bond vectors
-    are descending so the leading slices dominate. Within degenerate bond
-    blocks the slices are sorted by norm, the documented substitute for
-    full gauge fixing. Returns mean absolute difference over entries,
-    relative to the largest entry of the first tensor.
+    Each central tensor is compared bond-weighted, as lambda_l Gamma
+    lambda_r with both bond vectors scaled to unit norm (the weighting of
+    `_canonical.canonical_defect`): bare Gamma = W / lambda blows up the
+    slices whose Schmidt value sits near the noise floor, and those would
+    swamp the comparison. Entries are compared in absolute value (phase
+    gauge). Bonds of the larger tensor are truncated to the smaller's
+    dimensions; bond vectors are descending so the leading slices dominate.
+    Within degenerate bond blocks the slices are sorted by norm, the
+    documented substitute for full gauge fixing. Returns mean absolute
+    difference over entries, relative to the largest entry of the first
+    tensor.
     """
-    a, ga = _trimmed_middle(mpo_a)
-    b, gb = _trimmed_middle(mpo_b)
+    a, ga = _weighted_middle(mpo_a)
+    b, gb = _weighted_middle(mpo_b)
     l = min(a.shape[0], b.shape[0])
     r = min(a.shape[3], b.shape[3])
     a = _block_sorted(np.abs(a[:l, :, :, :r]), ga[0][:l], ga[1][:r])
@@ -271,13 +276,17 @@ def middle_tensor_difference(mpo_a, mpo_b) -> float:
     return float(np.mean(np.abs(a - b))) / scale
 
 
-def _trimmed_middle(mpo):
+def _weighted_middle(mpo):
+    """Central tensor with its unit-norm bond vectors folded in, and those
+    bond vectors."""
     n = mpo.n_qubits
     site = n // 2
-    t = np.array(mpo.middle_tensor().data)
     ones = np.ones(1)
     left = mpo.gamma_vectors[site - 1] if site > 0 else ones
     right = mpo.gamma_vectors[site] if site < n - 1 else ones
+    left = left / np.linalg.norm(left)
+    right = right / np.linalg.norm(right)
+    t = mpo.middle_tensor().data * left[:, None, None, None] * right[None, None, None, :]
     return t, (left, right)
 
 

@@ -322,24 +322,58 @@ def generalized_circuit(n: int, scheme: RotationScheme) -> CircuitSpec:
 
 @dataclass(eq=False)
 class CompileTrace:
-    """Compilation record: the operator (None when the ceiling was hit),
-    the running maximum bond rank after each gate, and whether the run
-    saturated the rank ceiling."""
+    """Compilation record.
+
+    ``mpo`` is the operator, or None when the rank ceiling was hit.
+    ``max_rank_history`` has one entry per absorbed gate: the running
+    maximum bond rank after that gate's step. Consecutive gates on the same
+    pair form one step, so each of them records the rank after the whole
+    step, and the history never decreases. ``gates_applied`` counts the
+    gates through the last step taken, and ``saturated`` says whether that
+    step crossed the ceiling. ``discarded_weight`` sums the squared
+    singular values the steps truncated away; the final recanonicalization
+    sweep is not included.
+    """
 
     mpo: CanonicalMpo | None
     max_rank_history: list[int]
     saturated: bool
     gates_applied: int
+    discarded_weight: float = 0.0
+
+
+def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
+    """Pair operator of consecutive gates on one pair as a (16, 16) matrix
+    over the fused legs, later gates to the left.
+
+    Single gates and runs alike are cached in ``cache`` by their gates'
+    (kind, angle, side) keys; a generic gate is lifted afresh each time.
+    """
+    key = None
+    if all(g.kind != "generic" for g in run):
+        key = tuple((g.kind, g.angle, g.side) for g in run)
+        if key in cache:
+            return cache[key]
+    if len(run) == 1:
+        op = pair_operator(run[0].dense_matrix(), run[0].side).reshape(16, 16)
+    else:
+        op = _lift(run[-1:], cache) @ _lift(run[:-1], cache)
+    if key is not None:
+        cache[key] = op
+    return op
 
 
 def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
                   rank_ceiling: int | None = None) -> CompileTrace:
     """Absorb the circuit's gates in order into an identity chain.
 
-    Gates honour their side flag; each two-site absorption re-truncates the
-    touched bond under ``policy``. A ``rank_ceiling`` aborts compilation as
-    soon as any bond exceeds it (the trace is then marked saturated). The
-    finished operator gets a final full recanonicalization sweep.
+    Gates honour their side flag. A one-site gate is applied exactly. A
+    two-site gate, together with the two-site gates directly after it on
+    the same pair, is absorbed as one step: their product acts on the pair
+    and one SVD re-truncates the touched bond under ``policy``. A
+    ``rank_ceiling`` aborts compilation after the first step that leaves a
+    bond above it (the trace is then marked saturated). The finished
+    operator gets a final full recanonicalization sweep.
     """
     n = circuit.n_qubits
     start = identity_mpo(n)
@@ -352,11 +386,18 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
         cap = rank_ceiling + 1 if policy.max_rank is None else min(policy.max_rank, rank_ceiling + 1)
         eff_policy = TruncationPolicy(policy.rel_cutoff, cap)
 
+    gates = circuit.gates
+    cache: dict = {}
     history = []
-    for idx, gate in enumerate(circuit.gates):
-        mat = gate.dense_matrix()
-        if mat.shape == (2, 2):
-            sites[gate.sites[0]] = _single_site_apply(sites[gate.sites[0]], mat, gate.side)
+    peak = 1
+    weight = 0.0
+    idx = 0
+    while idx < len(gates):
+        gate = gates[idx]
+        stop = idx + 1
+        if len(gate.sites) == 1:
+            s = gate.sites[0]
+            sites[s] = _single_site_apply(sites[s], gate.dense_matrix(), gate.side)
         else:
             a, b = gate.sites
             if b != a + 1:
@@ -364,15 +405,18 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
                     f"gate {idx} ({gate.kind}) acts on {gate.sites}; compilation "
                     f"needs adjacent ascending sites - route with explicit swaps"
                 )
-            _absorb_pair(sites, gammas, a, pair_operator(mat, gate.side), eff_policy)
-        current = max((len(g) for g in gammas), default=1)
-        history.append(current)
-        if rank_ceiling is not None and current > rank_ceiling:
-            return CompileTrace(None, history, True, idx + 1)
+            while stop < len(gates) and gates[stop].sites == gate.sites:
+                stop += 1
+            weight += _absorb_pair(sites, gammas, a, _lift(gates[idx:stop], cache), eff_policy)
+            peak = max(peak, len(gammas[a]))
+        history.extend([peak] * (stop - idx))
+        idx = stop
+        if rank_ceiling is not None and peak > rank_ceiling:
+            return CompileTrace(None, history, True, idx, weight)
 
     mpo = CanonicalMpo(tuple(DenseTensor(t) for t in sites), tuple(gammas))
     mpo = mpo.recanonicalize(policy)
-    return CompileTrace(mpo, history, False, len(circuit.gates))
+    return CompileTrace(mpo, history, False, len(gates), weight)
 
 
 def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy, *,

@@ -29,7 +29,7 @@ from .circuits import (
     RotationScheme,
     aqft_circuit,
     circuit_fingerprint,
-    compile_to_mpo,
+    compile_trace,
     generalized_circuit,
     nearest_neighbor_qft_circuit,
 )
@@ -208,16 +208,19 @@ def _cmd_build(args) -> int:
     else:
         circuit = nearest_neighbor_qft_circuit(args.n)
     _progress(f"compiling {circuit.family} on {args.n} qubits ({len(circuit.gates)} gates)")
-    mpo = compile_to_mpo(circuit, policy)
+    trace = compile_trace(circuit, policy)
+    mpo = trace.mpo
     out = args.out or f"{circuit.family}-{args.n}.mpo"
-    save_mpo(mpo, out, policy=policy, circuit_fingerprint=circuit_fingerprint(circuit))
+    fingerprint = circuit_fingerprint(circuit)
+    save_mpo(mpo, out, policy=policy, circuit_fingerprint=fingerprint)
     _progress(f"wrote {out} (max bond rank {mpo.max_bond_rank})")
     print(json.dumps({
         "file": out,
         "n_qubits": mpo.n_qubits,
         "max_bond_rank": mpo.max_bond_rank,
         "bond_ranks": list(mpo.bond_ranks),
-        "fingerprint": circuit_fingerprint(circuit),
+        "fingerprint": fingerprint,
+        "discarded_weight": trace.discarded_weight,
     }))
     return 0
 

@@ -72,7 +72,10 @@ def _single_site_apply(site: np.ndarray, gate: np.ndarray, side: str) -> np.ndar
 
 def _absorb_pair(sites: list, gammas: list, j: int, pair_op: np.ndarray,
                  policy: TruncationPolicy) -> float:
-    """In-place two-site absorption on raw arrays; returns discarded weight."""
+    """In-place two-site absorption on raw arrays; returns discarded weight.
+
+    ``pair_op`` is a `pair_operator` result or its (16, 16) matrix, which
+    may be a product of several lifted gates."""
     n = len(sites)
     ones = np.ones(1)
     lam_l = gammas[j - 1] if j > 0 else ones

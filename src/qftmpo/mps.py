@@ -189,7 +189,7 @@ class CanonicalMps:
         lam_r = self.lambdas[site + 1] if site + 1 < n - 1 else ones
         g1, lam_new, g2, weight = _canonical.two_site_update(
             lam_l, self.gammas[site].data, lam_m, self.gammas[site + 1].data, lam_r,
-            mat.reshape(2, 2, 2, 2), policy, normalize=True,
+            mat, policy, normalize=True,
         )
         gammas = list(self.gammas)
         gammas[site] = DenseTensor(g1)

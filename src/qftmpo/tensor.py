@@ -171,7 +171,8 @@ def read_tensor_from(f: BinaryIO) -> DenseTensor:
 
     The declared payload is checked against the bytes left in the stream
     before it is read, so a damaged header fails with a ValueError instead
-    of an attempt to allocate what it claims.
+    of an attempt to allocate what it claims; a payload holding NaN or inf
+    is damaged input too, and fails with a ValueError as well.
     """
     magic = f.read(4)
     if magic != TENSOR_MAGIC:
@@ -187,7 +188,10 @@ def read_tensor_from(f: BinaryIO) -> DenseTensor:
     if size > left:
         raise ValueError(f"tensor of shape {shape} needs {size} bytes, {left} left")
     data = np.frombuffer(f.read(size), dtype="<c16").reshape(shape)
-    return DenseTensor(data)
+    try:
+        return DenseTensor(data)
+    except NumericalError as exc:
+        raise ValueError(f"damaged tensor record of shape {shape}: {exc}") from None
 
 
 def write_tensor(dest: str | Path | BinaryIO, t) -> None:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import per_gate_reference
 from qftmpo.analysis import (
     StudyResult,
     aqft_rank_study,
@@ -123,6 +124,15 @@ class TestSpectrumStudies:
     def test_middle_tensor_difference_self_is_zero(self):
         mpo = compile_to_mpo(nearest_neighbor_qft_circuit(8), TruncationPolicy(1e-14))
         assert middle_tensor_difference(mpo, mpo) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_middle_tensor_difference_between_compile_paths(self, n):
+        # bare Gamma entries next to noise-floor Schmidt values differ by
+        # 1e-3 between equal operators; the bond-weighted metric does not
+        circ = nearest_neighbor_qft_circuit(n)
+        policy = TruncationPolicy(1e-14)
+        fused = compile_to_mpo(circ, policy)
+        assert middle_tensor_difference(fused, per_gate_reference(circ, policy)) <= 1e-12
 
 
 class TestHsErrorStudy:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import qftmpo.circuits as circuits
+from conftest import per_gate_reference, random_unitary
 from qftmpo.circuits import (
     CircuitSpec,
     GateSpec,
@@ -19,6 +21,7 @@ from qftmpo.circuits import (
     qft_circuit,
 )
 from qftmpo.errors import BondRankCeilingError, NonAdjacentGateError
+from qftmpo.mpo import hs_inner
 from qftmpo.oracle import dense_circuit_matrix, dense_qft_matrix
 from qftmpo.tensor import DenseTensor, TruncationPolicy
 
@@ -317,6 +320,98 @@ class TestCompilation:
     def test_empty_circuit_is_identity(self):
         mpo = compile_to_mpo(CircuitSpec(3, ()), EXACT)
         assert np.allclose(np.array(mpo.to_dense().data), np.eye(8), atol=1e-13)
+
+
+def counting(monkeypatch, name):
+    """Count the calls compile_trace makes to ``circuits.<name>``."""
+    calls = []
+    original = getattr(circuits, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, name, wrapper)
+    return calls
+
+
+class TestFusedSteps:
+    @pytest.mark.parametrize("circ", [
+        nearest_neighbor_qft_circuit(16),
+        nearest_neighbor_qft_circuit(24),
+        aqft_circuit(16, 5),
+        generalized_circuit(10, RotationScheme.perturbed_exponent(0.1, 7, per_gate=True)),
+    ], ids=["nn16", "nn24", "aqft16-5", "perturbed10"])
+    def test_matches_per_gate_reference(self, circ):
+        fused = compile_to_mpo(circ, EXACT)
+        ref = per_gate_reference(circ, EXACT)
+        assert abs(1 - hs_inner(ref, fused)) <= 1e-12
+
+    @pytest.mark.parametrize("ceiling", [None, 8])
+    def test_history_one_entry_per_gate_non_decreasing(self, ceiling):
+        circ = generalized_circuit(8, RotationScheme.power_law(2))
+        trace = compile_trace(circ, TruncationPolicy(1e-10), rank_ceiling=ceiling)
+        assert trace.saturated == (ceiling is not None)
+        assert len(trace.max_rank_history) == trace.gates_applied
+        assert all(a <= b for a, b in zip(trace.max_rank_history, trace.max_rank_history[1:]))
+
+    def test_generic_gate_then_swap_matches_dense(self, rng):
+        gate = DenseTensor(random_unitary(rng, 4))
+        circ = CircuitSpec(3, (
+            GateSpec("h", (1,)),
+            GateSpec("generic", (1, 2), matrix=gate),
+            GateSpec("swap", (1, 2), side="both"),
+            GateSpec("generic", (0, 1), matrix=gate),
+            GateSpec("swap", (0, 1)),
+        ))
+        mpo = compile_to_mpo(circ, EXACT)
+        want = np.array(dense_circuit_matrix(circ).data)
+        assert np.max(np.abs(np.array(mpo.to_dense().data) - want)) < 1e-12
+
+    def test_only_same_pair_neighbours_fuse(self, monkeypatch):
+        absorbed = counting(monkeypatch, "_absorb_pair")
+        circ = CircuitSpec(3, (
+            GateSpec("cphase", (0, 1), angle=0.3),
+            GateSpec("cphase", (1, 2), angle=0.3),
+            GateSpec("cphase", (0, 1), angle=0.5),
+            GateSpec("swap", (0, 1), side="both"),
+        ))
+        compile_trace(circ, EXACT)
+        assert [args[2] for args in absorbed] == [0, 1, 0]
+
+    def test_lifted_operators_cached_per_key(self, monkeypatch):
+        lifted = counting(monkeypatch, "pair_operator")
+        compile_trace(nearest_neighbor_qft_circuit(8), EXACT)
+        assert len(lifted) == 8  # seven cphase angles and the swap
+
+    def test_generic_gates_lifted_each_time(self, monkeypatch, rng):
+        lifted = counting(monkeypatch, "pair_operator")
+        gate = GateSpec("generic", (0, 1), matrix=DenseTensor(random_unitary(rng, 4)))
+        compile_trace(CircuitSpec(2, (gate, GateSpec("h", (0,)), gate)), EXACT)
+        assert len(lifted) == 2
+
+    def test_ceiling_counts_through_fused_step(self):
+        circ = CircuitSpec(2, (
+            GateSpec("h", (0,)),
+            GateSpec("swap", (0, 1)),
+            GateSpec("cphase", (0, 1), angle=0.3),
+            GateSpec("h", (1,)),
+        ))
+        trace = compile_trace(circ, EXACT, rank_ceiling=1)
+        assert trace.saturated
+        assert trace.gates_applied == 3
+        assert trace.max_rank_history[0] == 1
+        assert trace.max_rank_history[1] == trace.max_rank_history[2] > 1
+
+    def test_discarded_weight_recorded(self):
+        circ = nearest_neighbor_qft_circuit(12)
+        assert compile_trace(circ, EXACT).discarded_weight < 1e-20
+        capped = compile_trace(circ, TruncationPolicy(1e-14, 4))
+        assert capped.discarded_weight > 1e-6
+        # the discarded weight bounds the squared Frobenius error of the
+        # (norm 2^n) operator, measured here as 2^n |1 - hs_inner|
+        exact = compile_to_mpo(circ, EXACT)
+        assert 2**12 * abs(1 - hs_inner(exact, capped.mpo)) < 2 * capped.discarded_weight
 
 
 class TestSerialization:

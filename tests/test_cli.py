@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import qftmpo
 from qftmpo.cli import main
+from qftmpo.mpo import identity_mpo, save_mpo
 from qftmpo.oracle import periodic_peak_probabilities
 
 
@@ -18,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(qftmpo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "qftmpo.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def parse_csv(text):
@@ -176,16 +186,33 @@ class TestBuildApply:
         if damage == "truncated":
             run(capsys, "build", "--n", "4", "--out", str(mpo_path))
             mpo_path.write_bytes(mpo_path.read_bytes()[:40])
-        src = str(Path(qftmpo.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qftmpo.cli", "apply", "--mpo", str(mpo_path), "--r", "3"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli_process("apply", "--mpo", str(mpo_path), "--r", "3")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("qftmpo: error: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_payload_is_one_line_input_error(self, tmp_path, bad):
+        mpo_path = tmp_path / "t.mpo"
+        save_mpo(identity_mpo(3), mpo_path)
+        raw = bytearray(mpo_path.read_bytes())
+        # container header (12 bytes), then the first site record: magic,
+        # version, rank 4, four u64 dimensions, then the payload
+        payload = 12 + 4 + 8 + 4 * 8
+        raw[payload:payload + 8] = struct.pack("<d", bad)
+        mpo_path.write_bytes(bytes(raw))
+        proc = run_cli_process("apply", "--mpo", str(mpo_path), "--r", "3")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("qftmpo: error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_build_reports_discarded_weight(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "build", "--n", "10", "--max-rank", "4",
+                           "--out", str(tmp_path / "t.mpo"))
+        assert code == 0
+        assert json.loads(out)["discarded_weight"] > 0
 
     def test_build_aqft_and_scheme_exclusive(self, capsys, tmp_path):
         code, _, err = run(capsys, "build", "--n", "4", "--bandwidth", "2",
