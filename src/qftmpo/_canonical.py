@@ -2,9 +2,11 @@
 
 A "train" here is a list of rank-3 arrays with legs (left bond, physical,
 right bond); the matrix-chain product over the bond legs reproduces the
-encoded vector. Canonical form splits a train into isometric site tensors
-(gammas) plus one non-negative vector per bond whose entries are the
-Schmidt coefficients of the encoded vector across that bond. For a
+encoded vector. A train handed to `canonicalize_train` may instead hold
+(state, operator) factor pairs, one per site, standing for the operator
+applied to the state. Canonical form splits a train into isometric site
+tensors (gammas) plus one non-negative vector per bond whose entries are
+the Schmidt coefficients of the encoded vector across that bond. For a
 normalized chain each bond vector has unit 2-norm; otherwise every bond
 vector carries the full 2-norm of the vector, which is the convention used
 for operator chains.
@@ -51,20 +53,67 @@ def _split_bond(mat, policy, floor):
     return u[:, :k], s[:k], vh[:k], discarded
 
 
+def _left_multiply(rmat, site):
+    """``rmat`` (k, chi_l) times a train site over its left bond, as a
+    (k * d, chi_r) matrix.
+
+    A site is a (chi_l, d, chi_r) array, or a (state, operator) pair of
+    factors (a, p, b) and (c, x, p, e) standing for the product site
+    sum_p state[a, p, b] * operator[c, x, p, e] on bonds (a, c) and (b, e),
+    first index slower. The product site is never formed: ``rmat`` goes
+    into the state factor first, then the operator factor.
+    """
+    if isinstance(site, tuple):
+        state, op = site
+        a, c = state.shape[0], op.shape[0]
+        t = np.tensordot(rmat.reshape(-1, a, c), state, axes=(1, 0))  # k c p b
+        t = np.tensordot(t, op, axes=((1, 2), (0, 2)))  # k b x e
+        k, b, x, e = t.shape
+        return t.transpose(0, 2, 1, 3).reshape(k * x, b * e)
+    chi_l, d, chi_r = site.shape
+    return (rmat @ site.reshape(chi_l, d * chi_r)).reshape(-1, chi_r)
+
+
+def _right_multiply(site, carry):
+    """A train site (see `_left_multiply`) times ``carry`` (chi_r, k) over
+    its right bond, as a (chi_l, d * k) matrix."""
+    if isinstance(site, tuple):
+        state, op = site
+        b, e = state.shape[2], op.shape[3]
+        t = np.tensordot(state, carry.reshape(b, e, -1), axes=(2, 0))  # a p e k
+        t = np.tensordot(t, op, axes=((1, 2), (2, 3)))  # a k c x
+        a, k, c, x = t.shape
+        return t.transpose(0, 2, 3, 1).reshape(a * c, x * k)
+    chi_l, d, chi_r = site.shape
+    return (site.reshape(chi_l * d, chi_r) @ carry).reshape(chi_l, -1)
+
+
 def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
     """Bring a raw train into canonical form.
 
-    Left-to-right QR sweep makes every site left-isometric, pushing the
-    norm to the last site; the right-to-left SVD sweep then truncates each
-    bond and collects its Schmidt vector. With ``normalize`` the bond
-    vectors are rescaled to unit 2-norm and the encoded vector to norm 1.
+    ``tensors`` holds (left, d, right) sites, or (state, operator) factor
+    pairs whose product sites are contracted on the fly and never formed
+    (see `_left_multiply`); this is how an operator is applied to a state.
+
+    The left-to-right sweep keeps only the triangular QR factors: R_j of
+    R_{j-1} * site_j, with no Q formed. The right-to-left sweep carries a
+    matrix C instead of the Q factors: with X = site_j * C, the SVD of
+    R_{j-1} X = U S Vh truncates bond j-1 and gives the right-isometric
+    site Vh; the next carry is X Vh^dag, because R_{j-1} X Vh^dag = U S.
+    The singular values are the Schmidt coefficients across each bond, as
+    if every left block had been made isometric. With ``normalize`` the
+    bond vectors are rescaled to unit 2-norm and the encoded vector to
+    norm 1.
 
     Returns (gammas, bond_vectors, discarded_weight).
     """
     n = len(tensors)
-    work = [np.asarray(t, dtype=np.complex128) for t in tensors]
+    sites = [
+        t if isinstance(t, tuple) else np.asarray(t, dtype=np.complex128) for t in tensors
+    ]
+    ones = np.ones((1, 1), dtype=np.complex128)
     if n == 1:
-        g = work[0]
+        g = _right_multiply(sites[0], ones).reshape(1, -1, 1)
         if normalize:
             norm = np.linalg.norm(g)
             if norm == 0.0:
@@ -72,21 +121,24 @@ def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
             g = g / norm
         return [g], [], 0.0
 
-    for j in range(n - 1):  # left-to-right: orthonormalize columns
-        chi_l, d, chi_r = work[j].shape
-        q, rmat = np.linalg.qr(work[j].reshape(chi_l * d, chi_r))
-        work[j] = q.reshape(chi_l, d, -1)
-        work[j + 1] = np.tensordot(rmat, work[j + 1], axes=(1, 0))
+    rmats = []
+    rmat = ones
+    for j in range(n - 1):  # left-to-right: triangular factors only
+        rmat = np.linalg.qr(_left_multiply(rmat, sites[j]), mode="r")
+        rmats.append(rmat)
 
+    work = [None] * n
     bond_vectors = [None] * (n - 1)
     discarded = 0.0
+    carry = ones
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
-        chi_l, d, chi_r = work[j].shape
-        u, s, vh, dropped = _split_bond(work[j].reshape(chi_l, d * chi_r), policy, floor)
+        x = _right_multiply(sites[j], carry)
+        u, s, vh, dropped = _split_bond(rmats[j - 1] @ x, policy, floor)
         discarded += dropped
         bond_vectors[j - 1] = s
-        work[j] = vh.reshape(-1, d, chi_r)
-        work[j - 1] = np.tensordot(work[j - 1], u * s, axes=(2, 0))
+        work[j] = vh.reshape(len(s), -1, carry.shape[1])
+        carry = x @ vh.conj().T
+    work[0] = _right_multiply(sites[0], carry).reshape(1, -1, carry.shape[1])
 
     # work[0] now carries the full norm; work[1:] are right-isometric with
     # bond_vectors holding the raw Schmidt coefficients.

@@ -13,6 +13,7 @@ import math
 import subprocess
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -43,10 +44,12 @@ def middle_bond(n: int) -> int:
 
 
 def _git_describe() -> str:
+    """``git describe`` of the checkout holding this package, whatever the
+    caller's working directory; "unknown" outside a checkout."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5, cwd=Path(__file__).parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BondRankCeilingError, NonAdjacentGateError
 from .mpo import CanonicalMpo, _absorb_pair, _single_site_apply, identity_mpo, pair_operator
-from .tensor import DenseTensor, TruncationPolicy
+from .tensor import DenseTensor, TruncationPolicy, check_unitary
 
 GATE_KINDS = ("h", "cphase", "swap", "generic")
 GATE_SIDES = ("output", "both")
@@ -59,7 +59,11 @@ class GateSpec:
         if self.kind == "generic":
             if self.matrix is None:
                 raise ValueError("generic gates need an explicit matrix")
-            expected = 1 if self.matrix.shape == (2, 2) else 2
+            shape = np.shape(self.matrix)
+            if shape not in ((2, 2), (4, 4)):
+                raise ValueError(f"generic gate matrix must be 2x2 or 4x4, got shape {shape}")
+            check_unitary(np.asarray(self.matrix), shape[0])
+            expected = 1 if shape == (2, 2) else 2
         if len(self.sites) != expected:
             raise ValueError(f"{self.kind} gate takes {expected} site(s), got {self.sites}")
         if len(self.sites) == 2 and self.sites[0] == self.sites[1]:

@@ -216,14 +216,25 @@ class CanonicalMpo:
     def apply_to_mps(self, state: CanonicalMps, policy: TruncationPolicy) -> CanonicalMps:
         """Apply the operator to a state and recanonicalize.
 
-        Site tensors and bond vectors multiply pointwise into a product
-        chain whose bond ranks are the products of the factors' ranks; a
-        two-sweep recanonicalization then restores canonical form and
-        truncates per ``policy``. The result is renormalized to unit norm.
+        The state and operator sites go to `_canonical.canonicalize_train`
+        as factor pairs, each with its bond vector folded in; the sweep
+        contracts them on the fly, so the product chain, whose bond ranks
+        are the products of the factors' ranks, is never formed. The sweep
+        restores canonical form and truncates per ``policy``; the result
+        is renormalized to unit norm.
         """
-        gammas, lambdas = _product_chain(self, state)
-        train = _canonical.train_from_vidal(gammas, lambdas)
-        new_g, new_l, _ = _canonical.canonicalize_train(train, policy, normalize=True)
+        if self.n_qubits != state.n_qubits:
+            raise DimensionMismatchError(
+                f"operator on {self.n_qubits} qubits cannot act on "
+                f"{state.n_qubits}-qubit state"
+            )
+        states = _canonical.train_from_vidal([g.data for g in state.gammas], state.lambdas)
+        ops = _canonical.train_from_vidal(
+            [t.data for t in self.site_tensors], self.gamma_vectors
+        )
+        new_g, new_l, _ = _canonical.canonicalize_train(
+            list(zip(states, ops)), policy, normalize=True
+        )
         return CanonicalMps(
             tuple(DenseTensor(g) for g in new_g), tuple(new_l)
         )
@@ -245,31 +256,6 @@ class CanonicalMpo:
         perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
         mat = np.transpose(arr, perm).reshape(2**n, 2**n)
         return DenseTensor(mat)
-
-
-def _product_chain(op: CanonicalMpo, state: CanonicalMps):
-    """Site-wise product of an operator chain and a state chain.
-
-    Returns non-canonical (gammas, lambdas) whose bond ranks are the exact
-    products of the operator and state bond ranks.
-    """
-    if op.n_qubits != state.n_qubits:
-        raise DimensionMismatchError(
-            f"operator on {op.n_qubits} qubits cannot act on {state.n_qubits}-qubit state"
-        )
-    n = op.n_qubits
-    gammas = []
-    for j in range(n):
-        g = state.gammas[j].data  # (a, p, b)
-        o = op.site_tensors[j].data  # (c, i, p, d)
-        t = np.tensordot(g, o, axes=(1, 2))  # (a, b, c, i, d)
-        t = t.transpose(0, 2, 3, 1, 4)  # (a, c, i, b, d)
-        s = t.shape
-        gammas.append(np.ascontiguousarray(t.reshape(s[0] * s[1], 2, s[3] * s[4])))
-    lambdas = [
-        np.kron(state.lambdas[j], op.gamma_vectors[j]) for j in range(n - 1)
-    ]
-    return gammas, lambdas
 
 
 def identity_mpo(n: int) -> CanonicalMpo:

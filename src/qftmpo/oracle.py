@@ -8,7 +8,6 @@ to machine precision at every supported size.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -35,8 +34,16 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
     return rev
 
 
-@functools.lru_cache(maxsize=8)
-def _qft_matrix_cached(n: int, ordering: str) -> DenseTensor:
+def dense_qft_matrix(n: int, ordering: str = "natural") -> DenseTensor:
+    """Fourier matrix F[j, k] = exp(2*pi*i*j*k / 2^n) / 2^(n/2).
+
+    ordering "bit-reversed-input" permutes the columns by bit reversal,
+    matching an operator whose input register is bit-reversed (the compiled
+    nearest-neighbour circuit).
+    """
+    if ordering not in ("natural", "bit-reversed-input"):
+        raise ValueError(f"unknown ordering {ordering!r}")
+    _check_qubits(n, DENSE_ORACLE_LIMIT, "dense_qft_matrix")
     size = 2**n
     out = np.empty((size, size), dtype=np.complex128)
     cols = np.arange(size, dtype=np.int64)
@@ -50,19 +57,6 @@ def _qft_matrix_cached(n: int, ordering: str) -> DenseTensor:
     if ordering == "bit-reversed-input":
         out = out[:, bit_reversal_permutation(n)]
     return DenseTensor(out)
-
-
-def dense_qft_matrix(n: int, ordering: str = "natural") -> DenseTensor:
-    """Fourier matrix F[j, k] = exp(2*pi*i*j*k / 2^n) / 2^(n/2).
-
-    ordering "bit-reversed-input" permutes the columns by bit reversal,
-    matching an operator whose input register is bit-reversed (the compiled
-    nearest-neighbour circuit).
-    """
-    if ordering not in ("natural", "bit-reversed-input"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    _check_qubits(n, DENSE_ORACLE_LIMIT, "dense_qft_matrix")
-    return _qft_matrix_cached(n, ordering)
 
 
 def dense_operator_schmidt(matrix, cut: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,12 @@ class TestStudyResult:
         assert doc["study"] == "demo"
         assert doc["schema_version"] == 1
         assert doc["rows"][1]["extra"] is True
+
+    def test_code_version_independent_of_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        from_root = spectrum_study([4]).metadata["code_version"]
+        monkeypatch.chdir(tmp_path)
+        assert spectrum_study([4]).metadata["code_version"] == from_root
 
     def test_file_output(self, tmp_path):
         res = self.make()

@@ -54,6 +54,15 @@ class TestGateSpec:
         with pytest.raises(ValueError):
             GateSpec("generic", (0, 1))
 
+    def test_generic_rejects_non_unitary(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            GateSpec("generic", (0, 1), matrix=DenseTensor(2 * np.eye(4)))
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_generic_rejects_wrong_shape(self, dim):
+        with pytest.raises(ValueError, match="2x2 or 4x4"):
+            GateSpec("generic", (0, 1), matrix=DenseTensor(np.eye(dim)))
+
     def test_unknown_kind_or_side(self):
         with pytest.raises(ValueError):
             GateSpec("toffoli", (0, 1))
@@ -428,6 +437,16 @@ class TestSerialization:
         circ = CircuitSpec(2, (GateSpec("generic", (0, 1), matrix=mat),))
         back = circuit_from_json(circuit_to_json(circ))
         assert np.allclose(back.gates[0].dense_matrix(), mat.data, atol=0)
+
+    @pytest.mark.parametrize("matrix", [2 * np.eye(4), np.eye(8)])
+    def test_json_rejects_invalid_generic_gate(self, matrix):
+        doc = json.loads(circuit_to_json(qft_circuit(2)))
+        doc["gates"] = [{
+            "kind": "generic", "sites": [0, 1], "side": "output",
+            "matrix": [[[float(v), 0.0] for v in row] for row in matrix],
+        }]
+        with pytest.raises(ValueError):
+            circuit_from_json(json.dumps(doc))
 
     def test_fingerprint_stable_and_distinct(self):
         a1 = circuit_fingerprint(nearest_neighbor_qft_circuit(5))
