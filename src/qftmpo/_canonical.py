@@ -65,11 +65,14 @@ def _left_multiply(rmat, site):
     """
     if isinstance(site, tuple):
         state, op = site
-        a, c = state.shape[0], op.shape[0]
-        t = np.tensordot(rmat.reshape(-1, a, c), state, axes=(1, 0))  # k c p b
-        t = np.tensordot(t, op, axes=((1, 2), (0, 2)))  # k b x e
-        k, b, x, e = t.shape
-        return t.transpose(0, 2, 1, 3).reshape(k * x, b * e)
+        a, p, b = state.shape
+        c, x, _, e = op.shape
+        r = rmat.reshape(-1, a, c).transpose(0, 2, 1).reshape(-1, a)  # (k c, a)
+        t = (r @ state.reshape(a, p * b)).reshape(-1, c, p, b)
+        k = t.shape[0]
+        t = t.transpose(0, 3, 1, 2).reshape(k * b, c * p)
+        t = t @ op.transpose(0, 2, 1, 3).reshape(c * p, x * e)  # (k b, x e)
+        return t.reshape(k, b, x, e).transpose(0, 2, 1, 3).reshape(k * x, b * e)
     chi_l, d, chi_r = site.shape
     return (rmat @ site.reshape(chi_l, d * chi_r)).reshape(-1, chi_r)
 
@@ -79,11 +82,13 @@ def _right_multiply(site, carry):
     its right bond, as a (chi_l, d * k) matrix."""
     if isinstance(site, tuple):
         state, op = site
-        b, e = state.shape[2], op.shape[3]
-        t = np.tensordot(state, carry.reshape(b, e, -1), axes=(2, 0))  # a p e k
-        t = np.tensordot(t, op, axes=((1, 2), (2, 3)))  # a k c x
-        a, k, c, x = t.shape
-        return t.transpose(0, 2, 3, 1).reshape(a * c, x * k)
+        a, p, b = state.shape
+        c, x, _, e = op.shape
+        t = state.reshape(a * p, b) @ carry.reshape(b, -1)  # (a p, e k)
+        k = t.shape[1] // e
+        t = t.reshape(a, p, e, k).transpose(0, 3, 1, 2).reshape(a * k, p * e)
+        t = t @ op.reshape(c * x, p * e).T  # (a k, c x)
+        return t.reshape(a, k, c, x).transpose(0, 2, 3, 1).reshape(a * c, x * k)
     chi_l, d, chi_r = site.shape
     return (site.reshape(chi_l * d, chi_r) @ carry).reshape(chi_l, -1)
 
@@ -232,7 +237,8 @@ def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, poli
     c = g_right.shape[2]
     theta = g_left * lam_left[:, None, None]
     theta = theta * lam_mid[None, None, :]
-    theta = np.tensordot(theta, g_right * lam_right[None, None, :], axes=(2, 0))  # a p q c
+    right = g_right * lam_right[None, None, :]
+    theta = theta.reshape(a * d, -1) @ right.reshape(-1, d * c)  # (a p, q c)
     theta = np.matmul(pair_op.reshape(d * d, d * d), theta.reshape(a, d * d, c))  # a xy c
     u, s, vh, discarded = _split_bond(theta.reshape(a * d, d * c), policy, floor)
     lam_new = s / np.linalg.norm(s) if normalize else s
@@ -281,10 +287,25 @@ def check_structure(sites, bond_vectors, phys_shape: tuple[int, ...]) -> tuple[n
         left = g.shape[-1]
     if left != 1:
         raise DimensionMismatchError("right boundary bond must have dimension 1")
-    for j, lam in enumerate(bonds):
-        if len(lam) == 0 or np.any(lam <= 0) or np.any(np.diff(lam) > 0):
-            raise ValueError(f"bond {j} vector must be positive and non-increasing")
+    if not _bonds_ordered(bonds):
+        for j, lam in enumerate(bonds):  # name the first failing bond
+            if len(lam) == 0 or np.any(lam <= 0) or np.any(np.diff(lam) > 0):
+                raise ValueError(f"bond {j} vector must be positive and non-increasing")
     return tuple(bonds)
+
+
+def _bonds_ordered(bonds) -> bool:
+    """Whether every bond vector is non-empty, positive and non-increasing,
+    checked in one pass over their concatenation."""
+    if not bonds:
+        return True
+    lengths = [len(lam) for lam in bonds]
+    if 0 in lengths:
+        return False
+    flat = np.concatenate(bonds)
+    rises = flat[1:] > flat[:-1]
+    rises[np.cumsum(lengths[:-1], dtype=np.intp) - 1] = False  # steps across bonds
+    return not ((flat <= 0).any() or rises.any())
 
 
 def _weighted_deviation(gram, lam):

@@ -240,7 +240,18 @@ class CanonicalMpo:
         )
 
     def recanonicalize(self, policy: TruncationPolicy) -> "CanonicalMpo":
-        """Full left-to-right then right-to-left sweep with truncation."""
+        """Full left-to-right then right-to-left sweep with truncation.
+
+        With a rank cap that cuts bonds, the result meets only the right
+        canonical conditions: its left conditions are off at the cut bonds
+        (`canonical_defect` 9.5e-3 for the 20-qubit transform at
+        ``max_rank=2``, 9.4e-9 at 5; `validate` rejects all four caps
+        2..5), and `absorb_gate` or `_canonical.two_site_update`, which
+        assume both conditions, must not be used on it. What reads the chain as a raw
+        train, bond vectors folded into the left sites (`hs_inner`,
+        `apply_to_mps`), is unaffected. Recanonicalizing the capped result
+        again without a cap restores both conditions.
+        """
         train = _canonical.train_from_vidal(self._fused_sites(), list(self.gamma_vectors))
         new_t, new_g, _ = _canonical.canonicalize_train(train, policy, normalize=False)
         return CanonicalMpo(
@@ -310,8 +321,10 @@ def hs_inner(a: CanonicalMpo, b: CanonicalMpo) -> complex:
     tb = _canonical.train_from_vidal(b._fused_sites(), list(b.gamma_vectors))
     env = np.ones((1, 1), dtype=np.complex128)
     for site_a, site_b in zip(ta, tb):
-        env = np.tensordot(env, site_a.conj(), axes=(0, 0))  # (chi_b, p, r_a)
-        env = np.tensordot(env, site_b, axes=((0, 1), (0, 1)))  # (r_a, r_b)
+        chi_a, p, r_a = site_a.shape
+        chi_b, _, r_b = site_b.shape
+        env = env.T @ site_a.conj().reshape(chi_a, p * r_a)  # (chi_b, p r_a)
+        env = env.reshape(chi_b * p, r_a).T @ site_b.reshape(chi_b * p, r_b)  # (r_a, r_b)
     return complex(env[0, 0]) / float(2**a.n_qubits)
 
 

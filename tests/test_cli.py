@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qftmpo
-from qftmpo.cli import main
+from qftmpo.cli import COMMANDS, main
 from qftmpo.mpo import identity_mpo, save_mpo
 from qftmpo.oracle import periodic_peak_probabilities
 
@@ -60,6 +60,54 @@ class TestUsageErrors:
         code, _, err = run(capsys, "ordering-scan", "--n", "12")
         assert code == 1
         assert "error" in err
+
+
+    @pytest.mark.parametrize("argv", [["--bogus"], ["--config", "x.cfg", "spectrum"],
+                                      ["--", "spectrum", "--n-list", "6"]])
+    def test_command_not_first(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+
+
+def assert_lists_commands(text):
+    words = " ".join(text.split())  # argparse wraps long help lines
+    for name, (help_line, _, _) in COMMANDS.items():
+        assert f" {name} {help_line}" in words, name
+
+
+class TestDispatch:
+    def test_commands(self):
+        assert list(COMMANDS) == [
+            "build", "apply", "spectrum", "converge-spectrum", "converge-tensor", "hs-error",
+            "periodic", "aqft-scan", "rotation-scan", "ordering-scan", "bench-scaling"]
+
+    def test_top_level_help_in_process(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert_lists_commands(capsys.readouterr().out)
+
+    def test_top_level_help_subprocess(self):
+        proc = run_cli_process("--help")
+        assert proc.returncode == 0
+        assert_lists_commands(proc.stdout)
+
+    def test_subcommand_help(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["apply", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: qftmpo apply ")
+        for flag in ("--mpo", "--bits", "--save-state", "--config", "--cutoff"):
+            assert flag in out
+
+    def test_subcommand_usage_error_names_it(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["apply", "--bits", "0000"])
+        assert info.value.code == 1
+        assert "qftmpo apply: error: the following arguments are required: --mpo" in (
+            capsys.readouterr().err)
 
 
 class TestNumericalFailures:
@@ -245,6 +293,30 @@ class TestConfigFile:
         code, out, _ = run(capsys, "spectrum", "--config", str(cfg))
         assert code == 0
         assert "seed" not in out
+
+    def test_config_fills_required_flag_of_invoked_command(self, capsys, tmp_path):
+        mpo_path = tmp_path / "t.mpo"
+        save_mpo(identity_mpo(4), mpo_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mpo = {mpo_path}\nbits = 1111\n")
+        code, out, _ = run(capsys, "apply", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["input"] == {"bits": "1111"}
+        code, out, _ = run(capsys, "apply", f"--config={cfg}", "--bits", "0110")
+        assert code == 0
+        assert json.loads(out)["input"] == {"bits": "0110"}
+
+    def test_keys_of_other_commands_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        # mpo/bits belong to apply, n-list to the studies, n-ref to converge-*
+        cfg.write_text("mpo = /nonexistent.mpo\nbits = 1\nn-list = 6\nn-ref = 20\n")
+        code, out, _ = run(capsys, "ordering-scan", "--config", str(cfg), "--n", "4",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["study"] == "ordering"
+        code, out, _ = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 0
+        assert {r["n"] for r in parse_csv(out)} == {"6"}
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
