@@ -15,6 +15,15 @@ Singular values below NOISE_FLOOR relative to the bond maximum are pure
 double-precision noise and are always dropped, independent of the caller's
 truncation policy.
 
+Applying an operator multiplies the bond dimensions of state and operator,
+while the output often needs far fewer Schmidt vectors. Where a product
+bond is much wider than that, the left-to-right pass of
+`canonicalize_train` replaces the exact triangular factor by the range
+found with a seeded Gaussian sketch of the right block (a randomized range
+finder, Halko, Martinsson & Tropp 2011), and checks the sketch's tail: a
+sketch that may have missed part of the range falls back to the exact
+factor. Plain trains are never sketched, and their sweeps are exact.
+
 The chain invariants (structure, bond norms, canonical defect) and the
 binary container live here once for both chain kinds; the ``normalize``
 flag that picks the norm convention of a sweep picks the same convention
@@ -41,6 +50,12 @@ from .tensor import (
 )
 
 NOISE_FLOOR = 1e-14
+# a left-sweep bond is sketched only where it is this many times wider
+# than the sketch, and the sketch counts as unsaturated when its smallest
+# singular value is at most SKETCH_TAIL of its largest
+SKETCH_SLACK = 1.5
+SKETCH_TAIL = 1e-15
+SKETCH_SEED = 20140603
 
 
 def _split_bond(mat, policy, floor):
@@ -93,6 +108,49 @@ def _right_multiply(site, carry):
     return (site.reshape(chi_l * d, chi_r) @ carry).reshape(chi_l, -1)
 
 
+def _sketch_plan(sites, policy):
+    """(sketch width, first bond wide enough to sketch) for a train of
+    factor pairs, or None where nothing is sketched: for plain trains, and
+    where no left factor of the exact pass, whose row counts bound those of
+    a sketched pass, would have more than SKETCH_SLACK times the width.
+
+    The width is twice the widest state bond plus a margin of 16, capped
+    at the policy's rank cap plus 16: the transform's output rank stayed
+    below twice the input rank on the inputs measured (58 for rank-31
+    periodic states). It decides only the speed; a bond whose sketch
+    saturates is factored exactly.
+    """
+    if not isinstance(sites[0], tuple):
+        return None
+    width = 2 * max(state.shape[2] for state, _ in sites) + 16
+    if policy.max_rank is not None:
+        width = min(width, policy.max_rank + 16)
+    rows = 1
+    for j, (state, op) in enumerate(sites[:-1]):
+        rows = min(rows * op.shape[1], state.shape[2] * op.shape[3])
+        if rows > SKETCH_SLACK * width:
+            return width, j
+    return None
+
+
+def _right_sketches(sites, width, first):
+    """Sketch E_j, a (chi_j, width) matrix, of the block right of each bond
+    j >= ``first`` (None for the bonds before it): E_j = (site_{j+1} *
+    E_{j+1}) Omega_j, with complex Gaussian Omega_j drawn from a generator
+    seeded here, so a sweep is reproducible and the global random state is
+    left alone. Each E_j is scaled to unit Frobenius norm; the range tests
+    depend only on its column space."""
+    rng = np.random.default_rng(SKETCH_SEED)
+    sketches = [None] * (len(sites) - 1)
+    e = np.ones((1, 1), dtype=np.complex128)
+    for j in range(len(sites) - 1, first, -1):
+        t = _right_multiply(sites[j], e)  # (chi_{j-1}, d * k)
+        e = t @ rng.standard_normal((t.shape[1], 2 * width)).view(np.complex128)
+        e /= np.linalg.norm(e) or 1.0
+        sketches[j - 1] = e
+    return sketches
+
+
 def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
     """Bring a raw train into canonical form.
 
@@ -100,15 +158,27 @@ def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
     pairs whose product sites are contracted on the fly and never formed
     (see `_left_multiply`); this is how an operator is applied to a state.
 
-    The left-to-right sweep keeps only the triangular QR factors: R_j of
-    R_{j-1} * site_j, with no Q formed. The right-to-left sweep carries a
-    matrix C instead of the Q factors: with X = site_j * C, the SVD of
-    R_{j-1} X = U S Vh truncates bond j-1 and gives the right-isometric
-    site Vh; the next carry is X Vh^dag, because R_{j-1} X Vh^dag = U S.
-    The singular values are the Schmidt coefficients across each bond, as
-    if every left block had been made isometric. With ``normalize`` the
-    bond vectors are rescaled to unit 2-norm and the encoded vector to
-    norm 1.
+    The left-to-right sweep keeps only a small factor F_j per bond, never
+    the isometry Q_j that would complete it: the left block up to bond j
+    equals Q_j F_j on every vector the sites to its right can produce.
+    Usually F_j is the triangular QR factor of F_{j-1} * site_j. For
+    factor pairs whose product bonds are much wider than the output rank,
+    a randomized range finder shrinks it instead (`_right_sketches`): with
+    M = F_{j-1} * site_j and E_j a Gaussian sketch of the block right of
+    bond j, Q R = qr(M E_j); if R's smallest singular value is at most
+    SKETCH_TAIL of its largest, the range of M E_j holds that of M times
+    the right block to that tail, and F_j = Q^dag M has as many rows as
+    E_j has columns, in place of chi_j. A saturated sketch falls back to
+    the triangular factor and ends sketching for the sweep. Plain trains
+    are never sketched.
+
+    The right-to-left sweep carries a matrix C instead of the Q factors:
+    with X = site_j * C, the SVD of F_{j-1} X = U S Vh truncates bond j-1
+    and gives the right-isometric site Vh; the next carry is X Vh^dag,
+    because F_{j-1} X Vh^dag = U S. The singular values are the Schmidt
+    coefficients across each bond, as if every left block had been made
+    isometric. With ``normalize`` the bond vectors are rescaled to unit
+    2-norm and the encoded vector to norm 1.
 
     Returns (gammas, bond_vectors, discarded_weight).
     """
@@ -126,11 +196,23 @@ def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
             g = g / norm
         return [g], [], 0.0
 
-    rmats = []
-    rmat = ones
-    for j in range(n - 1):  # left-to-right: triangular factors only
-        rmat = np.linalg.qr(_left_multiply(rmat, sites[j]), mode="r")
-        rmats.append(rmat)
+    plan = _sketch_plan(sites, policy)
+    sketches = _right_sketches(sites, *plan) if plan else [None] * (n - 1)
+    factors = []
+    factor = ones
+    for j in range(n - 1):  # left-to-right: small factors only
+        m = _left_multiply(factor, sites[j])
+        factor = None
+        if sketches[j] is not None and min(m.shape) > SKETCH_SLACK * sketches[j].shape[1]:
+            q, r = np.linalg.qr(m @ sketches[j])
+            sv = np.linalg.svd(r, compute_uv=False)
+            if sv[-1] <= SKETCH_TAIL * sv[0]:
+                factor = q.conj().T @ m
+            else:  # bond ranks change slowly: the next sketches would saturate too
+                sketches = [None] * (n - 1)
+        if factor is None:
+            factor = np.linalg.qr(m, mode="r")
+        factors.append(factor)
 
     work = [None] * n
     bond_vectors = [None] * (n - 1)
@@ -138,7 +220,7 @@ def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
     carry = ones
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
         x = _right_multiply(sites[j], carry)
-        u, s, vh, dropped = _split_bond(rmats[j - 1] @ x, policy, floor)
+        u, s, vh, dropped = _split_bond(factors[j - 1] @ x, policy, floor)
         discarded += dropped
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(len(s), -1, carry.shape[1])

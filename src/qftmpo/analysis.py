@@ -43,19 +43,26 @@ def middle_bond(n: int) -> int:
     return (n - 1) // 2
 
 
+_GIT_DESCRIBE_CACHE: dict = {}
+
+
 def _git_describe() -> str:
     """``git describe`` of the checkout holding this package, whatever the
-    caller's working directory; "unknown" outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5, cwd=Path(__file__).parent,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except (OSError, subprocess.TimeoutExpired):
-        pass
-    return "unknown"
+    caller's working directory; "unknown" outside a checkout. Run once per
+    process and kept in ``_GIT_DESCRIBE_CACHE``."""
+    if "version" not in _GIT_DESCRIBE_CACHE:
+        version = "unknown"
+        try:
+            out = subprocess.run(
+                ["git", "describe", "--always", "--dirty"],
+                capture_output=True, text=True, timeout=5, cwd=Path(__file__).parent,
+            )
+            if out.returncode == 0:
+                version = out.stdout.strip()
+        except (OSError, subprocess.TimeoutExpired):
+            pass
+        _GIT_DESCRIBE_CACHE["version"] = version
+    return _GIT_DESCRIBE_CACHE["version"]
 
 
 def _base_metadata(policy: TruncationPolicy, **extra) -> dict:

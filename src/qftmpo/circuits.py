@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import BondRankCeilingError, NonAdjacentGateError
+from .errors import BondRankCeilingError, NonAdjacentGateError, NumericalError
 from .mpo import CanonicalMpo, _absorb_pair, _single_site_apply, identity_mpo, pair_operator
 from .tensor import DenseTensor, TruncationPolicy, check_unitary
 
@@ -463,7 +463,7 @@ def _gate_from_dict(entry: dict) -> GateSpec:
     return GateSpec(
         kind=entry["kind"],
         sites=tuple(entry["sites"]),
-        angle=entry.get("angle"),
+        angle=float(entry["angle"]) if "angle" in entry else None,
         matrix=matrix,
         side=entry.get("side", "output"),
     )
@@ -481,15 +481,23 @@ def circuit_to_json(circuit: CircuitSpec) -> str:
 
 
 def circuit_from_json(text: str) -> CircuitSpec:
+    """Read a document written by `circuit_to_json`. Invalid JSON, another
+    format, a missing key or a value of the wrong type or range fails with
+    a one-line ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"circuit document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != CIRCUIT_FORMAT:
         raise ValueError(f"unsupported circuit format {doc.get('format')!r}")
-    return CircuitSpec(
-        n_qubits=int(doc["n_qubits"]),
-        gates=tuple(_gate_from_dict(e) for e in doc["gates"]),
-        family=doc.get("family", "custom"),
-        params=doc.get("params", {}),
-    )
+    try:
+        return CircuitSpec(
+            n_qubits=int(doc["n_qubits"]),
+            gates=tuple(_gate_from_dict(e) for e in doc["gates"]),
+            family=doc.get("family", "custom"),
+            params=doc.get("params", {}),
+        )
+    except (KeyError, TypeError, AttributeError, OverflowError, NumericalError) as exc:
+        raise ValueError(f"damaged circuit document: {type(exc).__name__}: {exc}") from None
 
 
 def circuit_fingerprint(circuit: CircuitSpec) -> str:

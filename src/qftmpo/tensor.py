@@ -96,8 +96,11 @@ def check_dense_size(n: int, default_cap: int, what: str) -> None:
 
 
 def check_unitary(mat: np.ndarray, dim: int, tol: float = 1e-10) -> None:
+    """Raise unless ``mat`` is a finite ``dim`` x ``dim`` unitary within ``tol``."""
     if mat.shape != (dim, dim):
         raise DimensionMismatchError(f"expected a {dim}x{dim} gate, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("gate has non-finite entries")
     defect = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
     if defect > tol:
         raise ValueError(f"gate is not unitary (defect {defect:.2e} > {tol:.0e})")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import per_gate_reference
+from qftmpo import analysis
 from qftmpo.analysis import (
     StudyResult,
     aqft_rank_study,
@@ -94,9 +95,26 @@ class TestStudyResult:
 
     def test_code_version_independent_of_cwd(self, tmp_path, monkeypatch):
         monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        monkeypatch.setattr(analysis, "_GIT_DESCRIBE_CACHE", {})
         from_root = spectrum_study([4]).metadata["code_version"]
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(analysis, "_GIT_DESCRIBE_CACHE", {})
         assert spectrum_study([4]).metadata["code_version"] == from_root
+
+    def test_code_version_described_once_per_process(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_GIT_DESCRIBE_CACHE", {})
+        calls = []
+        real_run = analysis.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(analysis.subprocess, "run", counting_run)
+        first = spectrum_study([4]).metadata["code_version"]
+        second = spectrum_study([6]).metadata["code_version"]
+        assert first == second
+        assert len(calls) == 1
 
     def test_file_output(self, tmp_path):
         res = self.make()

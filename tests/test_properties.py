@@ -1,4 +1,7 @@
-"""Property tests: damaged containers and circuit JSON round-trips."""
+"""Property tests: damaged containers, circuit JSON round-trips and damaged
+circuit documents."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -98,3 +101,40 @@ def test_circuit_json_round_trip_keeps_fingerprint(circuit):
     again = circuit_from_json(circuit_to_json(circuit))
     assert circuit_fingerprint(again) == circuit_fingerprint(circuit)
     assert again.gates == circuit.gates
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_documents(draw):
+    """A document of a generated circuit with one key dropped or one value,
+    at the top level or in one gate, replaced by a JSON value of any type;
+    or the whole document replaced by one."""
+    doc = json.loads(circuit_to_json(draw(circuits())))
+    where = draw(st.sampled_from(["document", "top", "gate"]))
+    if where == "document":
+        return draw(JSON_VALUES)
+    target = doc
+    if where == "gate" and doc["gates"]:
+        target = draw(st.sampled_from(doc["gates"]))
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(doc=damaged_documents())
+def test_damaged_circuit_document_loads_or_value_error(doc):
+    try:
+        circuit_from_json(json.dumps(doc))
+    except ValueError as exc:
+        assert "\n" not in str(exc)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from qftmpo._canonical import _split_bond
+from qftmpo.circuits import GateSpec
 from qftmpo.errors import NumericalError
+from qftmpo.mpo import identity_mpo
+from qftmpo.mps import CanonicalMps
 from qftmpo.tensor import (
     DenseTensor,
     TruncationPolicy,
+    check_unitary,
     read_tensor,
     read_tensor_from,
     retained_count,
@@ -149,3 +153,29 @@ class TestSerialization:
         write_tensor_to(direct, vals)
         write_tensor_to(wrapped, DenseTensor(vals.astype(np.complex128)))
         assert direct.getvalue() == wrapped.getvalue()
+
+
+EXACT = TruncationPolicy(1e-14)
+
+
+class TestCheckUnitary:
+    """A gate with a NaN or inf entry is refused with a one-line
+    ValueError at every entry point that takes a raw matrix; its unitarity
+    defect is NaN, which compares false against any tolerance."""
+
+    ENTRY_POINTS = {
+        "check_unitary": lambda mat: check_unitary(mat, 4),
+        "absorb_gate": lambda mat: identity_mpo(3).absorb_gate(0, mat, EXACT),
+        "apply_two_qubit_gate": lambda mat: CanonicalMps.from_basis_state(3, "010")
+        .apply_two_qubit_gate(1, mat, EXACT),
+        "GateSpec": lambda mat: GateSpec("generic", (0, 1), matrix=mat),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)],
+                             ids=["nan", "inf", "nanj"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_non_finite_gate(self, entry, bad):
+        mat = np.eye(4, dtype=np.complex128)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            self.ENTRY_POINTS[entry](mat)
