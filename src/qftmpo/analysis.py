@@ -401,9 +401,9 @@ def periodic_study(n_qubits_list, period_list, rank_list, *, offset: int = 0,
                 total_sim = 0.0
                 total_exact = 0.0
                 for m in locs[r]:
-                    bits = tuple(int(b) for b in format(int(m), f"0{n}b"))
+                    bits = tuple(int(b) for b in format(m, f"0{n}b"))
                     p_sim = abs(out.amplitude(bits)) ** 2
-                    p_ref = exact[r][int(m)]
+                    p_ref = exact[r][m]
                     worst = max(worst, abs(p_sim - p_ref))
                     total_sim += p_sim
                     total_exact += p_ref

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -113,7 +114,7 @@ def _cmd_build(args) -> None:
         "max_bond_rank": mpo.max_bond_rank,
         "bond_ranks": list(mpo.bond_ranks),
         "fingerprint": fingerprint,
-        "discarded_weight": trace.discarded_weight,
+        "discarded_weight": math.ldexp(trace.discarded_weight, -mpo.n_qubits),  # over 2^n
     }))
 
 
@@ -139,8 +140,8 @@ def _cmd_apply(args) -> None:
         from .oracle import periodic_peak_locations
         peaks = {}
         for m in periodic_peak_locations(n, args.r):
-            key = format(int(m), f"0{n}b")
-            peaks[str(int(m))] = abs(out.amplitude(tuple(int(b) for b in key))) ** 2
+            key = format(m, f"0{n}b")
+            peaks[str(m)] = abs(out.amplitude(tuple(int(b) for b in key))) ** 2
         report["peak_probabilities"] = peaks
     if args.save_state:
         save_mps(out, args.save_state, policy=policy)

@@ -71,11 +71,13 @@ def _single_site_apply(site: np.ndarray, gate: np.ndarray, side: str) -> np.ndar
 
 
 def _absorb_pair(sites: list, gammas: list, j: int, pair_op: np.ndarray,
-                 policy: TruncationPolicy) -> float:
+                 policy: TruncationPolicy, sketch=None) -> float:
     """In-place two-site absorption on raw arrays; returns discarded weight.
 
     ``pair_op`` is a `pair_operator` result or its (16, 16) matrix, which
-    may be a product of several lifted gates."""
+    may be a product of several lifted gates. ``sketch`` (a
+    `_canonical.SplitSketch`) lets the split be sketched; without it the
+    split is exact."""
     n = len(sites)
     ones = np.ones(1)
     lam_l = gammas[j - 1] if j > 0 else ones
@@ -83,7 +85,7 @@ def _absorb_pair(sites: list, gammas: list, j: int, pair_op: np.ndarray,
     lam_r = gammas[j + 1] if j + 1 < n - 1 else ones
     g1, lam_new, g2, weight = _canonical.two_site_update(
         lam_l, _fused(sites[j]), lam_m, _fused(sites[j + 1]), lam_r,
-        pair_op, policy, normalize=False,
+        pair_op, policy, normalize=False, sketch=sketch,
     )
     sites[j] = _unfused(g1)
     sites[j + 1] = _unfused(g2)

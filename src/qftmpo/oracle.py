@@ -151,18 +151,19 @@ def periodic_support_count(n_qubits: int, period: int, offset: int = 0) -> int:
     return (2**n_qubits - 1 - offset) // period + 1
 
 
-def periodic_peak_locations(n_qubits: int, period: int) -> np.ndarray:
+def periodic_peak_locations(n_qubits: int, period: int) -> list[int]:
     """Output indices nearest i * 2^n / period for i = 0..period-1.
 
-    Rounding is exact integer arithmetic; half-way cases round down.
+    Rounding is exact integer arithmetic, in Python integers, so any width
+    works; half-way cases round down.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     size = 2**n_qubits
-    locs = np.empty(period, dtype=np.int64)
+    locs = []
     for i in range(period):
         q, rem = divmod(i * size, period)
-        locs[i] = q + (1 if 2 * rem > period else 0)
+        locs.append(q + (1 if 2 * rem > period else 0))
     return locs
 
 
@@ -186,9 +187,9 @@ def periodic_peak_probabilities(n_qubits: int, period: int, offset: int = 0) -> 
         for start in range(0, count, chunk):
             idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
             x = offset + idx * period
-            phase = (int(m) * x) % size
+            phase = (m * x) % size
             total += np.exp((2j * np.pi / size) * phase).sum()
-        probs[int(m)] = abs(total / norm) ** 2
+        probs[m] = abs(total / norm) ** 2
     return probs
 
 

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -102,3 +105,28 @@ def reference_apply(op, state, policy):
         sites.append(t.reshape(a * c, x, b * e))
     bonds = [np.kron(s, o) for s, o in zip(state.lambdas, op.gamma_vectors)]
     return reference_canonicalize_train(train_from_vidal(sites, bonds), policy, normalize=True)
+
+
+def fourier_entry(y, x, n):
+    """exp(2 pi i y rev(x) / 2^n), the closed form of entry (y, x) of the
+    compiled nearest-neighbour transform (which takes its input
+    bit-reversed) times 2^(n/2). y rev(x) is reduced mod 2^n in integers
+    and divided as integers, so no product is ever rounded to a float and
+    any n works."""
+    size = 1 << n
+    rev = int(format(x, f"0{n}b")[::-1], 2)
+    return cmath.exp(2j * math.pi * (((y * rev) % size) / size))
+
+
+def operator_entry(op, y, x):
+    """<y|O|x> * 2^(n/2) of a `CanonicalMpo`, one site at a time (site 0
+    holds the most significant bit); the scale, one sqrt(2) per site,
+    keeps the partial products O(1)."""
+    n = op.n_qubits
+    v = np.ones(1, dtype=np.complex128)
+    for j, site in enumerate(op.site_tensors):
+        shift = n - 1 - j
+        v = (v @ site.data[:, (y >> shift) & 1, (x >> shift) & 1, :]) * math.sqrt(2.0)
+        if j < n - 1:
+            v = v * op.gamma_vectors[j]
+    return complex(v[0])

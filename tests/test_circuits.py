@@ -1,11 +1,12 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 import qftmpo.circuits as circuits
-from conftest import per_gate_reference, random_unitary
+from conftest import fourier_entry, operator_entry, per_gate_reference, random_unitary
 from qftmpo.circuits import (
     CircuitSpec,
     GateSpec,
@@ -461,3 +462,26 @@ class TestSerialization:
         doc["format"] = "qftmpo-circuit/99"
         with pytest.raises(ValueError):
             circuit_from_json(json.dumps(doc))
+
+
+class TestClosedFormEntries:
+    """Sampled entries of compiled transforms against the closed form, past
+    every dense cap: O(n chi^2) per entry and independent of the compile
+    path."""
+
+    @pytest.mark.parametrize("n", [20, 30, 32, 64, pytest.param(128, marks=pytest.mark.slow)])
+    def test_entries(self, n):
+        op = compile_to_mpo(nearest_neighbor_qft_circuit(n), TruncationPolicy(1e-14, 16))
+        rng = random.Random(1000 + n)
+        worst = 0.0
+        for _ in range(200):
+            y, x = rng.getrandbits(n), rng.getrandbits(n)
+            worst = max(worst, abs(operator_entry(op, y, x) - fourier_entry(y, x, n)))
+        assert worst <= 1e-11
+
+    def test_closed_form_at_1024_qubits(self):
+        n = 1024
+        assert fourier_entry(1, 1, n) == pytest.approx(-1.0, abs=1e-15)  # rev(1) = 2^1023
+        assert fourier_entry(1, 2, n) == pytest.approx(1j, abs=1e-15)  # rev(2) = 2^1022
+        # y rev(x) = 2^2045 + 2^1023, far past the float range before the reduction
+        assert fourier_entry((1 << 1022) + 1, 1, n) == pytest.approx(-1.0, abs=1e-15)

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 import qftmpo
+from qftmpo.circuits import compile_to_mpo, compile_trace, nearest_neighbor_qft_circuit
 from qftmpo.cli import COMMANDS, main
 from qftmpo.mpo import identity_mpo, save_mpo
 from qftmpo.oracle import periodic_peak_probabilities
+from qftmpo.tensor import TruncationPolicy
+from test_sweep import peak_probability
 
 
 def run(capsys, *argv):
@@ -261,6 +264,29 @@ class TestBuildApply:
                            "--out", str(tmp_path / "t.mpo"))
         assert code == 0
         assert json.loads(out)["discarded_weight"] > 0
+
+    def test_discarded_weight_is_relative(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "build", "--n", "10", "--max-rank", "4",
+                           "--out", str(tmp_path / "t.mpo"))
+        assert code == 0
+        trace = compile_trace(nearest_neighbor_qft_circuit(10), TruncationPolicy(1e-14, 4))
+        assert json.loads(out)["discarded_weight"] == trace.discarded_weight / 2**10
+
+    def test_apply_periodic_on_64_qubits(self, tmp_path):
+        # peak indices reach 2^64, past int64
+        n, period = 64, 29
+        path = tmp_path / "qft64.mpo"
+        save_mpo(compile_to_mpo(nearest_neighbor_qft_circuit(n), TruncationPolicy(1e-14, 16)),
+                 path)
+        proc = run_cli_process("apply", "--mpo", str(path), "--r", str(period))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().split("\n")
+        assert len(lines) == 1
+        peaks = json.loads(lines[0])["peak_probabilities"]
+        want = [(i * 2**n + period // 2) // period for i in range(period)]  # nearest i 2^n / r
+        assert [int(y) for y in peaks] == want
+        for y, prob in peaks.items():
+            assert abs(prob - peak_probability(n, period, int(y))) <= 1e-12
 
     def test_build_aqft_and_scheme_exclusive(self, capsys, tmp_path):
         code, _, err = run(capsys, "build", "--n", "4", "--bandwidth", "2",
