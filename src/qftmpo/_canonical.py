@@ -410,7 +410,8 @@ def check_structure(sites, bond_vectors, phys_shape: tuple[int, ...]) -> tuple[n
 
     Each site has legs (left bond, *phys_shape, right bond); both boundary
     bonds have dimension 1, and bond j, between sites j and j+1, carries a
-    positive non-increasing vector of matching length.
+    finite, positive, non-increasing vector of matching length (a NaN or
+    inf entry raises NumericalError, as `tensor.frozen_array` does for sites).
     """
     n = len(sites)
     if n == 0:
@@ -442,14 +443,16 @@ def check_structure(sites, bond_vectors, phys_shape: tuple[int, ...]) -> tuple[n
         raise DimensionMismatchError("right boundary bond must have dimension 1")
     if not _bonds_ordered(bonds):
         for j, lam in enumerate(bonds):  # name the first failing bond
+            if not np.isfinite(lam).all():
+                raise NumericalError(f"bond {j} vector has non-finite entries")
             if len(lam) == 0 or np.any(lam <= 0) or np.any(np.diff(lam) > 0):
                 raise ValueError(f"bond {j} vector must be positive and non-increasing")
     return tuple(bonds)
 
 
 def _bonds_ordered(bonds) -> bool:
-    """Whether every bond vector is non-empty, positive and non-increasing,
-    checked in one pass over their concatenation."""
+    """Whether every bond vector is non-empty, finite, positive and
+    non-increasing, checked in one pass over their concatenation."""
     if not bonds:
         return True
     lengths = [len(lam) for lam in bonds]
@@ -458,7 +461,7 @@ def _bonds_ordered(bonds) -> bool:
     flat = np.concatenate(bonds)
     rises = flat[1:] > flat[:-1]
     rises[np.cumsum(lengths[:-1], dtype=np.intp) - 1] = False  # steps across bonds
-    return not ((flat <= 0).any() or rises.any())
+    return bool(np.isfinite(flat).all() and (flat > 0).all() and not rises.any())
 
 
 def _weighted_deviation(gram, lam):
@@ -479,7 +482,7 @@ def canonical_defect(sites, bond_vectors, *, normalize) -> float:
     one on sites 1..n-1.
     """
     n = len(sites)
-    worst = 0.0
+    deviations = [0.0]
     ones = np.ones(1)
     for j, g in enumerate(sites):
         lam_l = bond_vectors[j - 1] if j > 0 else ones
@@ -487,11 +490,11 @@ def canonical_defect(sites, bond_vectors, *, normalize) -> float:
         w = g * lam_l[:, None, None] * lam_r[None, None, :]
         if normalize or j < n - 1:
             left = np.tensordot(w.conj(), w, axes=((0, 1), (0, 1)))
-            worst = max(worst, _weighted_deviation(left, lam_r))
+            deviations.append(_weighted_deviation(left, lam_r))
         if normalize or j > 0:
             right = np.tensordot(w, w.conj(), axes=((1, 2), (1, 2)))
-            worst = max(worst, _weighted_deviation(right, lam_l))
-    return worst
+            deviations.append(_weighted_deviation(right, lam_l))
+    return float(np.max(deviations))  # unlike max(), np.max keeps a NaN defect
 
 
 def validate(sites, bond_vectors, tol_norm, tol_iso, *, normalize) -> None:
@@ -505,10 +508,10 @@ def validate(sites, bond_vectors, tol_norm, tol_iso, *, normalize) -> None:
         ref = 1.0 if normalize else float(np.sum(bond_vectors[0] ** 2))
         for j, lam in enumerate(bond_vectors):
             total = float(np.sum(lam**2))
-            if abs(total - ref) > tol_norm * max(ref, 1.0):
+            if not abs(total - ref) <= tol_norm * max(ref, 1.0):  # a NaN fails too
                 raise NumericalError(f"bond {j} squared weight {total} differs from {ref}")
     defect = canonical_defect(sites, bond_vectors, normalize=normalize)
-    if defect > tol_iso:
+    if not defect <= tol_iso:
         raise NumericalError(f"canonical defect {defect:.2e} exceeds {tol_iso:.0e}")
 
 
@@ -548,8 +551,9 @@ def save_chain(path, kind: str, sites, bond_vectors, policy: TruncationPolicy | 
 
 def load_chain(path, kind: str):
     """Read a container written by `save_chain`; returns (site tensors,
-    bond vectors). A truncated file or a header declaring more data than
-    the file holds fails with a ValueError."""
+    bond vectors) as read-only arrays. A truncated file, a header declaring
+    more data than the file holds or a NaN or inf entry fails with a
+    ValueError."""
     magic = CONTAINER_MAGIC[kind]
     f = io.BytesIO(Path(path).read_bytes())
     found = f.read(4)
@@ -559,5 +563,5 @@ def load_chain(path, kind: str):
     if version != CONTAINER_VERSION:
         raise ValueError(f"unsupported container version {version}")
     sites = [read_tensor_from(f) for _ in range(n)]
-    bonds = [read_tensor_from(f).data.real.copy() for _ in range(n - 1)]
+    bonds = [read_tensor_from(f).real for _ in range(n - 1)]
     return sites, bonds

@@ -296,7 +296,7 @@ def _weighted_middle(mpo):
     right = mpo.gamma_vectors[site] if site < n - 1 else ones
     left = left / np.linalg.norm(left)
     right = right / np.linalg.norm(right)
-    t = mpo.middle_tensor().data * left[:, None, None, None] * right[None, None, None, :]
+    t = mpo.middle_tensor() * left[:, None, None, None] * right[None, None, None, :]
     return t, (left, right)
 
 
@@ -554,7 +554,7 @@ def ordering_study(n: int, *, rank_cutoff: float = 1e-10) -> StudyResult:
 
     if not 2 <= n <= 8:
         raise ValueError(f"exhaustive ordering scan supports 2 <= n <= 8, got {n}")
-    f = np.array(dense_qft_matrix(n).data)
+    f = np.asarray(dense_qft_matrix(n))
     size = 2**n
     x = np.arange(size, dtype=np.int64)
     bits = [(x >> (n - 1 - i)) & 1 for i in range(n)]

@@ -391,8 +391,8 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
     """
     n = circuit.n_qubits
     start = identity_mpo(n)
-    sites = [t.data for t in start.site_tensors]
-    gammas = [g for g in start.gamma_vectors]
+    sites = list(start.site_tensors)
+    gammas = list(start.gamma_vectors)
     eff_policy = policy
     if rank_ceiling is not None:
         if rank_ceiling < 1:
@@ -430,7 +430,7 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
         if rank_ceiling is not None and peak > rank_ceiling:
             return CompileTrace(None, history, True, idx, weight)
 
-    mpo = CanonicalMpo(tuple(DenseTensor(t) for t in sites), tuple(gammas))
+    mpo = CanonicalMpo(tuple(sites), tuple(gammas))
     mpo = mpo.recanonicalize(policy)
     return CompileTrace(mpo, history, False, len(gates), weight)
 

@@ -35,7 +35,7 @@ from .circuits import (
     nearest_neighbor_qft_circuit,
 )
 from .errors import QftmpoError
-from .mpo import load_mpo, save_mpo
+from .mpo import check_width, load_mpo, save_mpo
 from .mps import CanonicalMps, load_mps, save_mps
 from .tensor import TruncationPolicy
 
@@ -93,6 +93,7 @@ _RANK_CEILING = _arg("--rank-ceiling", type=int, default=64)
 
 def _cmd_build(args) -> None:
     policy = TruncationPolicy(args.cutoff, args.max_rank)
+    check_width(args.n)
     if args.bandwidth is not None and args.scheme:
         raise ValueError("--bandwidth and --scheme are mutually exclusive")
     if args.bandwidth is not None:

@@ -1,11 +1,12 @@
 """Matrix product operators on qubit chains, stored in canonical form.
 
 Storage convention: per-site tensors with legs (left bond, output physical,
-input physical, right bond) plus one non-negative vector per bond. The bond
-vectors are kept unnormalized: across every bond their squared sum equals
-the squared Frobenius norm of the encoded operator, i.e. 2^n for an
-untruncated n-qubit unitary. Dividing the squared bond entries by 2^n
-therefore gives the probability weights of the operator-Schmidt
+input physical, right bond) plus one non-negative vector per bond, all
+read-only arrays the constructor copies. The bond vectors are kept
+unnormalized: across every bond their squared sum equals the squared
+Frobenius norm of the encoded operator, i.e. 2^n for an untruncated
+n-qubit unitary, which caps n at MAX_OPERATOR_QUBITS. Dividing the squared
+bond entries by 2^n gives the probability weights of the operator-Schmidt
 decomposition across that bond.
 
 Internally an operator chain is just a state chain with physical dimension
@@ -24,9 +25,17 @@ import numpy as np
 from . import _canonical
 from .errors import DimensionMismatchError, NonAdjacentGateError
 from .mps import CanonicalMps
-from .tensor import DenseTensor, TruncationPolicy, check_dense_size, check_unitary
+from .tensor import DenseTensor, TruncationPolicy, check_dense_size, check_unitary, frozen_array
 
 DENSE_OPERATOR_LIMIT = 12  # qubits; override with QFTMPO_DENSE_LIMIT
+MAX_OPERATOR_QUBITS = 1023  # the squared norm 2^n of a unitary is still a finite double
+
+
+def check_width(n: int) -> None:
+    """Refuse an operator width outside 1..MAX_OPERATOR_QUBITS."""
+    if not 1 <= n <= MAX_OPERATOR_QUBITS:
+        raise ValueError(f"operator chains need 1 <= n <= {MAX_OPERATOR_QUBITS} "
+                         f"(2^n must be a finite double), got {n}")
 
 
 def _fused(site: np.ndarray) -> np.ndarray:
@@ -97,13 +106,11 @@ def _absorb_pair(sites: list, gammas: list, j: int, pair_op: np.ndarray,
 class CanonicalMpo:
     """An operator chain in canonical form with norm-carrying bond vectors."""
 
-    site_tensors: tuple[DenseTensor, ...]
+    site_tensors: tuple[np.ndarray, ...]
     gamma_vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        sites = tuple(
-            t if isinstance(t, DenseTensor) else DenseTensor(t) for t in self.site_tensors
-        )
+        sites = tuple(map(frozen_array, self.site_tensors))
         gammas = _canonical.check_structure(sites, self.gamma_vectors, (2, 2))
         object.__setattr__(self, "site_tensors", sites)
         object.__setattr__(self, "gamma_vectors", gammas)
@@ -128,7 +135,7 @@ class CanonicalMpo:
         """Hilbert-Schmidt norm of the encoded operator."""
         if self.gamma_vectors:
             return float(np.linalg.norm(self.gamma_vectors[0]))
-        return float(np.linalg.norm(self.site_tensors[0].data))
+        return float(np.linalg.norm(self.site_tensors[0]))
 
     def bond_probability_distribution(self, bond: int) -> np.ndarray:
         """Operator-Schmidt weights p_i = gamma_i^2 / 2^n across ``bond``."""
@@ -155,12 +162,12 @@ class CanonicalMpo:
             best = max(best, int(np.count_nonzero(gam >= _canonical.NOISE_FLOOR * gam[0])))
         return float(math.log2(best))
 
-    def middle_tensor(self) -> DenseTensor:
+    def middle_tensor(self) -> np.ndarray:
         """Site tensor at position n // 2."""
         return self.site_tensors[self.n_qubits // 2]
 
     def _fused_sites(self) -> list[np.ndarray]:
-        return [_fused(t.data) for t in self.site_tensors]
+        return [_fused(t) for t in self.site_tensors]
 
     def canonical_defect(self) -> float:
         """Largest violation of the canonical conditions, bond-weighted
@@ -195,24 +202,19 @@ class CanonicalMpo:
             if not 0 <= site < n:
                 raise ValueError(f"site {site} out of range for {n} qubits")
             check_unitary(mat, 2)
-            sites = list(t.data for t in self.site_tensors)
+            sites = list(self.site_tensors)
             sites[site] = _single_site_apply(sites[site], mat, side)
-            tensors = list(self.site_tensors)
-            tensors[site] = DenseTensor(sites[site])
-            return CanonicalMpo(tuple(tensors), self.gamma_vectors)
+            return CanonicalMpo(tuple(sites), self.gamma_vectors)
         if mat.shape == (4, 4):
             if not 0 <= site < n - 1:
                 raise NonAdjacentGateError(
                     f"two-qubit gate needs sites ({site}, {site + 1}) inside 0..{n - 1}"
                 )
             check_unitary(mat, 4)
-            sites = [t.data for t in self.site_tensors]
-            gammas = [g for g in self.gamma_vectors]
+            sites = list(self.site_tensors)
+            gammas = list(self.gamma_vectors)
             _absorb_pair(sites, gammas, site, pair_operator(mat, side), policy)
-            tensors = list(self.site_tensors)
-            tensors[site] = DenseTensor(sites[site])
-            tensors[site + 1] = DenseTensor(sites[site + 1])
-            return CanonicalMpo(tuple(tensors), tuple(gammas))
+            return CanonicalMpo(tuple(sites), tuple(gammas))
         raise DimensionMismatchError(f"gate must be 2x2 or 4x4, got shape {mat.shape}")
 
     def apply_to_mps(self, state: CanonicalMps, policy: TruncationPolicy) -> CanonicalMps:
@@ -230,16 +232,12 @@ class CanonicalMpo:
                 f"operator on {self.n_qubits} qubits cannot act on "
                 f"{state.n_qubits}-qubit state"
             )
-        states = _canonical.train_from_vidal([g.data for g in state.gammas], state.lambdas)
-        ops = _canonical.train_from_vidal(
-            [t.data for t in self.site_tensors], self.gamma_vectors
-        )
+        states = _canonical.train_from_vidal(state.gammas, state.lambdas)
+        ops = _canonical.train_from_vidal(self.site_tensors, self.gamma_vectors)
         new_g, new_l, _ = _canonical.canonicalize_train(
             list(zip(states, ops)), policy, normalize=True
         )
-        return CanonicalMps(
-            tuple(DenseTensor(g) for g in new_g), tuple(new_l)
-        )
+        return CanonicalMps(tuple(new_g), tuple(new_l))
 
     def recanonicalize(self, policy: TruncationPolicy) -> "CanonicalMpo":
         """Full left-to-right then right-to-left sweep with truncation.
@@ -254,17 +252,15 @@ class CanonicalMpo:
         `apply_to_mps`), is unaffected. Recanonicalizing the capped result
         again without a cap restores both conditions.
         """
-        train = _canonical.train_from_vidal(self._fused_sites(), list(self.gamma_vectors))
+        train = _canonical.train_from_vidal(self._fused_sites(), self.gamma_vectors)
         new_t, new_g, _ = _canonical.canonicalize_train(train, policy, normalize=False)
-        return CanonicalMpo(
-            tuple(DenseTensor(_unfused(t)) for t in new_t), tuple(new_g)
-        )
+        return CanonicalMpo(tuple(_unfused(t) for t in new_t), tuple(new_g))
 
     def to_dense(self) -> DenseTensor:
         """Dense matrix of the operator (guarded by the dense-size limit)."""
         n = self.n_qubits
         check_dense_size(n, DENSE_OPERATOR_LIMIT, "dense operator matrix")
-        vec = _canonical.vector_from_vidal(self._fused_sites(), list(self.gamma_vectors))
+        vec = _canonical.vector_from_vidal(self._fused_sites(), self.gamma_vectors)
         arr = vec.reshape((2,) * (2 * n))  # (i_0, j_0, i_1, j_1, ...)
         perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
         mat = np.transpose(arr, perm).reshape(2**n, 2**n)
@@ -274,17 +270,16 @@ class CanonicalMpo:
 def identity_mpo(n: int) -> CanonicalMpo:
     """Identity operator; rank 1 on every bond with the full Frobenius norm
     (2^(n/2)) carried by each bond vector."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_width(n)
     eye = np.eye(2, dtype=np.complex128).reshape(1, 2, 2, 1)
     if n == 1:
-        return CanonicalMpo((DenseTensor(eye),), ())
+        return CanonicalMpo((eye,), ())
     root_d = math.sqrt(float(2**n))
     boundary = eye / math.sqrt(2.0)
     interior = eye / (math.sqrt(2.0) * root_d)
     sites = [boundary] + [interior] * (n - 2) + [boundary]
     gammas = [np.array([root_d])] * (n - 1)
-    return CanonicalMpo(tuple(DenseTensor(t) for t in sites), tuple(gammas))
+    return CanonicalMpo(tuple(sites), tuple(gammas))
 
 
 def from_dense_operator(mat, policy: TruncationPolicy = TruncationPolicy()) -> CanonicalMpo:
@@ -303,9 +298,7 @@ def from_dense_operator(mat, policy: TruncationPolicy = TruncationPolicy()) -> C
     gammas, bond_vectors, _ = _canonical.vidal_from_vector(
         vec, n, 4, policy, normalize=False
     )
-    return CanonicalMpo(
-        tuple(DenseTensor(_unfused(g)) for g in gammas), tuple(bond_vectors)
-    )
+    return CanonicalMpo(tuple(_unfused(g) for g in gammas), tuple(bond_vectors))
 
 
 def hs_inner(a: CanonicalMpo, b: CanonicalMpo) -> complex:
@@ -319,8 +312,8 @@ def hs_inner(a: CanonicalMpo, b: CanonicalMpo) -> complex:
         raise DimensionMismatchError(
             f"operand widths differ: {a.n_qubits} vs {b.n_qubits}"
         )
-    ta = _canonical.train_from_vidal(a._fused_sites(), list(a.gamma_vectors))
-    tb = _canonical.train_from_vidal(b._fused_sites(), list(b.gamma_vectors))
+    ta = _canonical.train_from_vidal(a._fused_sites(), a.gamma_vectors)
+    tb = _canonical.train_from_vidal(b._fused_sites(), b.gamma_vectors)
     env = np.ones((1, 1), dtype=np.complex128)
     for site_a, site_b in zip(ta, tb):
         chi_a, p, r_a = site_a.shape

@@ -3,9 +3,10 @@
 Storage convention: per-site tensors ``gammas[j]`` with legs
 (left bond, physical, right bond) and one non-negative vector per bond
 holding the Schmidt coefficients of the state across that bond, sorted
-non-increasing with unit 2-norm. Site 0 is the most significant qubit of
-basis-index bookkeeping, so ``to_dense`` lays amplitudes out in plain
-binary order.
+non-increasing with unit 2-norm. Both are read-only numpy arrays
+(complex128 sites, float64 bonds) that the constructor copies. Site 0 is
+the most significant qubit of basis-index bookkeeping, so ``to_dense``
+lays amplitudes out in plain binary order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _canonical
 from .errors import DimensionMismatchError, NonAdjacentGateError
-from .tensor import DenseTensor, TruncationPolicy, check_dense_size, check_unitary
+from .tensor import DenseTensor, TruncationPolicy, check_dense_size, check_unitary, frozen_array
 
 DENSE_STATE_LIMIT = 20  # qubits; override with QFTMPO_DENSE_LIMIT
 
@@ -37,13 +38,11 @@ def _parse_bits(bits, n: int) -> tuple[int, ...]:
 class CanonicalMps:
     """A normalized qubit chain in canonical form."""
 
-    gammas: tuple[DenseTensor, ...]
+    gammas: tuple[np.ndarray, ...]
     lambdas: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        gammas = tuple(
-            g if isinstance(g, DenseTensor) else DenseTensor(g) for g in self.gammas
-        )
+        gammas = tuple(map(frozen_array, self.gammas))
         lambdas = _canonical.check_structure(gammas, self.lambdas, (2,))
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "lambdas", lambdas)
@@ -57,14 +56,8 @@ class CanonicalMps:
         """Product state |b_0 b_1 ... b_{n-1}>, site 0 most significant."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        vals = _parse_bits(bits, n)
-        gammas = []
-        for b in vals:
-            g = np.zeros((1, 2, 1), dtype=np.complex128)
-            g[0, b, 0] = 1.0
-            gammas.append(g)
-        lambdas = [np.ones(1)] * (n - 1)
-        return cls(tuple(DenseTensor(g) for g in gammas), tuple(lambdas))
+        gammas = tuple(np.eye(2)[b].reshape(1, 2, 1) for b in _parse_bits(bits, n))
+        return cls(gammas, (np.ones(1),) * (n - 1))
 
     @classmethod
     def from_periodic_state(cls, n_qubits: int, period: int, offset: int = 0) -> "CanonicalMps":
@@ -108,7 +101,7 @@ class CanonicalMps:
         gammas, lambdas, _ = _canonical.canonicalize_train(
             train, TruncationPolicy(), normalize=True
         )
-        return cls(tuple(DenseTensor(g) for g in gammas), tuple(lambdas))
+        return cls(tuple(gammas), tuple(lambdas))
 
     @classmethod
     def from_dense(cls, vec, policy: TruncationPolicy = TruncationPolicy()) -> "CanonicalMps":
@@ -123,7 +116,7 @@ class CanonicalMps:
         gammas, lambdas, _ = _canonical.vidal_from_vector(
             arr, n, 2, policy, normalize=True
         )
-        return cls(tuple(DenseTensor(g) for g in gammas), tuple(lambdas))
+        return cls(tuple(gammas), tuple(lambdas))
 
     # ---------------------------------------------------------------- #
     # structure
@@ -145,25 +138,17 @@ class CanonicalMps:
 
     def reverse_qubits(self) -> "CanonicalMps":
         """Mirror the chain (qubit order reversed). Exact; ranks unchanged."""
-        gammas = tuple(
-            DenseTensor(np.ascontiguousarray(g.data.transpose(2, 1, 0)))
-            for g in reversed(self.gammas)
-        )
-        lambdas = tuple(reversed(self.lambdas))
-        return CanonicalMps(gammas, lambdas)
+        gammas = tuple(g.transpose(2, 1, 0) for g in reversed(self.gammas))
+        return CanonicalMps(gammas, tuple(reversed(self.lambdas)))
 
     def canonical_defect(self) -> float:
         """Largest violation of the canonical conditions, bond-weighted
         (see `_canonical.canonical_defect`)."""
-        return _canonical.canonical_defect(
-            [g.data for g in self.gammas], self.lambdas, normalize=True
-        )
+        return _canonical.canonical_defect(self.gammas, self.lambdas, normalize=True)
 
     def validate(self, tol_norm: float = 1e-10, tol_iso: float = 1e-8) -> None:
         """Check bond-vector normalization and isometry conditions."""
-        _canonical.validate(
-            [g.data for g in self.gammas], self.lambdas, tol_norm, tol_iso, normalize=True
-        )
+        _canonical.validate(self.gammas, self.lambdas, tol_norm, tol_iso, normalize=True)
 
     # ---------------------------------------------------------------- #
     # operations
@@ -188,12 +173,12 @@ class CanonicalMps:
         lam_m = self.lambdas[site]
         lam_r = self.lambdas[site + 1] if site + 1 < n - 1 else ones
         g1, lam_new, g2, weight = _canonical.two_site_update(
-            lam_l, self.gammas[site].data, lam_m, self.gammas[site + 1].data, lam_r,
+            lam_l, self.gammas[site], lam_m, self.gammas[site + 1], lam_r,
             mat, policy, normalize=True,
         )
         gammas = list(self.gammas)
-        gammas[site] = DenseTensor(g1)
-        gammas[site + 1] = DenseTensor(g2)
+        gammas[site] = g1
+        gammas[site + 1] = g2
         lambdas = list(self.lambdas)
         lambdas[site] = lam_new
         out = CanonicalMps(tuple(gammas), tuple(lambdas))
@@ -202,18 +187,15 @@ class CanonicalMps:
     def amplitude(self, bits) -> complex:
         """Amplitude of one computational basis state; cost O(n * rank^2)."""
         vals = _parse_bits(bits, self.n_qubits)
-        v = self.gammas[0].data[0, vals[0], :]
+        v = self.gammas[0][0, vals[0], :]
         for j in range(1, self.n_qubits):
-            v = (v * self.lambdas[j - 1]) @ self.gammas[j].data[:, vals[j], :]
+            v = (v * self.lambdas[j - 1]) @ self.gammas[j][:, vals[j], :]
         return complex(v[0])
 
     def to_dense(self) -> DenseTensor:
         """Dense amplitude vector (guarded by the dense-size limit)."""
         check_dense_size(self.n_qubits, DENSE_STATE_LIMIT, "dense state vector")
-        vec = _canonical.vector_from_vidal(
-            [g.data for g in self.gammas], list(self.lambdas)
-        )
-        return DenseTensor(vec)
+        return DenseTensor(_canonical.vector_from_vidal(self.gammas, self.lambdas))
 
 
 # ---------------------------------------------------------------- #

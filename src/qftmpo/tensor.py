@@ -1,13 +1,15 @@
 """Dense complex tensors, truncation policies and the tensor record format.
 
-`DenseTensor` is an immutable complex128 array that refuses non-finite
-entries; `TruncationPolicy` says how a singular-value spectrum is cut.
-Data is stored row-major, which is also the on-disk layout of one tensor
-record (see `write_tensor`); the chain containers of `_canonical` are
-sequences of these records. The SVD driver used by the canonical sweeps
-lives here too, with a scipy fallback for the occasional non-converging
-SVD. Dense materializations anywhere in the package go through
-`check_dense_size`.
+`frozen_array` makes the read-only, row-major complex128 copy, refusing
+non-finite entries, that chains store as their sites. `DenseTensor` wraps
+one for the standalone dense values of the public API (a `GateSpec`
+matrix, which keeps the frozen gate hashable, `to_dense()`, the oracle
+outputs and `read_tensor`); `TruncationPolicy` says how a singular-value
+spectrum is cut. Row-major is also the on-disk layout of one tensor record
+(see `write_tensor`); the chain containers of `_canonical` are sequences
+of these records. The SVD driver used by the canonical sweeps lives here
+too, with a scipy fallback for the occasional non-converging SVD. Dense
+materializations anywhere in the package go through `check_dense_size`.
 """
 
 from __future__ import annotations
@@ -29,18 +31,24 @@ TENSOR_MAGIC = b"MPOT"
 TENSOR_FORMAT_VERSION = 1
 
 
+def frozen_array(data) -> np.ndarray:
+    """A read-only, row-major complex128 copy of ``data``; raises
+    NumericalError on a NaN or inf entry."""
+    arr = np.array(data, dtype=np.complex128, order="C", copy=True)
+    if not np.isfinite(arr).all():
+        raise NumericalError("tensor has non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DenseTensor:
-    """Immutable complex tensor."""
+    """Immutable complex tensor (see `frozen_array`)."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.complex128, order="C", copy=True)
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("tensor has non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", frozen_array(self.data))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -169,8 +177,8 @@ def write_tensor_to(f: BinaryIO, t) -> None:
     f.write(arr.tobytes())
 
 
-def read_tensor_from(f: BinaryIO) -> DenseTensor:
-    """Read one tensor record from a seekable stream.
+def read_tensor_from(f: BinaryIO) -> np.ndarray:
+    """Read one tensor record from a seekable stream as a read-only array.
 
     The declared payload is checked against the bytes left in the stream
     before it is read, so a damaged header fails with a ValueError instead
@@ -190,11 +198,10 @@ def read_tensor_from(f: BinaryIO) -> DenseTensor:
     left = _bytes_left(f)
     if size > left:
         raise ValueError(f"tensor of shape {shape} needs {size} bytes, {left} left")
-    data = np.frombuffer(f.read(size), dtype="<c16").reshape(shape)
-    try:
-        return DenseTensor(data)
-    except NumericalError as exc:
-        raise ValueError(f"damaged tensor record of shape {shape}: {exc}") from None
+    data = np.frombuffer(f.read(size), dtype="<c16").reshape(shape)  # read-only view
+    if not np.isfinite(data).all():
+        raise ValueError(f"damaged tensor record of shape {shape}: tensor has non-finite entries")
+    return data
 
 
 def write_tensor(dest: str | Path | BinaryIO, t) -> None:
@@ -210,5 +217,5 @@ def read_tensor(src: str | Path | BinaryIO) -> DenseTensor:
     """Read a tensor written by `write_tensor`."""
     if isinstance(src, (str, Path)):
         with open(src, "rb") as f:
-            return read_tensor_from(f)
-    return read_tensor_from(src)
+            return DenseTensor(read_tensor_from(f))
+    return DenseTensor(read_tensor_from(src))

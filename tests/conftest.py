@@ -100,7 +100,7 @@ def reference_apply(op, state, policy):
     discarded weight)."""
     sites = []
     for g, o in zip(state.gammas, op.site_tensors):
-        t = np.tensordot(g.data, o.data, axes=(1, 2)).transpose(0, 2, 3, 1, 4)  # a c x b e
+        t = np.tensordot(g, o, axes=(1, 2)).transpose(0, 2, 3, 1, 4)  # a c x b e
         a, c, x, b, e = t.shape
         sites.append(t.reshape(a * c, x, b * e))
     bonds = [np.kron(s, o) for s, o in zip(state.lambdas, op.gamma_vectors)]
@@ -126,7 +126,7 @@ def operator_entry(op, y, x):
     v = np.ones(1, dtype=np.complex128)
     for j, site in enumerate(op.site_tensors):
         shift = n - 1 - j
-        v = (v @ site.data[:, (y >> shift) & 1, (x >> shift) & 1, :]) * math.sqrt(2.0)
+        v = (v @ site[:, (y >> shift) & 1, (x >> shift) & 1, :]) * math.sqrt(2.0)
         if j < n - 1:
             v = v * op.gamma_vectors[j]
     return complex(v[0])

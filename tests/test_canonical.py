@@ -10,11 +10,16 @@ from qftmpo._canonical import (
     _bonds_ordered,
     _left_multiply,
     _right_multiply,
+    canonical_defect,
     check_structure,
     two_site_update,
+    validate,
 )
-from qftmpo.circuits import compile_trace, nearest_neighbor_qft_circuit
-from qftmpo.tensor import TruncationPolicy
+from qftmpo.circuits import compile_to_mpo, compile_trace, nearest_neighbor_qft_circuit
+from qftmpo.errors import NumericalError
+from qftmpo.mpo import load_mpo, save_mpo
+from qftmpo.mps import CanonicalMps, load_mps, save_mps
+from qftmpo.tensor import DenseTensor, TruncationPolicy
 from test_sketch import qr_calls
 
 
@@ -154,7 +159,7 @@ class TestSplitSketch:
         second = compile_trace(circuit, self.POLICY).mpo
         assert np.array_equal(np.random.get_state()[1], before)
         for a, b in zip(first.site_tensors, second.site_tensors):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
         for a, b in zip(first.gamma_vectors, second.gamma_vectors):
             assert np.array_equal(a, b)
 
@@ -196,3 +201,110 @@ class TestCheckStructure:
 
     def test_single_site_has_no_bonds(self):
         assert check_structure([np.zeros((1, 2, 1))], [], (2,)) == ()
+
+
+def chain_parts(chain):
+    """(sites, bond vectors) of a state or operator chain."""
+    if isinstance(chain, CanonicalMps):
+        return chain.gammas, chain.lambdas
+    return chain.site_tensors, chain.gamma_vectors
+
+
+def small_chain(kind):
+    """Chain class and writeable copies of the sites and bonds of a valid
+    3-qubit state or operator chain."""
+    if kind == "mps":
+        chain = CanonicalMps.from_periodic_state(3, 3)
+    else:
+        chain = compile_to_mpo(nearest_neighbor_qft_circuit(3), TruncationPolicy())
+    sites, bonds = chain_parts(chain)
+    return type(chain), [np.array(t) for t in sites], [np.array(lam) for lam in bonds]
+
+
+def dense_tensor_calls(monkeypatch):
+    """A list that grows by one for every DenseTensor constructed from now on."""
+    calls = []
+    original = DenseTensor.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(DenseTensor, "__post_init__", counting)
+    return calls
+
+
+CHAIN_KINDS = pytest.mark.parametrize("kind", ["mps", "mpo"])
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+
+
+class TestChainContract:
+    @CHAIN_KINDS
+    @NON_FINITE
+    def test_non_finite_site_refused(self, kind, bad):
+        cls, sites, bonds = small_chain(kind)
+        sites[1].flat[0] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            cls(tuple(sites), tuple(bonds))
+
+    @CHAIN_KINDS
+    @NON_FINITE
+    def test_non_finite_bond_refused(self, kind, bad):
+        cls, sites, bonds = small_chain(kind)
+        bonds[1][0] = bad
+        with pytest.raises(NumericalError, match="^bond 1 vector has non-finite entries"):
+            cls(tuple(sites), tuple(bonds))
+
+    @CHAIN_KINDS
+    def test_stored_arrays_are_read_only(self, kind):
+        cls, sites, bonds = small_chain(kind)
+        stored_sites, stored_bonds = chain_parts(cls(tuple(sites), tuple(bonds)))
+        assert all(t.dtype == np.complex128 for t in stored_sites)
+        for arr in (stored_sites[0], stored_bonds[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    @CHAIN_KINDS
+    def test_caller_arrays_neither_frozen_nor_aliased(self, kind):
+        cls, sites, bonds = small_chain(kind)
+        chain = cls(tuple(sites), tuple(bonds))
+        before = [a.copy() for part in chain_parts(chain) for a in part]
+        for arr in (*sites, *bonds):
+            assert arr.flags.writeable
+            arr[...] = 0.5
+        after = [a for part in chain_parts(chain) for a in part]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["mps", "mpo"])
+    def test_nan_defect_fails_validation(self, normalize):
+        _, sites, bonds = small_chain("mps" if normalize else "mpo")
+        sites = [t.reshape(t.shape[0], -1, t.shape[-1]) for t in sites]
+        sites[1].flat[0] = np.nan
+        assert np.isnan(canonical_defect(sites, bonds, normalize=normalize))
+        with pytest.raises(NumericalError, match="canonical defect nan"):
+            validate(sites, bonds, 1e-9, 1e-8, normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["mps", "mpo"])
+    def test_nan_bond_fails_validation(self, normalize):
+        _, sites, bonds = small_chain("mps" if normalize else "mpo")
+        sites = [t.reshape(t.shape[0], -1, t.shape[-1]) for t in sites]
+        bonds[0][0] = np.nan
+        with pytest.raises(NumericalError, match="^bond 0 squared weight nan"):
+            validate(sites, bonds, 1e-9, 1e-8, normalize=normalize)
+
+    def test_compile_constructs_no_dense_tensor(self, monkeypatch):
+        calls = dense_tensor_calls(monkeypatch)
+        compile_trace(nearest_neighbor_qft_circuit(8), TruncationPolicy(1e-14, 16))
+        assert calls == []
+
+    def test_load_apply_save_constructs_no_dense_tensor(self, monkeypatch, tmp_path):
+        save_mpo(compile_to_mpo(nearest_neighbor_qft_circuit(8), TruncationPolicy(1e-14)),
+                 tmp_path / "qft8.mpo")
+        calls = dense_tensor_calls(monkeypatch)
+        op = load_mpo(tmp_path / "qft8.mpo")
+        state = CanonicalMps.from_basis_state(8, "01101001").reverse_qubits()
+        out = op.apply_to_mps(state, TruncationPolicy(1e-14))
+        save_mps(out, tmp_path / "out.mps")
+        back = load_mps(tmp_path / "out.mps")
+        assert calls == []
+        assert all(np.array_equal(a, b) for a, b in zip(back.gammas, out.gammas))

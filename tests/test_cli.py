@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,16 @@ class TestStudies:
 
 
 class TestBuildApply:
+    def test_build_past_operator_limit_subprocess(self):
+        start = time.monotonic()
+        proc = run_cli_process("build", "--n", "1024")
+        assert time.monotonic() - start < 30
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("qftmpo: error: operator chains need 1 <= n <= 1023")
+
     def test_build_apply_roundtrip(self, capsys, tmp_path):
         mpo_path = tmp_path / "t.mpo"
         code, out, _ = run(capsys, "build", "--n", "8", "--out", str(mpo_path))

@@ -5,6 +5,7 @@ import pytest
 
 from qftmpo.errors import DimensionMismatchError, NonAdjacentGateError, NumericalError
 from qftmpo.mpo import (
+    MAX_OPERATOR_QUBITS,
     CanonicalMpo,
     from_dense_operator,
     hs_inner,
@@ -42,10 +43,16 @@ class TestIdentityMpo:
             assert g.shape == (1,)
             assert g[0] == pytest.approx(d, rel=1e-14)
         eye = np.eye(2)
-        assert np.allclose(op.site_tensors[0].data[0, :, :, 0], eye / math.sqrt(2), atol=1e-15)
-        assert np.allclose(op.site_tensors[1].data[0, :, :, 0],
+        assert np.allclose(op.site_tensors[0][0, :, :, 0], eye / math.sqrt(2), atol=1e-15)
+        assert np.allclose(op.site_tensors[1][0, :, :, 0],
                            eye / (math.sqrt(2) * d), atol=1e-15)
-        assert np.allclose(op.site_tensors[2].data[0, :, :, 0], eye / math.sqrt(2), atol=1e-15)
+        assert np.allclose(op.site_tensors[2][0, :, :, 0], eye / math.sqrt(2), atol=1e-15)
+
+    def test_width_limit(self):
+        # the squared norm 2^n of the widest chain is still a finite double
+        assert math.isfinite(identity_mpo(MAX_OPERATOR_QUBITS).frobenius_norm() ** 2)
+        with pytest.raises(ValueError, match=r"^operator chains need 1 <= n <= 1023 .* 1024$"):
+            identity_mpo(MAX_OPERATOR_QUBITS + 1)
 
     def test_single_site(self):
         op = identity_mpo(1)

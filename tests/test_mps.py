@@ -117,9 +117,7 @@ class TestStructure:
     def test_validate_flags_broken_state(self, rng):
         st = CanonicalMps.from_dense(random_state(rng, 3), EXACT)
         bad_gammas = list(st.gammas)
-        from qftmpo.tensor import DenseTensor
-
-        bad_gammas[1] = DenseTensor(np.array(st.gammas[1].data) * 2.0)
+        bad_gammas[1] = st.gammas[1] * 2.0
         bad = CanonicalMps(gammas=tuple(bad_gammas), lambdas=st.lambdas)
         with pytest.raises(NumericalError):
             bad.validate()

@@ -92,7 +92,7 @@ class TestApplyMatchesReference:
             st = st.reverse_qubits()
         out = op20.apply_to_mps(st, EXACT)
         ref_g, ref_l, _ = reference_apply(op20, st, EXACT)
-        got_g = [g.data for g in out.gammas]
+        got_g = list(out.gammas)
         assert abs(1 - train_overlap(got_g, out.lambdas, ref_g, ref_l)) <= 1e-12
         assert_same_bonds(out.lambdas, ref_l)
         assert out.canonical_defect() <= 1e-12
@@ -155,7 +155,7 @@ class TestPeriodicStateMatchesReference:
         ref = CanonicalMps.from_periodic_state(n, period, offset)
         assert got.bond_ranks == ref.bond_ranks
         assert_same_bonds(got.lambdas, ref.lambdas)
-        overlap = train_overlap([g.data for g in got.gammas], got.lambdas,
-                                [g.data for g in ref.gammas], ref.lambdas)
+        overlap = train_overlap(list(got.gammas), got.lambdas,
+                                list(ref.gammas), ref.lambdas)
         assert abs(1 - overlap) <= 1e-12
         assert got.canonical_defect() <= 1e-12
