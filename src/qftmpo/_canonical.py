@@ -197,7 +197,7 @@ def _right_sketches(sites, width, first):
     return sketches
 
 
-def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
+def canonicalize_train(tensors, policy, *, normalize):
     """Bring a raw train into canonical form.
 
     ``tensors`` holds (left, d, right) sites, or (state, operator) factor
@@ -265,7 +265,7 @@ def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
     carry = ones
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
         x = _right_multiply(sites[j], carry)
-        u, s, vh, dropped = _split_bond(factors[j - 1] @ x, policy, floor)
+        u, s, vh, dropped = _split_bond(factors[j - 1] @ x, policy, NOISE_FLOOR)
         discarded += dropped
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(len(s), -1, carry.shape[1])
@@ -288,7 +288,7 @@ def canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
     return gammas, stored, discarded
 
 
-def vidal_from_vector(vec, n_sites, phys_dim, policy, *, normalize, floor=NOISE_FLOOR):
+def vidal_from_vector(vec, n_sites, phys_dim, policy, *, normalize):
     """Canonical form of a dense vector over ``n_sites`` sites.
 
     A straight left-to-right SVD cascade: at each bond the left block is
@@ -316,7 +316,7 @@ def vidal_from_vector(vec, n_sites, phys_dim, policy, *, normalize, floor=NOISE_
     prev = np.ones(1)
     for _ in range(n_sites - 1):
         chi = rem.shape[0]
-        u, s, vh, dropped = _split_bond(rem.reshape(chi * phys_dim, -1), policy, floor)
+        u, s, vh, dropped = _split_bond(rem.reshape(chi * phys_dim, -1), policy, NOISE_FLOOR)
         discarded += dropped
         lam = s / np.linalg.norm(s) if normalize else s
         gammas.append(u.reshape(chi, phys_dim, -1) / prev[:, None, None])
@@ -349,8 +349,17 @@ def vector_from_vidal(gammas, bond_vectors):
     return acc[:, 0]
 
 
+def bonds_around(bond_vectors, first, last):
+    """The bond vectors left of site ``first`` and right of site ``last`` of
+    a chain with ``bond_vectors``; ``np.ones(1)`` stands in at a chain end."""
+    ones = np.ones(1)
+    left = bond_vectors[first - 1] if first > 0 else ones
+    right = bond_vectors[last] if last < len(bond_vectors) else ones
+    return left, right
+
+
 def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, policy,
-                    *, normalize, floor=NOISE_FLOOR, sketch: SplitSketch | None = None):
+                    *, normalize, sketch: SplitSketch | None = None):
     """Apply a two-site operator and restore the shared bond by one SVD.
 
     ``pair_op`` has legs (new1, new2, old1, old2) over the train's physical
@@ -389,11 +398,11 @@ def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, poli
             q, _ = np.linalg.qr(theta @ sketch.test_matrix(d * c, width))
             u, s, vh = _svd_matrix(q.conj().T @ theta)
             if _sketch_holds(s):
-                u, s, vh, discarded = _truncate(u, s, vh, policy, floor)
+                u, s, vh, discarded = _truncate(u, s, vh, policy, NOISE_FLOOR)
                 split = q @ u, s, vh, discarded
             else:
                 sketch.on = False
-    u, s, vh, discarded = split or _split_bond(theta, policy, floor)
+    u, s, vh, discarded = split or _split_bond(theta, policy, NOISE_FLOOR)
     lam_new = s / np.linalg.norm(s) if normalize else s
     g_left_new = u.reshape(a, d, -1) / lam_left[:, None, None]
     g_right_new = vh.reshape(-1, d, c) / lam_right[None, None, :]
@@ -483,10 +492,8 @@ def canonical_defect(sites, bond_vectors, *, normalize) -> float:
     """
     n = len(sites)
     deviations = [0.0]
-    ones = np.ones(1)
     for j, g in enumerate(sites):
-        lam_l = bond_vectors[j - 1] if j > 0 else ones
-        lam_r = bond_vectors[j] if j < n - 1 else ones
+        lam_l, lam_r = bonds_around(bond_vectors, j, j)
         w = g * lam_l[:, None, None] * lam_r[None, None, :]
         if normalize or j < n - 1:
             left = np.tensordot(w.conj(), w, axes=((0, 1), (0, 1)))

@@ -12,11 +12,12 @@ import json
 import math
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._canonical import bonds_around
 from .circuits import (
     RotationScheme,
     aqft_circuit,
@@ -83,7 +84,7 @@ class StudyResult:
     study: str
     metadata: dict
     rows: list[dict]
-    schema_version: int = 1
+    schema_version = 1  # not annotated: a class constant, not a constructor field
 
     def to_json(self, path=None) -> str:
         doc = {
@@ -141,14 +142,14 @@ def _csv_cell(value) -> str:
 # trend fitting
 # ---------------------------------------------------------------- #
 
-def significant_weights(p: np.ndarray, floor: float = WEIGHT_FLOOR) -> np.ndarray:
-    """Mask of entries safely above the numerical floor.
+def significant_weights(p: np.ndarray) -> np.ndarray:
+    """Mask of entries above WEIGHT_FLOOR.
 
     Falls back to everything positive when fewer than three entries
     survive, so short clean spectra still fit.
     """
     p = np.asarray(p, dtype=float)
-    mask = p > floor
+    mask = p > WEIGHT_FLOOR
     if mask.sum() < 3:
         mask = p > 0
     return mask
@@ -250,12 +251,13 @@ def spectrum_convergence_study(n_list, n_ref: int,
     return StudyResult("spectrum-convergence", _base_metadata(policy, n_ref=n_ref), rows)
 
 
-def _degenerate_blocks(values: np.ndarray, rtol: float = 1e-8):
-    """Split indices of a descending vector into runs of equal values."""
+def _degenerate_blocks(values: np.ndarray):
+    """Split indices of a descending vector into runs of values equal to
+    a relative 1e-8."""
     blocks = []
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or abs(values[i] - values[start]) > rtol * max(values[start], 1e-300):
+        if i == len(values) or abs(values[i] - values[start]) > 1e-8 * max(values[start], 1e-300):
             blocks.append((start, i))
             start = i
     return blocks
@@ -289,11 +291,8 @@ def middle_tensor_difference(mpo_a, mpo_b) -> float:
 def _weighted_middle(mpo):
     """Central tensor with its unit-norm bond vectors folded in, and those
     bond vectors."""
-    n = mpo.n_qubits
-    site = n // 2
-    ones = np.ones(1)
-    left = mpo.gamma_vectors[site - 1] if site > 0 else ones
-    right = mpo.gamma_vectors[site] if site < n - 1 else ones
+    site = mpo.n_qubits // 2
+    left, right = bonds_around(mpo.gamma_vectors, site, site)
     left = left / np.linalg.norm(left)
     right = right / np.linalg.norm(right)
     t = mpo.middle_tensor() * left[:, None, None, None] * right[None, None, None, :]
@@ -376,16 +375,15 @@ def hs_error_study(n_list, rank_list, *,
 # ---------------------------------------------------------------- #
 
 def periodic_study(n_qubits_list, period_list, rank_list, *, offset: int = 0,
-                   state_policy: TruncationPolicy | None = None,
                    compile_policy: TruncationPolicy | None = None) -> StudyResult:
     """Transform periodic states and compare peak probabilities to the
     exact references.
 
     The rank caps apply to the operator only; the state side runs at the
-    cutoff-based ``state_policy``. Rows carry the worst absolute peak
-    probability error and the total probability captured by the peaks.
+    relative cutoff 1e-14 with no rank cap. Rows carry the worst absolute
+    peak probability error and the total probability captured by the peaks.
     """
-    state_policy = state_policy or TruncationPolicy(1e-14)
+    state_policy = TruncationPolicy(1e-14)
     compile_policy = compile_policy or DEFAULT_COMPILE_POLICY
     rows = []
     for n in n_qubits_list:
@@ -539,13 +537,14 @@ def rotation_scheme_study(n_list, schemes,
 # qubit-ordering scan
 # ---------------------------------------------------------------- #
 
-def ordering_study(n: int, *, rank_cutoff: float = 1e-10) -> StudyResult:
+def ordering_study(n: int) -> StudyResult:
     """Operator Schmidt ranks of the transform under every output
     relabeling of the input register.
 
     For each permutation sigma the dense transform's columns are permuted
     (input x enters as sigma applied to its bits) and the maximum Schmidt
-    rank over all contiguous cuts is recorded. Exhaustive over n!
+    rank over all contiguous cuts, counting singular values at or above
+    1e-10 of the largest, is recorded. Exhaustive over n!
     permutations, so n is capped at 8.
     """
     from itertools import permutations
@@ -571,7 +570,7 @@ def ordering_study(n: int, *, rank_cutoff: float = 1e-10) -> StudyResult:
         worst = 0
         for cut in range(1, n):
             s = dense_operator_schmidt(mat, cut)
-            rank = int(np.sum(s >= rank_cutoff * s[0]))
+            rank = int(np.sum(s >= 1e-10 * s[0]))
             worst = max(worst, rank)
         label = "-".join(str(i) for i in sigma)
         rows.append({"permutation": label, "max_schmidt_rank": worst})
@@ -580,7 +579,7 @@ def ordering_study(n: int, *, rank_cutoff: float = 1e-10) -> StudyResult:
             optimal = [label]
         elif worst == best:
             optimal.append(label)
-    meta = _base_metadata(TruncationPolicy(rank_cutoff), n=n,
+    meta = _base_metadata(TruncationPolicy(1e-10), n=n,
                           minimum_rank=best, optimal_permutations=optimal,
                           bit_reversal="-".join(str(i) for i in reversal))
     return StudyResult("ordering", meta, rows)

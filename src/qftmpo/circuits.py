@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 

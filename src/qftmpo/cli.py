@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .analysis import (
     StudyResult,
     aqft_rank_study,
@@ -36,7 +34,7 @@ from .circuits import (
 )
 from .errors import QftmpoError
 from .mpo import check_width, load_mpo, save_mpo
-from .mps import CanonicalMps, load_mps, save_mps
+from .mps import CanonicalMps, save_mps
 from .tensor import TruncationPolicy
 
 
@@ -76,12 +74,13 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_COMMON_ARGS = (
-    _arg("--config", help="key=value file supplying defaults; flags win"),
-    _arg("--out", help="output file (default: stdout)"),
-    _arg("--format", choices=("csv", "json", "both"), default="csv"),
-    _arg("--cutoff", type=float, default=1e-14, help="relative singular-value cutoff"),
-)
+# every subcommand takes --config; the other specs are listed by the
+# subcommands that read them
+_CONFIG = _arg("--config", help="key=value file supplying defaults; flags win")
+_OUT = _arg("--out", help="output file (default: stdout)")
+_FORMAT = _arg("--format", choices=("csv", "json", "both"), default="csv")
+_CUTOFF = _arg("--cutoff", type=float, default=1e-14, help="relative singular-value cutoff")
+_EMITTED = (_OUT, _FORMAT)  # what `_emit` reads
 _N_LIST = _arg("--n-list", type=_int_list, required=True)
 _N_REF = _arg("--n-ref", type=int, required=True)
 _RANK_LIST = _arg("--rank-list", type=_int_list, required=True)
@@ -162,30 +161,36 @@ def _cmd_rotation_scan(args) -> StudyResult:
 # name -> (help line, argument specs, runner)
 COMMANDS = {
     "build": ("compile a transform and save the operator chain", (
+        _OUT, _CUTOFF,
         _arg("--n", type=int, required=True),
         _arg("--bandwidth", type=int, help="approximate transform: highest kept rotation order"),
         _arg("--scheme", help="rotation scheme, e.g. power-law:2"),
         _arg("--max-rank", type=int),
     ), _cmd_build),
     "apply": ("apply a saved operator chain to a periodic or basis state", (
+        _CUTOFF,
         _arg("--mpo", required=True, help="saved operator file"),
         _arg("--r", type=int, help="period of the input state"),
         _arg("--k0", type=int, default=0, help="offset of the periodic input"),
         _arg("--bits", help="basis-state bits, e.g. 0110"),
         _arg("--save-state", help="write the transformed state here"),
     ), _cmd_apply),
-    "spectrum": ("middle-bond probability spectrum of compiled transforms", (_N_LIST,),
-                 lambda a: spectrum_study(a.n_list, TruncationPolicy(a.cutoff))),
+    "spectrum": ("middle-bond probability spectrum of compiled transforms", (
+        *_EMITTED, _CUTOFF, _N_LIST,
+    ), lambda a: spectrum_study(a.n_list, TruncationPolicy(a.cutoff))),
     "converge-spectrum": (
-        "spectrum distance to a larger reference size", (_N_LIST, _N_REF),
+        "spectrum distance to a larger reference size", (*_EMITTED, _CUTOFF, _N_LIST, _N_REF),
         lambda a: spectrum_convergence_study(a.n_list, a.n_ref, TruncationPolicy(a.cutoff))),
     "converge-tensor": (
-        "central-tensor distance to a larger reference size", (_N_LIST, _N_REF),
+        "central-tensor distance to a larger reference size",
+        (*_EMITTED, _CUTOFF, _N_LIST, _N_REF),
         lambda a: tensor_convergence_study(a.n_list, a.n_ref, TruncationPolicy(a.cutoff))),
     "hs-error": (
-        "trace-inner-product error of rank-truncated transforms", (_N_LIST, _RANK_LIST),
+        "trace-inner-product error of rank-truncated transforms",
+        (*_EMITTED, _CUTOFF, _N_LIST, _RANK_LIST),
         lambda a: hs_error_study(a.n_list, a.rank_list, policy=TruncationPolicy(a.cutoff))),
     "periodic": ("peak probabilities of transformed periodic states", (
+        *_EMITTED, _CUTOFF,
         _arg("--L", type=_int_list, required=True, help="qubit counts"),
         _arg("--r", type=_int_list, required=True, help="periods"),
         _arg("--k0", type=int, default=0),
@@ -193,7 +198,7 @@ COMMANDS = {
     ), lambda a: periodic_study(a.L, a.r, a.rank_list, offset=a.k0,
                                 compile_policy=TruncationPolicy(a.cutoff))),
     "aqft-scan": ("bond-rank growth of approximate transforms", (
-        _N_LIST,
+        *_EMITTED, _CUTOFF, _N_LIST,
         _arg("--bandwidth-list", type=_int_list, required=True),
         _RANK_CEILING,
         _arg("--no-check", action="store_true",
@@ -202,15 +207,16 @@ COMMANDS = {
                                  TruncationPolicy(max(a.cutoff, 1e-10)),
                                  rank_ceiling=a.rank_ceiling, check=not a.no_check)),
     "rotation-scan": ("bond ranks under modified rotation rules", (
-        _N_LIST,
+        *_EMITTED, _CUTOFF, _N_LIST,
         _arg("--scheme", action="append", required=True,
              help="repeatable; e.g. standard, base-n:3, perturbed-exponent:0.1:7"),
         _RANK_CEILING,
     ), _cmd_rotation_scan),
-    "ordering-scan": ("exhaustive qubit-ordering Schmidt-rank scan",
-                      (_arg("--n", type=int, required=True),), lambda a: ordering_study(a.n)),
+    "ordering-scan": ("exhaustive qubit-ordering Schmidt-rank scan", (
+        *_EMITTED, _arg("--n", type=int, required=True),
+    ), lambda a: ordering_study(a.n)),
     "bench-scaling": ("wall-clock scaling of transform application", (
-        _N_LIST,
+        *_EMITTED, _CUTOFF, _N_LIST,
         _arg("--max-rank", type=int, default=16),
         _arg("--repeats", type=int, default=3),
     ), lambda a: scaling_benchmark(a.n_list, max_rank=a.max_rank, rel_cutoff=a.cutoff,
@@ -220,7 +226,7 @@ COMMANDS = {
 
 def _command_args(parser, name: str):
     """Add the arguments of subcommand ``name`` to ``parser``; returns it."""
-    for flags, kwargs in (*_COMMON_ARGS, *COMMANDS[name][1]):
+    for flags, kwargs in (_CONFIG, *COMMANDS[name][1]):
         parser.add_argument(*flags, **kwargs)
     return parser
 

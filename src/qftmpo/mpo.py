@@ -87,13 +87,9 @@ def _absorb_pair(sites: list, gammas: list, j: int, pair_op: np.ndarray,
     may be a product of several lifted gates. ``sketch`` (a
     `_canonical.SplitSketch`) lets the split be sketched; without it the
     split is exact."""
-    n = len(sites)
-    ones = np.ones(1)
-    lam_l = gammas[j - 1] if j > 0 else ones
-    lam_m = gammas[j]
-    lam_r = gammas[j + 1] if j + 1 < n - 1 else ones
+    lam_l, lam_r = _canonical.bonds_around(gammas, j, j + 1)
     g1, lam_new, g2, weight = _canonical.two_site_update(
-        lam_l, _fused(sites[j]), lam_m, _fused(sites[j + 1]), lam_r,
+        lam_l, _fused(sites[j]), gammas[j], _fused(sites[j + 1]), lam_r,
         pair_op, policy, normalize=False, sketch=sketch,
     )
     sites[j] = _unfused(g1)
@@ -178,11 +174,10 @@ class CanonicalMpo:
             self._fused_sites(), self.gamma_vectors, normalize=False
         )
 
-    def validate(self, tol_norm: float = 1e-9, tol_iso: float = 1e-8) -> None:
-        """Check cross-bond norm consistency and isometry conditions."""
-        _canonical.validate(
-            self._fused_sites(), self.gamma_vectors, tol_norm, tol_iso, normalize=False
-        )
+    def validate(self) -> None:
+        """Check cross-bond norm consistency (to 1e-9) and isometry
+        conditions (to 1e-8)."""
+        _canonical.validate(self._fused_sites(), self.gamma_vectors, 1e-9, 1e-8, normalize=False)
 
     # ---------------------------------------------------------------- #
     # operations

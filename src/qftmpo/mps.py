@@ -76,14 +76,8 @@ class CanonicalMps:
         if not 0 <= offset < period:
             raise ValueError(f"offset must lie in [0, period), got {offset}")
         r = period
-        if n_qubits == 1:
-            # support is {offset} (r > 1) or {0, 1} (r == 1)
-            if r == 1:
-                vec = np.full(2, 1 / math.sqrt(2), dtype=np.complex128)
-            else:
-                vec = np.zeros(2, dtype=np.complex128)
-                vec[offset] = 1.0
-            return cls.from_dense(vec, TruncationPolicy())
+        if n_qubits == 1:  # the checks above leave r = 1: support {0, 1}
+            return cls.from_dense(np.full(2, 1 / math.sqrt(2), dtype=np.complex128))
         # transition tensors of the automaton tracking (partial value mod r)
         first = np.zeros((1, 2, r), dtype=np.complex128)
         for b in (0, 1):
@@ -146,9 +140,10 @@ class CanonicalMps:
         (see `_canonical.canonical_defect`)."""
         return _canonical.canonical_defect(self.gammas, self.lambdas, normalize=True)
 
-    def validate(self, tol_norm: float = 1e-10, tol_iso: float = 1e-8) -> None:
-        """Check bond-vector normalization and isometry conditions."""
-        _canonical.validate(self.gammas, self.lambdas, tol_norm, tol_iso, normalize=True)
+    def validate(self) -> None:
+        """Check bond-vector normalization (to 1e-10) and isometry conditions
+        (to 1e-8)."""
+        _canonical.validate(self.gammas, self.lambdas, 1e-10, 1e-8, normalize=True)
 
     # ---------------------------------------------------------------- #
     # operations
@@ -168,12 +163,9 @@ class CanonicalMps:
             )
         mat = np.asarray(gate, dtype=np.complex128)
         check_unitary(mat, 4)
-        ones = np.ones(1)
-        lam_l = self.lambdas[site - 1] if site > 0 else ones
-        lam_m = self.lambdas[site]
-        lam_r = self.lambdas[site + 1] if site + 1 < n - 1 else ones
+        lam_l, lam_r = _canonical.bonds_around(self.lambdas, site, site + 1)
         g1, lam_new, g2, weight = _canonical.two_site_update(
-            lam_l, self.gammas[site], lam_m, self.gammas[site + 1], lam_r,
+            lam_l, self.gammas[site], self.lambdas[site], self.gammas[site + 1], lam_r,
             mat, policy, normalize=True,
         )
         gammas = list(self.gammas)

@@ -66,7 +66,7 @@ def dense_operator_schmidt(matrix, cut: int) -> np.ndarray:
     the returned values are the operator Schmidt coefficients across that
     cut (descending, unnormalized).
     """
-    mat = np.asarray(matrix.data if isinstance(matrix, DenseTensor) else matrix)
+    mat = np.asarray(matrix)
     size = mat.shape[0]
     if mat.shape != (size, size) or size & (size - 1):
         raise ValueError(f"expected a square power-of-two matrix, got {mat.shape}")
@@ -115,7 +115,7 @@ def dense_evolve(vector, circuit) -> DenseTensor:
     nearest-neighbour transform this way reproduces its compiled operator
     acting on the vector.
     """
-    vec = np.asarray(vector.data if isinstance(vector, DenseTensor) else vector)
+    vec = np.asarray(vector)
     vec = vec.reshape(-1).astype(np.complex128)
     size = vec.shape[0]
     if size & (size - 1) or size < 2:

@@ -63,7 +63,8 @@ class DenseTensor:
         return self.data.size
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.data, dtype=dtype)
+        # np.asarray(t) is the read-only data itself, np.array(t) a writeable copy
+        return np.array(self.data, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,18 @@ def check_dense_size(n: int, default_cap: int, what: str) -> None:
         )
 
 
-def check_unitary(mat: np.ndarray, dim: int, tol: float = 1e-10) -> None:
-    """Raise unless ``mat`` is a finite ``dim`` x ``dim`` unitary within ``tol``."""
+def check_unitary(mat: np.ndarray, dim: int) -> None:
+    """Raise unless ``mat`` is a finite ``dim`` x ``dim`` unitary within 1e-10."""
     if mat.shape != (dim, dim):
         raise DimensionMismatchError(f"expected a {dim}x{dim} gate, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("gate has non-finite entries")
     defect = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-    if defect > tol:
-        raise ValueError(f"gate is not unitary (defect {defect:.2e} > {tol:.0e})")
+    if defect > 1e-10:
+        raise ValueError(f"gate is not unitary (defect {defect:.2e} > 1e-10)")
 
 
-def _svd_matrix(mat: np.ndarray, context: str = "") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _svd_matrix(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD with a fallback driver; raises NumericalError on a hard failure."""
     try:
         return np.linalg.svd(mat, full_matrices=False)
@@ -124,8 +125,7 @@ def _svd_matrix(mat: np.ndarray, context: str = "") -> tuple[np.ndarray, np.ndar
         # gesvd is slower but converges on matrices where gesdd gives up
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
     except Exception as exc:  # pragma: no cover - defensive
-        where = f" ({context})" if context else ""
-        raise NumericalError(f"SVD did not converge for shape {mat.shape}{where}") from exc
+        raise NumericalError(f"SVD did not converge for shape {mat.shape}") from exc
 
 
 def retained_count(s: np.ndarray, policy: TruncationPolicy, extra_cutoff: float = 0.0) -> int:

@@ -13,7 +13,7 @@ import pytest
 
 import qftmpo
 from qftmpo.circuits import compile_to_mpo, compile_trace, nearest_neighbor_qft_circuit
-from qftmpo.cli import COMMANDS, main
+from qftmpo.cli import COMMANDS, _command_args, _emit, _Parser, main
 from qftmpo.mpo import identity_mpo, save_mpo
 from qftmpo.oracle import periodic_peak_probabilities
 from qftmpo.tensor import TruncationPolicy
@@ -367,3 +367,80 @@ class TestConfigFile:
         code, _, err = run(capsys, "spectrum", "--config", "/nonexistent.cfg",
                            "--n-list", "6")
         assert code == 1
+
+
+class _ReadRecorder:
+    """Stands in for a parsed namespace and notes which flags are read."""
+
+    def __init__(self, values):
+        self._values = values
+        self.read = set()
+
+    def __getattr__(self, name):  # reached only for the parsed flags
+        self.read.add(name)
+        try:
+            return self._values[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+# tiny runs that together reach every branch which reads a flag
+_GUARD_RUNS = [
+    ("build", ["--n", "4", "--out", "{tmp}/b.mpo"]),
+    ("apply", ["--mpo", "{mpo}", "--bits", "0110"]),
+    ("apply", ["--mpo", "{mpo}", "--r", "3", "--save-state", "{tmp}/s.mps"]),
+    ("spectrum", ["--n-list", "6"]),
+    ("converge-spectrum", ["--n-list", "6", "--n-ref", "8"]),
+    ("converge-tensor", ["--n-list", "6", "--n-ref", "8"]),
+    ("hs-error", ["--n-list", "6", "--rank-list", "2"]),
+    ("periodic", ["--L", "6", "--r", "3", "--rank-list", "4"]),
+    ("aqft-scan", ["--n-list", "8", "--bandwidth-list", "1,2", "--no-check"]),
+    ("rotation-scan", ["--n-list", "6", "--scheme", "standard"]),
+    ("ordering-scan", ["--n", "3"]),
+    ("bench-scaling", ["--n-list", "4", "--repeats", "1"]),
+]
+
+
+class TestOptionsAreRead:
+    def test_every_parsed_flag_is_read(self, capsys, tmp_path):
+        mpo_path = tmp_path / "t.mpo"
+        save_mpo(identity_mpo(4), mpo_path)
+        assert {name for name, _ in _GUARD_RUNS} == set(COMMANDS)
+        unread = {}
+        for name, argv in _GUARD_RUNS:
+            parser = _command_args(_Parser(prog=f"qftmpo {name}"), name)
+            argv = [a.format(tmp=tmp_path, mpo=mpo_path) for a in argv]
+            args = _ReadRecorder(vars(parser.parse_args(argv)))
+            result = COMMANDS[name][2](args)
+            if result is not None:
+                _emit(result, args)
+            # main reads --config from argv before parsing, never from args
+            parsed = {a.dest for a in parser._actions if a.dest not in ("help", "config")}
+            unread[name] = unread.get(name, parsed) & (parsed - args.read)
+        capsys.readouterr()
+        assert {name: flags for name, flags in unread.items() if flags} == {}
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--n", "4", "--out", "{tmp}/q.mpo", "--format", "json"],
+        ["apply", "--mpo", "{tmp}/q.mpo", "--bits", "0110", "--out", "{tmp}/r.json"],
+        ["apply", "--mpo", "{tmp}/q.mpo", "--bits", "0110", "--format", "json"],
+        ["ordering-scan", "--n", "4", "--cutoff", "0.9"],
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, argv):
+        proc = run_cli_process(*[a.format(tmp=tmp_path) for a in argv])
+        assert proc.returncode == 1
+        prefix = f"qftmpo {argv[0]}: error: unrecognized arguments: "
+        assert sum(line.startswith(prefix) for line in proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_config_keys_of_other_commands_flags_are_ignored(self, capsys, tmp_path):
+        mpo_path = tmp_path / "t.mpo"
+        save_mpo(identity_mpo(4), mpo_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mpo = {mpo_path}\nbits = 0110\nout = {tmp_path / 'r.json'}\n"
+                       "format = json\n")
+        code, out, _ = run(capsys, "apply", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["input"] == {"bits": "0110"}
+        assert not (tmp_path / "r.json").exists()

@@ -63,6 +63,14 @@ class TestConstruction:
             CanonicalMps.from_periodic_state(4, 16)
         with pytest.raises(ValueError):
             CanonicalMps.from_periodic_state(4, 3, 3)
+        with pytest.raises(ValueError):  # one bit holds period 1 only
+            CanonicalMps.from_periodic_state(1, 2)
+
+    def test_one_qubit_periodic_state_is_uniform(self):
+        st = CanonicalMps.from_periodic_state(1, 1)
+        a0, a1 = st.amplitude((0,)), st.amplitude((1,))
+        assert a0 == a1
+        assert abs(a0 - 1 / math.sqrt(2)) <= math.ulp(1 / math.sqrt(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_from_dense_roundtrip(self, rng, n):

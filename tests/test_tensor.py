@@ -45,6 +45,20 @@ class TestDenseTensor:
         t = DenseTensor([[1, 0], [0, 1]])
         assert np.trace(t) == 2
 
+    def test_asarray_is_the_frozen_data(self):
+        t = DenseTensor([1.0, 2.0])
+        view = np.asarray(t)
+        assert np.shares_memory(view, t.data)
+        assert not view.flags.writeable
+
+    @pytest.mark.parametrize("copy", [lambda t: np.array(t), lambda t: np.array(t, copy=True)])
+    def test_array_copies(self, copy):
+        t = DenseTensor([1.0, 2.0])
+        arr = copy(t)
+        assert not np.shares_memory(arr, t.data)
+        arr[0] = 5.0
+        assert t.data[0] == 1.0
+
 
 class TestTruncationPolicy:
     def test_defaults(self):
