@@ -63,8 +63,8 @@ class DenseTensor:
         return self.data.size
 
     def __array__(self, dtype=None, copy=None):
-        # np.asarray(t) is the read-only data itself, np.array(t) a writeable copy
-        return np.array(self.data, dtype=dtype, copy=copy)
+        # np.asarray(t) is the read-only data, np.array(t) a writeable copy (numpy 1: no copy)
+        return (np.array if copy else np.asarray)(self.data, dtype=dtype)
 
 
 @dataclass(frozen=True)

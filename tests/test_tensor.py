@@ -59,6 +59,12 @@ class TestDenseTensor:
         arr[0] = 5.0
         assert t.data[0] == 1.0
 
+    def test_array_without_copy_keyword(self):
+        # numpy 1.x calls __array__ with no copy argument, dtype positional
+        t = DenseTensor([1.0, 2.0])
+        assert np.shares_memory(t.__array__(), t.data)
+        assert t.__array__(np.complex64).dtype == np.complex64
+
 
 class TestTruncationPolicy:
     def test_defaults(self):
