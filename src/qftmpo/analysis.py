@@ -225,6 +225,13 @@ def spectrum_study(n_list, policy: TruncationPolicy | None = None, *,
     return StudyResult("spectrum", meta, rows)
 
 
+def _check_reference_size(n_list, n_ref: int) -> None:
+    """A convergence study measures each size against a larger one."""
+    if n_list and n_ref <= max(n_list):
+        raise ValueError(f"n_ref ({n_ref}) must exceed the largest size in n_list "
+                         f"({max(n_list)})")
+
+
 def spectrum_convergence_study(n_list, n_ref: int,
                                policy: TruncationPolicy | None = None) -> StudyResult:
     """Distance between each middle-bond spectrum and a larger reference.
@@ -233,6 +240,7 @@ def spectrum_convergence_study(n_list, n_ref: int,
     absolute difference. Convergence with n shows the transform's middle
     acquires a size-independent structure.
     """
+    _check_reference_size(n_list, n_ref)
     policy = policy or DEFAULT_COMPILE_POLICY
     ref = _qft_mpo(n_ref, policy).bond_probability_distribution(middle_bond(n_ref))
     rows = []
@@ -319,6 +327,7 @@ def tensor_convergence_study(n_list, n_ref: int,
     """Distance between each compiled transform's central tensor and a
     larger reference's, under the gauge conventions of
     `middle_tensor_difference`."""
+    _check_reference_size(n_list, n_ref)
     policy = policy or DEFAULT_COMPILE_POLICY
     ref = _qft_mpo(n_ref, policy)
     rows = []
@@ -597,6 +606,8 @@ def scaling_benchmark(n_list, *, max_rank: int = 16,
     Compilation is excluded from the timing; each size reports the best of
     ``repeats`` runs.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     compile_policy = TruncationPolicy(rel_cutoff, max_rank)
     apply_policy = TruncationPolicy(rel_cutoff)
     rows = []
@@ -604,7 +615,7 @@ def scaling_benchmark(n_list, *, max_rank: int = 16,
         mpo = compile_to_mpo(nearest_neighbor_qft_circuit(n), compile_policy)
         state = CanonicalMps.from_basis_state(n, (0,) * n)
         best = float("inf")
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             out = mpo.apply_to_mps(state, apply_policy)
             best = min(best, time.perf_counter() - t0)

@@ -82,7 +82,8 @@ _FORMAT = _arg("--format", choices=("csv", "json", "both"), default="csv")
 _CUTOFF = _arg("--cutoff", type=float, default=1e-14, help="relative singular-value cutoff")
 _EMITTED = (_OUT, _FORMAT)  # what `_emit` reads
 _N_LIST = _arg("--n-list", type=_int_list, required=True)
-_N_REF = _arg("--n-ref", type=int, required=True)
+_N_REF = _arg("--n-ref", type=int, required=True,
+              help="reference size, larger than every --n-list size")
 _RANK_LIST = _arg("--rank-list", type=_int_list, required=True)
 _RANK_CEILING = _arg("--rank-ceiling", type=int, default=64)
 
@@ -218,7 +219,7 @@ COMMANDS = {
     "bench-scaling": ("wall-clock scaling of transform application", (
         *_EMITTED, _CUTOFF, _N_LIST,
         _arg("--max-rank", type=int, default=16),
-        _arg("--repeats", type=int, default=3),
+        _arg("--repeats", type=int, default=3, help="timed applies per size (>= 1)"),
     ), lambda a: scaling_benchmark(a.n_list, max_rank=a.max_rank, rel_cutoff=a.cutoff,
                                    repeats=a.repeats)),
 }

@@ -8,8 +8,10 @@ outputs and `read_tensor`); `TruncationPolicy` says how a singular-value
 spectrum is cut. Row-major is also the on-disk layout of one tensor record
 (see `write_tensor`); the chain containers of `_canonical` are sequences
 of these records. The SVD driver used by the canonical sweeps lives here
-too, with a scipy fallback for the occasional non-converging SVD. Dense
-materializations anywhere in the package go through `check_dense_size`.
+too, with a scipy fallback for the occasional non-converging SVD; scipy is
+imported by that fallback alone, so loading the package never loads it.
+Dense materializations anywhere in the package go through
+`check_dense_size`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NumericalError, ResourceLimitError
 
@@ -121,10 +122,14 @@ def _svd_matrix(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError:
         pass
+    # scipy.linalg takes longer to import than a small command takes to run,
+    # and only this fallback needs it
+    import scipy.linalg
+
     try:
         # gesvd is slower but converges on matrices where gesdd gives up
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
-    except Exception as exc:  # pragma: no cover - defensive
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"SVD did not converge for shape {mat.shape}") from exc
 
 

@@ -1,9 +1,14 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qftmpo
 from qftmpo._canonical import NOISE_FLOOR, _split_bond, train_from_vidal
 from qftmpo.errors import NumericalError
 from qftmpo.mpo import identity_mpo
@@ -18,6 +23,15 @@ def rng():
 @pytest.fixture
 def exact_policy():
     return TruncationPolicy(rel_cutoff=1e-14)
+
+
+def run_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(qftmpo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def random_state(rng, n):

@@ -146,6 +146,13 @@ class TestSpectrumStudies:
         assert diffs[0] > diffs[-1]
         assert diffs[-1] < 1e-2
 
+    @pytest.mark.parametrize("study", [spectrum_convergence_study, tensor_convergence_study])
+    @pytest.mark.parametrize("n_ref", [4, 6])
+    def test_reference_must_be_larger(self, study, n_ref):
+        with pytest.raises(ValueError, match=rf"^n_ref \({n_ref}\) must exceed the largest "
+                                             r"size in n_list \(6\)$"):
+            study([4, 6], n_ref=n_ref)
+
     def test_middle_tensor_difference_self_is_zero(self):
         mpo = compile_to_mpo(nearest_neighbor_qft_circuit(8), TruncationPolicy(1e-14))
         assert middle_tensor_difference(mpo, mpo) == pytest.approx(0.0, abs=1e-14)
@@ -274,3 +281,8 @@ class TestScalingBenchmark:
             assert row["mpo_max_rank"] <= 16
         assert res.metadata["fitted_exponent"] is not None
         assert res.metadata["repeats"] == 1
+
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_needs_a_timed_repeat(self, repeats):
+        with pytest.raises(ValueError, match=rf"^repeats must be >= 1, got {repeats}$"):
+            scaling_benchmark([4], repeats=repeats)

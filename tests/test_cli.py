@@ -1,17 +1,13 @@
 import csv
 import io
 import json
-import os
 import struct
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qftmpo
+from conftest import run_python
 from qftmpo.circuits import compile_to_mpo, compile_trace, nearest_neighbor_qft_circuit
 from qftmpo.cli import COMMANDS, _command_args, _emit, _Parser, main
 from qftmpo.mpo import identity_mpo, save_mpo
@@ -28,10 +24,7 @@ def run(capsys, *argv):
 
 def run_cli_process(*argv):
     """Run the CLI in a fresh interpreter, as a user would."""
-    src = str(Path(qftmpo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-m", "qftmpo.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return run_python("-m", "qftmpo.cli", *argv)
 
 
 def parse_csv(text):
@@ -114,6 +107,32 @@ class TestDispatch:
             capsys.readouterr().err)
 
 
+# a fresh interpreter that loads the package and runs a build and an apply
+# in process, printing the scipy modules loaded after each step
+_IMPORT_BUDGET_SCRIPT = """
+import contextlib, io, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import qftmpo, qftmpo.cli
+print("import", scipy_modules())
+path = sys.argv[1]
+for argv in (["build", "--n", "8", "--out", path],
+             ["apply", "--mpo", path, "--bits", "01101001"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qftmpo.cli.main(argv) == 0
+    print(argv[0], scipy_modules())
+"""
+
+
+class TestImportBudget:
+    def test_commands_load_no_scipy(self, tmp_path):
+        """scipy serves only the SVD fallback; a start-up that imports it
+        costs every command several times the work of a small apply."""
+        proc = run_python("-c", _IMPORT_BUDGET_SCRIPT, str(tmp_path / "q8.mpo"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["import []", "build []", "apply []"]
+
+
 class TestNumericalFailures:
     def test_aqft_trend_violation_returns_two(self, capsys):
         code, _, err = run(capsys, "aqft-scan", "--n-list", "8",
@@ -193,6 +212,19 @@ class TestStudies:
         assert code == 0
         rows = parse_csv(out)
         assert float(rows[1]["mean_abs_diff"]) < float(rows[0]["mean_abs_diff"])
+
+    @pytest.mark.parametrize("argv", [
+        ["bench-scaling", "--n-list", "4", "--repeats", "0"],
+        ["bench-scaling", "--n-list", "4", "--repeats", "-1"],
+        ["converge-spectrum", "--n-list", "6", "--n-ref", "4"],
+        ["converge-tensor", "--n-list", "6", "--n-ref", "6"],
+    ])
+    def test_parameters_that_cannot_produce_the_row_are_input_errors(self, argv):
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qftmpo: error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestBuildApply:

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import run_python
 from qftmpo._canonical import _split_bond
 from qftmpo.circuits import GateSpec
 from qftmpo.errors import NumericalError
@@ -11,6 +12,7 @@ from qftmpo.mps import CanonicalMps
 from qftmpo.tensor import (
     DenseTensor,
     TruncationPolicy,
+    _svd_matrix,
     check_unitary,
     read_tensor,
     read_tensor_from,
@@ -137,6 +139,50 @@ class TestSvdTruncated:
         _, s, _, _ = self.split(rng.normal(size=(5, 7)), TruncationPolicy())
         assert np.all(np.diff(s) <= 0)
         assert np.all(s > 0)
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# a fresh interpreter: is scipy.linalg loaded before and after the fallback?
+_FALLBACK_IMPORT_SCRIPT = """
+import sys
+import numpy as np
+from qftmpo.tensor import _svd_matrix
+_svd_matrix(np.eye(3))
+print("scipy.linalg" in sys.modules)
+def no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+np.linalg.svd = no_convergence
+_svd_matrix(np.eye(3))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+class TestSvdFallback:
+    """numpy's gesdd gives up on a few matrices; scipy's gesvd takes over."""
+
+    def test_gesvd_factors_rebuild_the_matrix(self, monkeypatch, rng):
+        mat = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+        u, s, vh = _svd_matrix(mat)
+        assert u.shape == (6, 4) and s.shape == (4,) and vh.shape == (4, 4)
+        assert np.max(np.abs((u * s) @ vh - mat)) <= 1e-12
+        assert np.all(np.diff(s) <= 0)
+
+    def test_scipy_loads_only_on_the_fallback(self):
+        proc = run_python("-c", _FALLBACK_IMPORT_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+    def test_both_drivers_failing_is_one_numerical_error(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+        monkeypatch.setattr(scipy.linalg, "svd", _no_convergence)
+        with pytest.raises(NumericalError, match=r"^SVD did not converge for shape \(5, 3\)$"):
+            _svd_matrix(np.ones((5, 3)))
 
 
 class TestSerialization:
