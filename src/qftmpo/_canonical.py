@@ -11,9 +11,9 @@ normalized chain each bond vector has unit 2-norm; otherwise every bond
 vector carries the full 2-norm of the vector, which is the convention used
 for operator chains.
 
-Singular values below NOISE_FLOOR relative to the bond maximum are pure
-double-precision noise and are always dropped, independent of the caller's
-truncation policy.
+Singular values below `tensor.NOISE_FLOOR` relative to the bond maximum
+are pure double-precision noise and are always dropped, independent of
+the caller's truncation policy (`tensor.retained_count` applies it).
 
 Applying an operator multiplies the bond dimensions of state and operator,
 while the output often needs far fewer Schmidt vectors. Where a product
@@ -56,7 +56,6 @@ from .tensor import (
     write_tensor_to,
 )
 
-NOISE_FLOOR = 1e-14
 # a left-sweep bond is sketched only where it is this many times wider
 # than the sketch, and the sketch counts as unsaturated when its smallest
 # singular value is at most SKETCH_TAIL of its largest
@@ -68,14 +67,14 @@ SKETCH_SEED = 20140603
 SPLIT_SKETCH_MARGIN = 6
 
 
-def _split_bond(mat, policy, floor):
+def _split_bond(mat, policy):
     """SVD a bond matrix and truncate. Returns (u, kept s, vh, dropped weight)."""
-    return _truncate(*_svd_matrix(mat), policy, floor)
+    return _truncate(*_svd_matrix(mat), policy)
 
 
-def _truncate(u, s, vh, policy, floor):
+def _truncate(u, s, vh, policy):
     """Keep the leading singular triplets of an SVD under ``policy``."""
-    k = retained_count(s, policy, extra_cutoff=floor)
+    k = retained_count(s, policy)
     if k == 0 or s[0] == 0.0:
         raise NumericalError("bond spectrum vanished; chain encodes the zero vector")
     discarded = float(np.sum(s[k:] ** 2))
@@ -265,7 +264,7 @@ def canonicalize_train(tensors, policy, *, normalize):
     carry = ones
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
         x = _right_multiply(sites[j], carry)
-        u, s, vh, dropped = _split_bond(factors[j - 1] @ x, policy, NOISE_FLOOR)
+        u, s, vh, dropped = _split_bond(factors[j - 1] @ x, policy)
         discarded += dropped
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(len(s), -1, carry.shape[1])
@@ -316,7 +315,7 @@ def vidal_from_vector(vec, n_sites, phys_dim, policy, *, normalize):
     prev = np.ones(1)
     for _ in range(n_sites - 1):
         chi = rem.shape[0]
-        u, s, vh, dropped = _split_bond(rem.reshape(chi * phys_dim, -1), policy, NOISE_FLOOR)
+        u, s, vh, dropped = _split_bond(rem.reshape(chi * phys_dim, -1), policy)
         discarded += dropped
         lam = s / np.linalg.norm(s) if normalize else s
         gammas.append(u.reshape(chi, phys_dim, -1) / prev[:, None, None])
@@ -359,13 +358,14 @@ def bonds_around(bond_vectors, first, last):
 
 
 def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, policy,
-                    *, normalize, sketch: SplitSketch | None = None):
+                    *, sketch: SplitSketch | None = None):
     """Apply a two-site operator and restore the shared bond by one SVD.
 
     ``pair_op`` has legs (new1, new2, old1, old2) over the train's physical
     dimension d, as a (d, d, d, d) array or its (d*d, d*d) matrix.
     Neighbouring bond vectors are folded in before the SVD, so the new bond
-    vector holds the updated Schmidt coefficients directly.
+    vector holds the updated Schmidt coefficients directly, unnormalized as
+    the norm-carrying convention of operator chains keeps them.
 
     With a ``sketch`` that is on, a two-site block theta wider than
     SKETCH_SLACK times the sketch width s (the middle bond's rank plus
@@ -398,15 +398,14 @@ def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, poli
             q, _ = np.linalg.qr(theta @ sketch.test_matrix(d * c, width))
             u, s, vh = _svd_matrix(q.conj().T @ theta)
             if _sketch_holds(s):
-                u, s, vh, discarded = _truncate(u, s, vh, policy, NOISE_FLOOR)
+                u, s, vh, discarded = _truncate(u, s, vh, policy)
                 split = q @ u, s, vh, discarded
             else:
                 sketch.on = False
-    u, s, vh, discarded = split or _split_bond(theta, policy, NOISE_FLOOR)
-    lam_new = s / np.linalg.norm(s) if normalize else s
+    u, s, vh, discarded = split or _split_bond(theta, policy)
     g_left_new = u.reshape(a, d, -1) / lam_left[:, None, None]
     g_right_new = vh.reshape(-1, d, c) / lam_right[None, None, :]
-    return g_left_new, lam_new, g_right_new, discarded
+    return g_left_new, s, g_right_new, discarded
 
 
 # ---------------------------------------------------------------- #

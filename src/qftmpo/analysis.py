@@ -3,11 +3,13 @@
 Each study returns a StudyResult with tabular rows plus metadata, writable
 as CSV (leading ``#`` comment lines carry the metadata) or JSON. Studies
 that assert trends raise NumericalError when the data contradicts the
-expected behaviour; pass check=False to collect the numbers regardless.
+expected behaviour; `aqft_rank_study` takes check=False to collect the
+numbers regardless.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import subprocess
@@ -44,26 +46,19 @@ def middle_bond(n: int) -> int:
     return (n - 1) // 2
 
 
-_GIT_DESCRIBE_CACHE: dict = {}
-
-
+@functools.cache
 def _git_describe() -> str:
     """``git describe`` of the checkout holding this package, whatever the
     caller's working directory; "unknown" outside a checkout. Run once per
-    process and kept in ``_GIT_DESCRIBE_CACHE``."""
-    if "version" not in _GIT_DESCRIBE_CACHE:
-        version = "unknown"
-        try:
-            out = subprocess.run(
-                ["git", "describe", "--always", "--dirty"],
-                capture_output=True, text=True, timeout=5, cwd=Path(__file__).parent,
-            )
-            if out.returncode == 0:
-                version = out.stdout.strip()
-        except (OSError, subprocess.TimeoutExpired):
-            pass
-        _GIT_DESCRIBE_CACHE["version"] = version
-    return _GIT_DESCRIBE_CACHE["version"]
+    process."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            capture_output=True, text=True, timeout=5, cwd=Path(__file__).parent,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def _base_metadata(policy: TruncationPolicy, **extra) -> dict:
@@ -197,13 +192,12 @@ def _qft_mpo(n: int, policy: TruncationPolicy):
 # spectra and convergence
 # ---------------------------------------------------------------- #
 
-def spectrum_study(n_list, policy: TruncationPolicy | None = None, *,
-                   check: bool = True) -> StudyResult:
+def spectrum_study(n_list, policy: TruncationPolicy | None = None) -> StudyResult:
     """Middle-bond probability spectra of compiled transforms.
 
     Rows hold (n, bond, rank_index, probability); metadata records the
-    fitted tail slope per size. With check=True the exponential decay is
-    asserted (slope at most -0.5 decades per rank).
+    fitted tail slope per size. The exponential decay is asserted (slope
+    at most -0.5 decades per rank).
     """
     policy = policy or DEFAULT_COMPILE_POLICY
     rows = []
@@ -214,7 +208,7 @@ def spectrum_study(n_list, policy: TruncationPolicy | None = None, *,
         p = mpo.bond_probability_distribution(bond)
         slope = spectrum_tail_slope(p)
         slopes[str(n)] = slope
-        if check and not slope <= -0.5:
+        if not slope <= -0.5:
             raise NumericalError(
                 f"middle-bond spectrum at n={n} decays at {slope:.2f} decades/rank; "
                 f"expected exponential falloff"
@@ -346,14 +340,13 @@ def tensor_convergence_study(n_list, n_ref: int,
 # ---------------------------------------------------------------- #
 
 def hs_error_study(n_list, rank_list, *,
-                   policy: TruncationPolicy | None = None,
-                   check: bool = True) -> StudyResult:
+                   policy: TruncationPolicy | None = None) -> StudyResult:
     """Normalized trace-inner-product error of rank-truncated transforms.
 
     For each size the transform is compiled at the base policy, truncated
     to each rank cap, and compared to the untruncated operator through
     1 - Re<truncated, full>. Metadata records per-size decay slopes over
-    ranks 2..6 (decades per unit rank); check asserts the inner product is
+    ranks 2..6 (decades per unit rank). The inner product is asserted to be
     real to 1e-9.
     """
     policy = policy or DEFAULT_COMPILE_POLICY
@@ -365,7 +358,7 @@ def hs_error_study(n_list, rank_list, *,
         for rank in rank_list:
             trunc = full.recanonicalize(TruncationPolicy(policy.rel_cutoff, int(rank)))
             val = hs_inner(trunc, full)
-            if check and abs(val.imag) > 1e-9:
+            if abs(val.imag) > 1e-9:
                 raise NumericalError(
                     f"inner product has imaginary part {val.imag:.2e} at n={n} rank={rank}"
                 )

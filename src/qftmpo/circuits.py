@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._canonical import SplitSketch
-from .errors import BondRankCeilingError, NonAdjacentGateError, NumericalError
+from .errors import NonAdjacentGateError, NumericalError
 from .mpo import CanonicalMpo, _absorb_pair, _single_site_apply, identity_mpo, pair_operator
 from .tensor import DenseTensor, TruncationPolicy, check_unitary
 
@@ -104,11 +104,6 @@ class CircuitSpec:
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "params", dict(self.params))
 
-    def gate_count(self, kind: str | None = None) -> int:
-        if kind is None:
-            return len(self.gates)
-        return sum(1 for g in self.gates if g.kind == kind)
-
 
 # ---------------------------------------------------------------- #
 # rotation schemes
@@ -155,26 +150,6 @@ class RotationScheme:
             raise ValueError("per_gate applies to perturbed schemes only")
 
     @classmethod
-    def standard(cls) -> "RotationScheme":
-        return cls("standard")
-
-    @classmethod
-    def power_law(cls, exponent: int) -> "RotationScheme":
-        return cls("power-law", exponent=exponent)
-
-    @classmethod
-    def base_n(cls, base: int) -> "RotationScheme":
-        return cls("base-n", base=base)
-
-    @classmethod
-    def perturbed_exponent(cls, scale: float, seed: int, per_gate: bool = False) -> "RotationScheme":
-        return cls("perturbed-exponent", scale=scale, seed=seed, per_gate=per_gate)
-
-    @classmethod
-    def perturbed_base(cls, scale: float, seed: int, per_gate: bool = False) -> "RotationScheme":
-        return cls("perturbed-base", scale=scale, seed=seed, per_gate=per_gate)
-
-    @classmethod
     def parse(cls, text: str) -> "RotationScheme":
         """Parse "standard", "power-law:P", "base-n:B",
         "perturbed-exponent:SCALE:SEED", "perturbed-base:SCALE:SEED"; the
@@ -184,11 +159,11 @@ class RotationScheme:
         kind = parts[0]
         try:
             if kind == "standard":
-                return cls.standard()
+                return cls(kind)
             if kind == "power-law":
-                return cls.power_law(int(parts[1]))
+                return cls(kind, exponent=int(parts[1]))
             if kind == "base-n":
-                return cls.base_n(int(parts[1]))
+                return cls(kind, base=int(parts[1]))
             if kind in ("perturbed-exponent", "perturbed-base"):
                 if parts[3:] not in ([], ["per-gate"]):
                     raise ValueError(f"unknown suffix {parts[3:]}")
@@ -253,7 +228,7 @@ def qft_circuit(n: int) -> CircuitSpec:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    source = _AngleSource(RotationScheme.standard(), n)
+    source = _AngleSource(RotationScheme("standard"), n)
     gates = []
     for q in range(n):
         gates.append(GateSpec("h", (q,)))
@@ -285,7 +260,7 @@ def nearest_neighbor_qft_circuit(n: int) -> CircuitSpec:
     Fourier matrix in bit-reversed input ordering."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    gates = _nn_cascade(n, _AngleSource(RotationScheme.standard(), n), lambda k: True)
+    gates = _nn_cascade(n, _AngleSource(RotationScheme("standard"), n), lambda k: True)
     return CircuitSpec(n, gates, family="nn-qft", params={"n": n})
 
 
@@ -302,7 +277,7 @@ def aqft_circuit(n: int, bandwidth: int) -> CircuitSpec:
     if not 1 <= bandwidth <= n:
         raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
     gates = _nn_cascade(
-        n, _AngleSource(RotationScheme.standard(), n), lambda k: k <= bandwidth
+        n, _AngleSource(RotationScheme("standard"), n), lambda k: k <= bandwidth
     )
     return CircuitSpec(
         n, gates, family="aqft", params={"n": n, "bandwidth": bandwidth}
@@ -435,17 +410,9 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
     return CompileTrace(mpo, history, False, len(gates), weight)
 
 
-def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy, *,
-                   rank_ceiling: int | None = None) -> CanonicalMpo:
+def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy) -> CanonicalMpo:
     """Compile a nearest-neighbour circuit into a canonical operator chain."""
-    trace = compile_trace(circuit, policy, rank_ceiling=rank_ceiling)
-    if trace.saturated:
-        raise BondRankCeilingError(
-            f"bond rank exceeded ceiling {rank_ceiling} at gate {trace.gates_applied - 1}",
-            gate_index=trace.gates_applied - 1,
-            bond_rank=trace.max_rank_history[-1],
-        )
-    return trace.mpo
+    return compile_trace(circuit, policy).mpo
 
 
 # ---------------------------------------------------------------- #

@@ -47,7 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.replace(";", ",").split(",") if part.strip()]
+    # a ValueError: argparse turns it into a usage error, and the --config
+    # reader, which catches only OSError and ValueError, reports it in one line
+    values = [int(part) for part in text.replace(";", ",").split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"need at least one integer, got {text!r}")
+    return values
 
 
 def _progress(message: str) -> None:

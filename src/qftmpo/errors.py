@@ -24,11 +24,3 @@ class NonAdjacentGateError(QftmpoError, ValueError):
     long-range gate is the caller's job (insert explicit swaps).
     """
 
-
-class BondRankCeilingError(QftmpoError, RuntimeError):
-    """Compilation exceeded the configured bond-rank ceiling."""
-
-    def __init__(self, message, *, gate_index=None, bond_rank=None):
-        super().__init__(message)
-        self.gate_index = gate_index
-        self.bond_rank = bond_rank

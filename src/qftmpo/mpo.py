@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _canonical
-from .errors import DimensionMismatchError, NonAdjacentGateError
+from .errors import DimensionMismatchError
 from .mps import CanonicalMps
-from .tensor import DenseTensor, TruncationPolicy, check_dense_size, check_unitary, frozen_array
+from .tensor import DenseTensor, TruncationPolicy, check_dense_size, frozen_array
 
 DENSE_OPERATOR_LIMIT = 12  # qubits; override with QFTMPO_DENSE_LIMIT
 MAX_OPERATOR_QUBITS = 1023  # the squared norm 2^n of a unitary is still a finite double
@@ -90,7 +90,7 @@ def _absorb_pair(sites: list, gammas: list, j: int, pair_op: np.ndarray,
     lam_l, lam_r = _canonical.bonds_around(gammas, j, j + 1)
     g1, lam_new, g2, weight = _canonical.two_site_update(
         lam_l, _fused(sites[j]), gammas[j], _fused(sites[j + 1]), lam_r,
-        pair_op, policy, normalize=False, sketch=sketch,
+        pair_op, policy, sketch=sketch,
     )
     sites[j] = _unfused(g1)
     sites[j + 1] = _unfused(g2)
@@ -127,12 +127,6 @@ class CanonicalMpo:
     def max_bond_rank(self) -> int:
         return max(self.bond_ranks, default=1)
 
-    def frobenius_norm(self) -> float:
-        """Hilbert-Schmidt norm of the encoded operator."""
-        if self.gamma_vectors:
-            return float(np.linalg.norm(self.gamma_vectors[0]))
-        return float(np.linalg.norm(self.site_tensors[0]))
-
     def bond_probability_distribution(self, bond: int) -> np.ndarray:
         """Operator-Schmidt weights p_i = gamma_i^2 / 2^n across ``bond``."""
         if not 0 <= bond < len(self.gamma_vectors):
@@ -149,14 +143,6 @@ class CanonicalMpo:
             p = p[p > 0]
             best = max(best, float(-np.sum(p * np.log2(p))))
         return best
-
-    def hartley_strength(self) -> float:
-        """log2 of the largest bond rank, after dropping bond entries below
-        the double-precision noise floor."""
-        best = 1
-        for gam in self.gamma_vectors:
-            best = max(best, int(np.count_nonzero(gam >= _canonical.NOISE_FLOOR * gam[0])))
-        return float(math.log2(best))
 
     def middle_tensor(self) -> np.ndarray:
         """Site tensor at position n // 2."""
@@ -182,35 +168,6 @@ class CanonicalMpo:
     # ---------------------------------------------------------------- #
     # operations
     # ---------------------------------------------------------------- #
-
-    def absorb_gate(self, site: int, gate, policy: TruncationPolicy,
-                    side: str = "output") -> "CanonicalMpo":
-        """Multiply a 1- or 2-qubit gate onto the operator at ``site``.
-
-        side="output" forms gate @ O; side="both" forms gate @ O @ gate^dag,
-        the bookkeeping mode used for reordering swaps. Two-qubit gates act
-        on (site, site+1); route long-range gates with explicit swaps.
-        """
-        mat = np.asarray(gate, dtype=np.complex128)
-        n = self.n_qubits
-        if mat.shape == (2, 2):
-            if not 0 <= site < n:
-                raise ValueError(f"site {site} out of range for {n} qubits")
-            check_unitary(mat, 2)
-            sites = list(self.site_tensors)
-            sites[site] = _single_site_apply(sites[site], mat, side)
-            return CanonicalMpo(tuple(sites), self.gamma_vectors)
-        if mat.shape == (4, 4):
-            if not 0 <= site < n - 1:
-                raise NonAdjacentGateError(
-                    f"two-qubit gate needs sites ({site}, {site + 1}) inside 0..{n - 1}"
-                )
-            check_unitary(mat, 4)
-            sites = list(self.site_tensors)
-            gammas = list(self.gamma_vectors)
-            _absorb_pair(sites, gammas, site, pair_operator(mat, side), policy)
-            return CanonicalMpo(tuple(sites), tuple(gammas))
-        raise DimensionMismatchError(f"gate must be 2x2 or 4x4, got shape {mat.shape}")
 
     def apply_to_mps(self, state: CanonicalMps, policy: TruncationPolicy) -> CanonicalMps:
         """Apply the operator to a state and recanonicalize.
@@ -241,8 +198,8 @@ class CanonicalMpo:
         canonical conditions: its left conditions are off at the cut bonds
         (`canonical_defect` 9.5e-3 for the 20-qubit transform at
         ``max_rank=2``, 9.4e-9 at 5; `validate` rejects all four caps
-        2..5), and `absorb_gate` or `_canonical.two_site_update`, which
-        assume both conditions, must not be used on it. What reads the chain as a raw
+        2..5), and `_canonical.two_site_update`, which assumes both
+        conditions, must not be used on it. What reads the chain as a raw
         train, bond vectors folded into the left sites (`hs_inner`,
         `apply_to_mps`), is unaffected. Recanonicalizing the capped result
         again without a cap restores both conditions.
@@ -277,9 +234,10 @@ def identity_mpo(n: int) -> CanonicalMpo:
     return CanonicalMpo(tuple(sites), tuple(gammas))
 
 
-def from_dense_operator(mat, policy: TruncationPolicy = TruncationPolicy()) -> CanonicalMpo:
+def from_dense_operator(mat) -> CanonicalMpo:
     """Canonical operator chain of a dense matrix (for cross-checks and
-    small reference operators)."""
+    small reference operators); only noise-floor singular values are
+    dropped."""
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"need a square matrix, got shape {arr.shape}")
@@ -291,7 +249,7 @@ def from_dense_operator(mat, policy: TruncationPolicy = TruncationPolicy()) -> C
     perm = [ax for k in range(n) for ax in (k, n + k)]
     vec = np.transpose(split, perm).reshape(-1)
     gammas, bond_vectors, _ = _canonical.vidal_from_vector(
-        vec, n, 4, policy, normalize=False
+        vec, n, 4, TruncationPolicy(), normalize=False
     )
     return CanonicalMpo(tuple(_unfused(g) for g in gammas), tuple(bond_vectors))
 

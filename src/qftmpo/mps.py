@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _canonical
-from .errors import DimensionMismatchError, NonAdjacentGateError
-from .tensor import DenseTensor, TruncationPolicy, check_dense_size, check_unitary, frozen_array
+from .errors import DimensionMismatchError
+from .tensor import DenseTensor, TruncationPolicy, check_dense_size, frozen_array
 
 DENSE_STATE_LIMIT = 20  # qubits; override with QFTMPO_DENSE_LIMIT
 
@@ -98,8 +98,9 @@ class CanonicalMps:
         return cls(tuple(gammas), tuple(lambdas))
 
     @classmethod
-    def from_dense(cls, vec, policy: TruncationPolicy = TruncationPolicy()) -> "CanonicalMps":
-        """Canonical form of a dense state vector (unit norm within 1e-8)."""
+    def from_dense(cls, vec) -> "CanonicalMps":
+        """Canonical form of a dense state vector (unit norm within 1e-8);
+        only noise-floor Schmidt values are dropped."""
         arr = np.asarray(vec, dtype=np.complex128).reshape(-1)
         n = int(math.log2(len(arr)))
         if 2**n != len(arr):
@@ -108,7 +109,7 @@ class CanonicalMps:
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"state norm {norm} is not 1 within 1e-8")
         gammas, lambdas, _ = _canonical.vidal_from_vector(
-            arr, n, 2, policy, normalize=True
+            arr, n, 2, TruncationPolicy(), normalize=True
         )
         return cls(tuple(gammas), tuple(lambdas))
 
@@ -123,12 +124,6 @@ class CanonicalMps:
     @property
     def bond_ranks(self) -> tuple[int, ...]:
         return tuple(len(lam) for lam in self.lambdas)
-
-    def bond_spectrum(self, bond: int) -> np.ndarray:
-        """Schmidt coefficients across ``bond`` (between sites bond, bond+1)."""
-        if not 0 <= bond < len(self.lambdas):
-            raise ValueError(f"bond {bond} out of range for {self.n_qubits} qubits")
-        return self.lambdas[bond].copy()
 
     def reverse_qubits(self) -> "CanonicalMps":
         """Mirror the chain (qubit order reversed). Exact; ranks unchanged."""
@@ -148,33 +143,6 @@ class CanonicalMps:
     # ---------------------------------------------------------------- #
     # operations
     # ---------------------------------------------------------------- #
-
-    def apply_two_qubit_gate(self, site: int, gate, policy: TruncationPolicy,
-                             return_weight: bool = False):
-        """Apply a 4x4 unitary to qubits (site, site+1) and re-truncate.
-
-        The state is renormalized after truncation. With ``return_weight``
-        the discarded squared Schmidt weight is returned alongside.
-        """
-        n = self.n_qubits
-        if not 0 <= site < n - 1:
-            raise NonAdjacentGateError(
-                f"two-qubit gate needs sites ({site}, {site + 1}) inside 0..{n - 1}"
-            )
-        mat = np.asarray(gate, dtype=np.complex128)
-        check_unitary(mat, 4)
-        lam_l, lam_r = _canonical.bonds_around(self.lambdas, site, site + 1)
-        g1, lam_new, g2, weight = _canonical.two_site_update(
-            lam_l, self.gammas[site], self.lambdas[site], self.gammas[site + 1], lam_r,
-            mat, policy, normalize=True,
-        )
-        gammas = list(self.gammas)
-        gammas[site] = g1
-        gammas[site + 1] = g2
-        lambdas = list(self.lambdas)
-        lambdas[site] = lam_new
-        out = CanonicalMps(tuple(gammas), tuple(lambdas))
-        return (out, weight) if return_weight else out
 
     def amplitude(self, bits) -> complex:
         """Amplitude of one computational basis state; cost O(n * rank^2)."""

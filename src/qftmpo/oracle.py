@@ -34,15 +34,12 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
     return rev
 
 
-def dense_qft_matrix(n: int, ordering: str = "natural") -> DenseTensor:
+def dense_qft_matrix(n: int) -> DenseTensor:
     """Fourier matrix F[j, k] = exp(2*pi*i*j*k / 2^n) / 2^(n/2).
 
-    ordering "bit-reversed-input" permutes the columns by bit reversal,
-    matching an operator whose input register is bit-reversed (the compiled
-    nearest-neighbour circuit).
+    The compiled nearest-neighbour circuit takes its input bit-reversed:
+    compare it with ``dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]``.
     """
-    if ordering not in ("natural", "bit-reversed-input"):
-        raise ValueError(f"unknown ordering {ordering!r}")
     _check_qubits(n, DENSE_ORACLE_LIMIT, "dense_qft_matrix")
     size = 2**n
     out = np.empty((size, size), dtype=np.complex128)
@@ -54,8 +51,6 @@ def dense_qft_matrix(n: int, ordering: str = "natural") -> DenseTensor:
         phase = (rows[:, None] * cols[None, :]) % size
         out[start : start + len(rows)] = np.exp((2j * np.pi / size) * phase)
     out /= math.sqrt(size)
-    if ordering == "bit-reversed-input":
-        out = out[:, bit_reversal_permutation(n)]
     return DenseTensor(out)
 
 

@@ -30,6 +30,9 @@ from .errors import DimensionMismatchError, NumericalError, ResourceLimitError
 
 TENSOR_MAGIC = b"MPOT"
 TENSOR_FORMAT_VERSION = 1
+# singular values below this fraction of the largest are double-precision
+# noise; every truncation drops them, whatever its policy
+NOISE_FLOOR = 1e-14
 
 
 def frozen_array(data) -> np.ndarray:
@@ -73,8 +76,9 @@ class TruncationPolicy:
     """How to cut a singular value spectrum.
 
     ``rel_cutoff`` drops every s_i with s_i / s_max strictly below the
-    cutoff; ``max_rank`` additionally caps the retained count (None means
-    unbounded). At least one value is always kept.
+    cutoff, which is never taken below NOISE_FLOOR; ``max_rank``
+    additionally caps the retained count (None means unbounded). At least
+    one value is always kept.
     """
 
     rel_cutoff: float = 0.0
@@ -133,20 +137,13 @@ def _svd_matrix(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericalError(f"SVD did not converge for shape {mat.shape}") from exc
 
 
-def retained_count(s: np.ndarray, policy: TruncationPolicy, extra_cutoff: float = 0.0) -> int:
-    """Number of leading singular values kept under ``policy``.
-
-    ``extra_cutoff`` lets callers impose a noise floor on top of the policy;
-    the effective relative cutoff is the larger of the two.
-    """
+def retained_count(s: np.ndarray, policy: TruncationPolicy) -> int:
+    """Number of leading singular values kept under ``policy``; the
+    relative cutoff is the larger of the policy's and NOISE_FLOOR."""
     if len(s) == 0:
         return 0
-    cutoff = max(policy.rel_cutoff, extra_cutoff)
-    if cutoff > 0.0:
-        k = int(np.count_nonzero(s >= cutoff * s[0]))
-    else:
-        k = len(s)
-    k = max(k, 1)
+    cutoff = max(policy.rel_cutoff, NOISE_FLOOR)
+    k = max(int(np.count_nonzero(s >= cutoff * s[0])), 1)
     if policy.max_rank is not None:
         k = min(k, policy.max_rank)
     return k

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import qftmpo
-from qftmpo._canonical import NOISE_FLOOR, _split_bond, train_from_vidal
+from qftmpo._canonical import _split_bond, train_from_vidal
+from qftmpo.circuits import CircuitSpec, GateSpec, compile_to_mpo
 from qftmpo.errors import NumericalError
-from qftmpo.mpo import identity_mpo
-from qftmpo.tensor import TruncationPolicy
+from qftmpo.mpo import CanonicalMpo, _absorb_pair, _single_site_apply, identity_mpo, pair_operator
+from qftmpo.tensor import DenseTensor, TruncationPolicy
 
 
 @pytest.fixture
@@ -45,16 +46,31 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def gate_mpo(n, *gates):
+    """The operator of ``gates``, (sites, matrix) or (sites, matrix, side)
+    tuples applied in order to n qubits, compiled exactly."""
+    specs = tuple(GateSpec("generic", g[0], matrix=DenseTensor(g[1]),
+                           side=g[2] if len(g) > 2 else "output") for g in gates)
+    return compile_to_mpo(CircuitSpec(n, specs), TruncationPolicy(1e-14))
+
+
 def per_gate_reference(circuit, policy):
-    """Compile gate by gate through `CanonicalMpo.absorb_gate`, one SVD per
-    two-site gate: an independent path to check the compiler against."""
-    op = identity_mpo(circuit.n_qubits)
+    """Compile gate by gate, one exact SVD per two-site gate (no sketch,
+    no fused steps, no cached lifts): an independent path to check the
+    compiler against."""
+    start = identity_mpo(circuit.n_qubits)
+    sites = list(start.site_tensors)
+    gammas = list(start.gamma_vectors)
     for gate in circuit.gates:
-        op = op.absorb_gate(gate.sites[0], gate.dense_matrix(), policy, side=gate.side)
-    return op.recanonicalize(policy)
+        j = gate.sites[0]
+        if len(gate.sites) == 1:
+            sites[j] = _single_site_apply(sites[j], gate.dense_matrix(), gate.side)
+        else:
+            _absorb_pair(sites, gammas, j, pair_operator(gate.dense_matrix(), gate.side), policy)
+    return CanonicalMpo(tuple(sites), tuple(gammas)).recanonicalize(policy)
 
 
-def reference_canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOOR):
+def reference_canonicalize_train(tensors, policy, *, normalize):
     """Bring a raw train into canonical form.
 
     Left-to-right QR sweep makes every site left-isometric, pushing the
@@ -85,7 +101,7 @@ def reference_canonicalize_train(tensors, policy, *, normalize, floor=NOISE_FLOO
     discarded = 0.0
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
         chi_l, d, chi_r = work[j].shape
-        u, s, vh, dropped = _split_bond(work[j].reshape(chi_l, d * chi_r), policy, floor)
+        u, s, vh, dropped = _split_bond(work[j].reshape(chi_l, d * chi_r), policy)
         discarded += dropped
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(-1, d, chi_r)

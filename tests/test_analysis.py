@@ -95,14 +95,14 @@ class TestStudyResult:
 
     def test_code_version_independent_of_cwd(self, tmp_path, monkeypatch):
         monkeypatch.chdir(Path(__file__).resolve().parents[1])
-        monkeypatch.setattr(analysis, "_GIT_DESCRIBE_CACHE", {})
+        analysis._git_describe.cache_clear()
         from_root = spectrum_study([4]).metadata["code_version"]
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(analysis, "_GIT_DESCRIBE_CACHE", {})
+        analysis._git_describe.cache_clear()
         assert spectrum_study([4]).metadata["code_version"] == from_root
 
     def test_code_version_described_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_GIT_DESCRIBE_CACHE", {})
+        analysis._git_describe.cache_clear()
         calls = []
         real_run = analysis.subprocess.run
 
@@ -236,8 +236,8 @@ class TestRotationStudy:
     def test_rows_and_contrast(self):
         res = rotation_scheme_study(
             [10],
-            [RotationScheme.standard(), RotationScheme.base_n(3),
-             RotationScheme.power_law(2)],
+            [RotationScheme("standard"), RotationScheme("base-n", base=3),
+             RotationScheme("power-law", exponent=2)],
         )
         by_scheme = {row["scheme"]: row for row in res.rows}
         std = by_scheme["standard"]

@@ -81,7 +81,7 @@ def test_two_site_update_matches_einsum():
     want = np.einsum("xypq,apqc->axyc", pair_op, theta).reshape(a * d, d * c)
 
     g1, lam_new, g2, dropped = two_site_update(
-        lam_l, g_left, lam_m, g_right, lam_r, pair_op, TruncationPolicy(), normalize=False)
+        lam_l, g_left, lam_m, g_right, lam_r, pair_op, TruncationPolicy())
     assert dropped == 0.0
     assert np.allclose(lam_new, np.linalg.svd(want, compute_uv=False), rtol=0, atol=1e-13)
     left = (g1 * lam_l[:, None, None]).reshape(a * d, -1)
@@ -106,7 +106,7 @@ class TestSplitSketch:
         return lam_l, g_left, lam_m, g_right, lam_r
 
     def update(self, block, pair_op, sketch=None):
-        return two_site_update(*block, pair_op, self.POLICY, normalize=False, sketch=sketch)
+        return two_site_update(*block, pair_op, self.POLICY, sketch=sketch)
 
     def reconstruct(self, block, result):
         lam_l, _, _, _, lam_r = block
@@ -162,13 +162,6 @@ class TestSplitSketch:
             assert np.array_equal(a, b)
         for a, b in zip(first.gamma_vectors, second.gamma_vectors):
             assert np.array_equal(a, b)
-
-    def test_absorb_gate_is_never_sketched(self, monkeypatch):
-        op = compile_trace(nearest_neighbor_qft_circuit(12), self.POLICY).mpo
-        calls = qr_calls(monkeypatch)
-        gate = np.diag([1, 1, 1, np.exp(0.3j)])
-        op.absorb_gate(5, gate, self.POLICY)
-        assert calls == []
 
 
 class TestCheckStructure:

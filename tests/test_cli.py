@@ -9,7 +9,7 @@ import pytest
 
 from conftest import run_python
 from qftmpo.circuits import compile_to_mpo, compile_trace, nearest_neighbor_qft_circuit
-from qftmpo.cli import COMMANDS, _command_args, _emit, _Parser, main
+from qftmpo.cli import COMMANDS, _command_args, _emit, _int_list, _Parser, main
 from qftmpo.mpo import identity_mpo, save_mpo
 from qftmpo.oracle import periodic_peak_probabilities
 from qftmpo.tensor import TruncationPolicy
@@ -20,6 +20,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(argv):
+    """``main(argv)``'s exit code, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (subcommand, flag) for every flag that takes a list of integers
+LIST_FLAGS = [(name, flags[0]) for name, (_, specs, _) in COMMANDS.items()
+              for flags, kwargs in specs if kwargs.get("type") is _int_list]
 
 
 def run_cli_process(*argv):
@@ -58,6 +71,25 @@ class TestUsageErrors:
         assert code == 1
         assert "error" in err
 
+
+    @pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name,flag", LIST_FLAGS, ids=[n + f for n, f in LIST_FLAGS])
+    def test_empty_list_refused(self, capsys, tmp_path, name, flag, source, value):
+        if source == "flag":
+            argv = [name, flag, value]
+            # argparse prints its usage block above this line
+            want = f"qftmpo {name}: error: argument {flag}: invalid _int_list value: {value!r}"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:]} = {value}\n")
+            argv = [name, "--config", str(cfg)]
+            want = f"qftmpo: config error: need at least one integer, got {value!r}"
+        assert exit_code(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error: " in line] == [want]
 
     @pytest.mark.parametrize("argv", [["--bogus"], ["--config", "x.cfg", "spectrum"],
                                       ["--", "spectrum", "--n-list", "6"]])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qftmpo.errors import DimensionMismatchError, NonAdjacentGateError, NumericalError
+from qftmpo.errors import DimensionMismatchError, NumericalError
 from qftmpo.mpo import (
     MAX_OPERATOR_QUBITS,
     CanonicalMpo,
@@ -17,7 +17,7 @@ from qftmpo.mpo import (
 from qftmpo.mps import CanonicalMps
 from qftmpo.tensor import DenseTensor, TruncationPolicy
 
-from conftest import random_state, random_unitary
+from conftest import gate_mpo, random_state, random_unitary
 
 EXACT = TruncationPolicy(1e-14)
 
@@ -50,13 +50,15 @@ class TestIdentityMpo:
 
     def test_width_limit(self):
         # the squared norm 2^n of the widest chain is still a finite double
-        assert math.isfinite(identity_mpo(MAX_OPERATOR_QUBITS).frobenius_norm() ** 2)
+        assert math.isfinite(np.sum(identity_mpo(MAX_OPERATOR_QUBITS).gamma_vectors[0] ** 2))
         with pytest.raises(ValueError, match=r"^operator chains need 1 <= n <= 1023 .* 1024$"):
             identity_mpo(MAX_OPERATOR_QUBITS + 1)
 
     def test_single_site(self):
+        # no bond vector: the one site carries the Frobenius norm sqrt(2)
         op = identity_mpo(1)
-        assert op.frobenius_norm() == pytest.approx(math.sqrt(2), rel=1e-14)
+        assert op.gamma_vectors == ()
+        assert np.linalg.norm(op.site_tensors[0]) == pytest.approx(math.sqrt(2), rel=1e-14)
 
     def test_bond_weight_sums(self):
         # untruncated unitary: squared bond weights sum to 2^n on every bond
@@ -99,20 +101,22 @@ class TestPairOperator:
 
 
 class TestAbsorbGate:
+    """Gates absorbed by the compiler act on the operator as matrices do."""
+
     def test_single_qubit_output(self):
-        op = identity_mpo(2).absorb_gate(0, HADAMARD, EXACT)
+        op = gate_mpo(2, ((0,), HADAMARD))
         op.validate()
         want = np.kron(HADAMARD, np.eye(2))
         assert np.allclose(np.array(op.to_dense().data), want, atol=1e-13)
 
     def test_single_qubit_both_sides(self):
-        op = identity_mpo(2).absorb_gate(1, HADAMARD, EXACT, side="both")
+        op = gate_mpo(2, ((1,), HADAMARD, "both"))
         # H I H^dag = I
         assert np.allclose(np.array(op.to_dense().data), np.eye(4), atol=1e-13)
 
     def test_two_qubit_output(self, rng):
         gate = random_unitary(rng, 4)
-        op = identity_mpo(3).absorb_gate(1, gate, EXACT)
+        op = gate_mpo(3, ((1, 2), gate))
         op.validate()
         want = np.kron(np.eye(2), gate)
         assert np.allclose(np.array(op.to_dense().data), want, atol=1e-12)
@@ -120,40 +124,31 @@ class TestAbsorbGate:
     def test_gate_composition_order(self, rng):
         a = random_unitary(rng, 4)
         b = random_unitary(rng, 4)
-        op = identity_mpo(2).absorb_gate(0, a, EXACT).absorb_gate(0, b, EXACT)
+        op = gate_mpo(2, ((0, 1), a), ((0, 1), b))
         assert np.allclose(np.array(op.to_dense().data), b @ a, atol=1e-12)
 
     def test_both_sides_two_qubit(self, rng):
         gate = random_unitary(rng, 4)
-        base = identity_mpo(2).absorb_gate(0, CNOT, EXACT)
-        op = base.absorb_gate(0, gate, EXACT, side="both")
+        op = gate_mpo(2, ((0, 1), CNOT), ((0, 1), gate, "both"))
         want = gate @ CNOT @ gate.conj().T
         assert np.allclose(np.array(op.to_dense().data), want, atol=1e-12)
-
-    def test_site_range(self):
-        with pytest.raises(NonAdjacentGateError):
-            identity_mpo(3).absorb_gate(2, CNOT, EXACT)
 
 
 class TestEntanglementMeasures:
     def test_cnot_strength_is_one(self):
-        op = identity_mpo(2).absorb_gate(0, CNOT, EXACT)
+        op = gate_mpo(2, ((0, 1), CNOT))
         assert op.schmidt_strength() == pytest.approx(1.0, abs=1e-10)
 
     def test_swap_strength_is_two(self):
-        op = identity_mpo(2).absorb_gate(0, SWAP, EXACT)
+        op = gate_mpo(2, ((0, 1), SWAP))
         assert op.schmidt_strength() == pytest.approx(2.0, abs=1e-10)
 
     def test_identity_strength_is_zero(self):
         assert identity_mpo(4).schmidt_strength() == pytest.approx(0.0, abs=1e-12)
 
-    def test_hartley_counts_ranks(self):
-        op = identity_mpo(2).absorb_gate(0, SWAP, EXACT)
-        assert op.hartley_strength() == pytest.approx(2.0, abs=1e-10)
-
     def test_bond_probabilities_normalized(self, rng):
         gate = random_unitary(rng, 4)
-        op = identity_mpo(3).absorb_gate(0, gate, EXACT).absorb_gate(1, gate, EXACT)
+        op = gate_mpo(3, ((0, 1), gate), ((1, 2), gate))
         for bond in range(2):
             p = op.bond_probability_distribution(bond)
             assert np.sum(p) == pytest.approx(1.0, abs=1e-10)
@@ -164,31 +159,29 @@ class TestDenseRoundTrip:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_from_dense_to_dense(self, rng, n):
         mat = random_unitary(rng, 2**n)
-        op = from_dense_operator(mat, EXACT)
+        op = from_dense_operator(mat)
         op.validate()
         assert np.allclose(np.array(op.to_dense().data), mat, atol=1e-12)
 
     def test_from_dense_matches_gate_absorption(self, rng):
         gate = random_unitary(rng, 4)
-        via_absorb = identity_mpo(2).absorb_gate(0, gate, EXACT)
-        via_dense = from_dense_operator(gate, EXACT)
+        via_absorb = gate_mpo(2, ((0, 1), gate))
+        via_dense = from_dense_operator(gate)
         assert np.allclose(np.array(via_absorb.to_dense().data),
                            np.array(via_dense.to_dense().data), atol=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            from_dense_operator(np.zeros((4, 8)), EXACT)
+            from_dense_operator(np.zeros((4, 8)))
 
 
 class TestApplyToMps:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_dense_matvec(self, rng, n):
         gate = random_unitary(rng, 4)
-        op = identity_mpo(n).absorb_gate(0, gate, EXACT)
-        if n > 2:
-            op = op.absorb_gate(n - 2, gate, EXACT)
+        op = gate_mpo(n, ((0, 1), gate), *([((n - 2, n - 1), gate)] if n > 2 else []))
         vec = random_state(rng, n)
-        st = CanonicalMps.from_dense(vec, EXACT)
+        st = CanonicalMps.from_dense(vec)
         out = op.apply_to_mps(st, EXACT)
         out.validate()
         want = np.array(op.to_dense().data) @ vec
@@ -205,14 +198,14 @@ class TestApplyToMps:
 class TestHsInner:
     def test_self_inner_is_one(self, rng):
         gate = random_unitary(rng, 4)
-        op = identity_mpo(3).absorb_gate(1, gate, EXACT)
+        op = gate_mpo(3, ((1, 2), gate))
         assert hs_inner(op, op) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_trace(self, rng):
         a_gate = random_unitary(rng, 4)
         b_gate = random_unitary(rng, 4)
-        a = identity_mpo(3).absorb_gate(0, a_gate, EXACT)
-        b = identity_mpo(3).absorb_gate(1, b_gate, EXACT)
+        a = gate_mpo(3, ((0, 1), a_gate))
+        b = gate_mpo(3, ((1, 2), b_gate))
         want = np.trace(np.array(a.to_dense().data).conj().T
                         @ np.array(b.to_dense().data)) / 8
         assert hs_inner(a, b) == pytest.approx(want, abs=1e-12)
@@ -220,7 +213,7 @@ class TestHsInner:
     def test_orthogonal_operators(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         a = identity_mpo(2)
-        b = identity_mpo(2).absorb_gate(0, np.kron(x, np.eye(2)), EXACT)
+        b = gate_mpo(2, ((0, 1), np.kron(x, np.eye(2))))
         assert abs(hs_inner(a, b)) < 1e-12
 
 
@@ -228,7 +221,7 @@ class TestRecanonicalize:
     def test_rank_truncation(self, rng):
         # build a rank-4 operator, truncate to rank 2
         gate = random_unitary(rng, 4)
-        op = identity_mpo(2).absorb_gate(0, gate, EXACT)
+        op = gate_mpo(2, ((0, 1), gate))
         trunc = op.recanonicalize(TruncationPolicy(0.0, 2))
         assert max(trunc.bond_ranks) <= 2
         # weight ordering means the kept part dominates
@@ -237,7 +230,7 @@ class TestRecanonicalize:
 
     def test_noop_preserves_operator(self, rng):
         gate = random_unitary(rng, 4)
-        op = identity_mpo(3).absorb_gate(1, gate, EXACT)
+        op = gate_mpo(3, ((1, 2), gate))
         again = op.recanonicalize(EXACT)
         assert np.allclose(np.array(again.to_dense().data),
                            np.array(op.to_dense().data), atol=1e-12)
@@ -246,7 +239,7 @@ class TestRecanonicalize:
 class TestSerialization:
     def test_roundtrip(self, tmp_path, rng):
         gate = random_unitary(rng, 4)
-        op = identity_mpo(3).absorb_gate(0, gate, EXACT).absorb_gate(1, gate, EXACT)
+        op = gate_mpo(3, ((0, 1), gate), ((1, 2), gate))
         path = tmp_path / "op.mpo"
         save_mpo(op, path, policy=EXACT, circuit_fingerprint="abc123")
         back = load_mpo(path)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qftmpo.errors import DimensionMismatchError, NonAdjacentGateError, NumericalError
+from qftmpo.errors import DimensionMismatchError, NumericalError
 from qftmpo.mps import CanonicalMps, load_mps, save_mps
 from qftmpo.oracle import periodic_support_count
 from qftmpo.tensor import TruncationPolicy
 
-from conftest import random_state, random_unitary
+from conftest import gate_mpo, random_state, random_unitary
 
 EXACT = TruncationPolicy(1e-14)
 
@@ -75,32 +75,26 @@ class TestConstruction:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_from_dense_roundtrip(self, rng, n):
         vec = random_state(rng, n)
-        st = CanonicalMps.from_dense(vec, EXACT)
+        st = CanonicalMps.from_dense(vec)
         st.validate()
         assert np.allclose(np.array(st.to_dense().data), vec, atol=1e-12)
 
     def test_from_dense_rejects_unnormalized(self, rng):
         with pytest.raises(ValueError):
-            CanonicalMps.from_dense(np.ones(4), EXACT)
+            CanonicalMps.from_dense(np.ones(4))
 
     def test_from_dense_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            CanonicalMps.from_dense(np.ones(6) / math.sqrt(6), EXACT)
+            CanonicalMps.from_dense(np.ones(6) / math.sqrt(6))
 
 
 class TestStructure:
     def test_lambda_normalization(self, rng):
-        st = CanonicalMps.from_dense(random_state(rng, 4), EXACT)
+        st = CanonicalMps.from_dense(random_state(rng, 4))
         for lam in st.lambdas:
             assert np.sum(lam**2) == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(lam) <= 1e-15)
             assert np.all(lam > 0)
-
-    def test_bond_spectrum_copies(self, rng):
-        st = CanonicalMps.from_dense(random_state(rng, 3), EXACT)
-        lam = st.bond_spectrum(0)
-        lam[0] = -1.0
-        assert st.lambdas[0][0] > 0
 
     def test_structural_validation(self):
         from qftmpo.tensor import DenseTensor
@@ -110,20 +104,20 @@ class TestStructure:
             CanonicalMps(gammas=good.gammas, lambdas=(np.array([0.5, 0.5]),))
 
     def test_canonical_defect_small(self, rng):
-        st = CanonicalMps.from_dense(random_state(rng, 6), EXACT)
+        st = CanonicalMps.from_dense(random_state(rng, 6))
         assert st.canonical_defect() < 1e-12
 
     @pytest.mark.parametrize("cut", [1, 2, 3])
     def test_bond_vectors_are_schmidt_coefficients(self, rng, cut):
         n = 4
         vec = random_state(rng, n)
-        st = CanonicalMps.from_dense(vec, EXACT)
+        st = CanonicalMps.from_dense(vec)
         want = np.linalg.svd(vec.reshape(2**cut, 2 ** (n - cut)), compute_uv=False)
-        got = st.bond_spectrum(cut - 1)
+        got = st.lambdas[cut - 1]
         assert np.allclose(got, want[: len(got)], atol=1e-12)
 
     def test_validate_flags_broken_state(self, rng):
-        st = CanonicalMps.from_dense(random_state(rng, 3), EXACT)
+        st = CanonicalMps.from_dense(random_state(rng, 3))
         bad_gammas = list(st.gammas)
         bad_gammas[1] = st.gammas[1] * 2.0
         bad = CanonicalMps(gammas=tuple(bad_gammas), lambdas=st.lambdas)
@@ -135,14 +129,14 @@ class TestReverseQubits:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_dense_reversal(self, rng, n):
         vec = random_state(rng, n)
-        st = CanonicalMps.from_dense(vec, EXACT)
+        st = CanonicalMps.from_dense(vec)
         rev = st.reverse_qubits()
         rev.validate()
         want = vec.reshape((2,) * n).transpose(*reversed(range(n))).reshape(-1)
         assert np.allclose(np.array(rev.to_dense().data), want, atol=1e-12)
 
     def test_involution(self, rng):
-        st = CanonicalMps.from_dense(random_state(rng, 4), EXACT)
+        st = CanonicalMps.from_dense(random_state(rng, 4))
         back = st.reverse_qubits().reverse_qubits()
         assert np.allclose(np.array(back.to_dense().data),
                            np.array(st.to_dense().data), atol=1e-13)
@@ -152,7 +146,7 @@ class TestAmplitude:
     def test_matches_dense(self, rng):
         n = 5
         vec = random_state(rng, n)
-        st = CanonicalMps.from_dense(vec, EXACT)
+        st = CanonicalMps.from_dense(vec)
         for index in (0, 3, 17, 31):
             bits = tuple(int(b) for b in format(index, f"0{n}b"))
             assert st.amplitude(bits) == pytest.approx(vec[index], abs=1e-12)
@@ -170,48 +164,31 @@ class TestAmplitude:
 
 
 class TestGateApplication:
+    """A two-qubit gate reaches a state as a one-gate operator."""
+
     @pytest.mark.parametrize("site", [0, 1, 2])
     def test_matches_dense_unitary(self, rng, site):
         n = 4
         vec = random_state(rng, n)
-        st = CanonicalMps.from_dense(vec, EXACT)
+        st = CanonicalMps.from_dense(vec)
         gate = random_unitary(rng, 4)
-        out = st.apply_two_qubit_gate(site, gate, EXACT)
+        out = gate_mpo(n, ((site, site + 1), gate)).apply_to_mps(st, EXACT)
         out.validate()
         big = np.kron(np.kron(np.eye(2**site), gate), np.eye(2 ** (n - site - 2)))
         assert np.allclose(np.array(out.to_dense().data), big @ vec, atol=1e-12)
 
     def test_norm_preserved_under_truncation(self, rng):
-        st = CanonicalMps.from_dense(random_state(rng, 6), EXACT)
+        st = CanonicalMps.from_dense(random_state(rng, 6))
         gate = random_unitary(rng, 4)
-        out = st.apply_two_qubit_gate(2, gate, TruncationPolicy(0.0, 2))
+        out = gate_mpo(6, ((2, 3), gate)).apply_to_mps(st, TruncationPolicy(0.0, 2))
         total = sum(abs(out.amplitude(tuple(int(b) for b in format(i, "06b")))) ** 2
                     for i in range(64))
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_return_weight(self, rng):
-        st = CanonicalMps.from_dense(random_state(rng, 4), EXACT)
-        gate = random_unitary(rng, 4)
-        out, weight = st.apply_two_qubit_gate(1, gate, EXACT, return_weight=True)
-        assert weight < 1e-20
-        out2, weight2 = st.apply_two_qubit_gate(1, gate, TruncationPolicy(0.0, 1),
-                                                return_weight=True)
-        assert weight2 > 1e-6
-
-    def test_site_out_of_range(self, rng):
-        st = CanonicalMps.from_basis_state(3, (0, 0, 0))
-        with pytest.raises(NonAdjacentGateError):
-            st.apply_two_qubit_gate(2, np.eye(4), EXACT)
-
-    def test_rejects_non_unitary(self, rng):
-        st = CanonicalMps.from_basis_state(3, (0, 0, 0))
-        with pytest.raises(ValueError):
-            st.apply_two_qubit_gate(0, np.ones((4, 4)), EXACT)
-
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path, rng):
-        st = CanonicalMps.from_dense(random_state(rng, 5), EXACT)
+        st = CanonicalMps.from_dense(random_state(rng, 5))
         path = tmp_path / "state.mps"
         save_mps(st, path, policy=EXACT)
         back = load_mps(path)

@@ -62,16 +62,6 @@ class TestDenseQftMatrix:
         f = np.array(dense_qft_matrix(n).data)
         assert np.allclose(np.linalg.matrix_power(f, 4), np.eye(2**n), atol=1e-12)
 
-    def test_bit_reversed_input_is_column_permutation(self):
-        n = 4
-        f = np.array(dense_qft_matrix(n).data)
-        g = np.array(dense_qft_matrix(n, "bit-reversed-input").data)
-        assert np.allclose(g, f[:, bit_reversal_permutation(n)], atol=0)
-
-    def test_unknown_ordering(self):
-        with pytest.raises(ValueError):
-            dense_qft_matrix(3, "shuffled")
-
     def test_size_cap(self, monkeypatch):
         monkeypatch.setenv("QFTMPO_DENSE_LIMIT", "4")
         with pytest.raises(ResourceLimitError):
@@ -174,7 +164,7 @@ class TestDenseEvolution:
 
         for n in (2, 3, 4, 5):
             mat = np.array(dense_circuit_matrix(nearest_neighbor_qft_circuit(n)).data)
-            want = np.array(dense_qft_matrix(n, "bit-reversed-input").data)
+            want = dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]
             assert np.allclose(mat, want, atol=1e-13), n
 
     def test_rejects_wrong_length(self):

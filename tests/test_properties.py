@@ -74,13 +74,11 @@ def test_random_bytes(containers, kind, keep, tail):
 
 
 SCHEMES = st.one_of(
-    st.just(RotationScheme.standard()),
-    st.integers(1, 4).map(RotationScheme.power_law),
-    st.integers(2, 5).map(RotationScheme.base_n),
-    st.builds(RotationScheme.perturbed_exponent, st.floats(0, 0.5), st.integers(0, 2**32),
-              st.booleans()),
-    st.builds(RotationScheme.perturbed_base, st.floats(0, 0.5), st.integers(0, 2**32),
-              st.booleans()),
+    st.just(RotationScheme("standard")),
+    st.builds(RotationScheme, st.just("power-law"), exponent=st.integers(1, 4)),
+    st.builds(RotationScheme, st.just("base-n"), base=st.integers(2, 5)),
+    st.builds(RotationScheme, st.sampled_from(["perturbed-exponent", "perturbed-base"]),
+              scale=st.floats(0, 0.5), seed=st.integers(0, 2**32), per_gate=st.booleans()),
 )
 
 

@@ -7,8 +7,6 @@ from conftest import run_python
 from qftmpo._canonical import _split_bond
 from qftmpo.circuits import GateSpec
 from qftmpo.errors import NumericalError
-from qftmpo.mpo import identity_mpo
-from qftmpo.mps import CanonicalMps
 from qftmpo.tensor import (
     DenseTensor,
     TruncationPolicy,
@@ -102,8 +100,11 @@ class TestRetainedCount:
         assert retained_count(s, TruncationPolicy(0.0, 4)) == 4
 
     def test_extra_cutoff(self):
-        s = np.array([1.0, 1e-5, 1e-15])
-        assert retained_count(s, TruncationPolicy(0.0), extra_cutoff=1e-10) == 2
+        # the noise floor cuts below every policy's own cutoff, zero included
+        s = np.array([1.0, 1e-5, 1e-14, 1e-15])
+        assert retained_count(s, TruncationPolicy(0.0)) == 3
+        assert retained_count(s, TruncationPolicy(1e-15)) == 3
+        assert retained_count(s, TruncationPolicy(1e-10)) == 2
 
 
 class TestSvdTruncated:
@@ -111,7 +112,7 @@ class TestSvdTruncated:
 
     @staticmethod
     def split(mat, policy):
-        return _split_bond(mat, policy, floor=0.0)
+        return _split_bond(mat, policy)
 
     def test_exact_recompose(self, rng):
         t = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
@@ -128,6 +129,15 @@ class TestSvdTruncated:
         assert len(sk) == 3
         assert discarded == pytest.approx(2e-18 + 1e-24, rel=1e-6)
         assert np.allclose((uk * sk) @ vhk, mat, atol=1e-8)
+
+    def test_noise_floor_dropped_without_cutoff(self, rng):
+        u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        v = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        s = np.array([1.0, 1e-3, 1e-13, 1e-16])
+        uk, sk, vhk, discarded = self.split((u * s) @ v, TruncationPolicy())
+        assert len(sk) == 3
+        assert discarded < 1e-30
+        assert np.allclose((uk * sk) @ vhk, (u * s) @ v, atol=1e-15)
 
     def test_isometry_conditions(self, rng):
         u, s, vh, _ = self.split(rng.normal(size=(4, 4)), TruncationPolicy())
@@ -221,9 +231,6 @@ class TestSerialization:
         assert direct.getvalue() == wrapped.getvalue()
 
 
-EXACT = TruncationPolicy(1e-14)
-
-
 class TestCheckUnitary:
     """A gate with a NaN or inf entry is refused with a one-line
     ValueError at every entry point that takes a raw matrix; its unitarity
@@ -231,9 +238,6 @@ class TestCheckUnitary:
 
     ENTRY_POINTS = {
         "check_unitary": lambda mat: check_unitary(mat, 4),
-        "absorb_gate": lambda mat: identity_mpo(3).absorb_gate(0, mat, EXACT),
-        "apply_two_qubit_gate": lambda mat: CanonicalMps.from_basis_state(3, "010")
-        .apply_two_qubit_gate(1, mat, EXACT),
         "GateSpec": lambda mat: GateSpec("generic", (0, 1), matrix=mat),
     }
 
