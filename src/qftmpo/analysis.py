@@ -20,16 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from ._canonical import bonds_around
-from .circuits import (
-    RotationScheme,
-    aqft_circuit,
-    compile_to_mpo,
-    compile_trace,
-    generalized_circuit,
-    nearest_neighbor_qft_circuit,
-)
+from .circuits import RotationScheme, aqft_circuit, compile_trace, generalized_circuit
 from .errors import NumericalError
-from .mpo import hs_inner
+from .mpo import fourier_mpo, hs_inner
 from .mps import CanonicalMps
 from .oracle import periodic_peak_locations, periodic_peak_probabilities
 from .tensor import TruncationPolicy
@@ -172,28 +165,11 @@ def spectrum_tail_slope(p: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------- #
-# compiled-transform cache (studies reuse the same operators a lot)
-# ---------------------------------------------------------------- #
-
-_MPO_CACHE: dict = {}
-_MPO_CACHE_LIMIT = 8
-
-
-def _qft_mpo(n: int, policy: TruncationPolicy):
-    key = (n, policy.rel_cutoff, policy.max_rank)
-    if key not in _MPO_CACHE:
-        if len(_MPO_CACHE) >= _MPO_CACHE_LIMIT:
-            _MPO_CACHE.pop(next(iter(_MPO_CACHE)))
-        _MPO_CACHE[key] = compile_to_mpo(nearest_neighbor_qft_circuit(n), policy)
-    return _MPO_CACHE[key]
-
-
-# ---------------------------------------------------------------- #
 # spectra and convergence
 # ---------------------------------------------------------------- #
 
 def spectrum_study(n_list, policy: TruncationPolicy | None = None) -> StudyResult:
-    """Middle-bond probability spectra of compiled transforms.
+    """Middle-bond probability spectra of the transform (`fourier_mpo`).
 
     Rows hold (n, bond, rank_index, probability); metadata records the
     fitted tail slope per size. The exponential decay is asserted (slope
@@ -203,7 +179,7 @@ def spectrum_study(n_list, policy: TruncationPolicy | None = None) -> StudyResul
     rows = []
     slopes = {}
     for n in n_list:
-        mpo = _qft_mpo(n, policy)
+        mpo = fourier_mpo(n, policy)
         bond = middle_bond(n)
         p = mpo.bond_probability_distribution(bond)
         slope = spectrum_tail_slope(p)
@@ -236,10 +212,10 @@ def spectrum_convergence_study(n_list, n_ref: int,
     """
     _check_reference_size(n_list, n_ref)
     policy = policy or DEFAULT_COMPILE_POLICY
-    ref = _qft_mpo(n_ref, policy).bond_probability_distribution(middle_bond(n_ref))
+    ref = fourier_mpo(n_ref, policy).bond_probability_distribution(middle_bond(n_ref))
     rows = []
     for n in n_list:
-        p = _qft_mpo(n, policy).bond_probability_distribution(middle_bond(n))
+        p = fourier_mpo(n, policy).bond_probability_distribution(middle_bond(n))
         width = max(len(p), len(ref))
         a = np.zeros(width)
         b = np.zeros(width)
@@ -318,15 +294,15 @@ def _block_sorted(t: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndar
 
 def tensor_convergence_study(n_list, n_ref: int,
                              policy: TruncationPolicy | None = None) -> StudyResult:
-    """Distance between each compiled transform's central tensor and a
+    """Distance between each transform's central tensor and a
     larger reference's, under the gauge conventions of
     `middle_tensor_difference`."""
     _check_reference_size(n_list, n_ref)
     policy = policy or DEFAULT_COMPILE_POLICY
-    ref = _qft_mpo(n_ref, policy)
+    ref = fourier_mpo(n_ref, policy)
     rows = []
     for n in n_list:
-        mpo = _qft_mpo(n, policy)
+        mpo = fourier_mpo(n, policy)
         rows.append({
             "n": n,
             "n_ref": n_ref,
@@ -343,7 +319,7 @@ def hs_error_study(n_list, rank_list, *,
                    policy: TruncationPolicy | None = None) -> StudyResult:
     """Normalized trace-inner-product error of rank-truncated transforms.
 
-    For each size the transform is compiled at the base policy, truncated
+    For each size the transform is built at the base policy, truncated
     to each rank cap, and compared to the untruncated operator through
     1 - Re<truncated, full>. Metadata records per-size decay slopes over
     ranks 2..6 (decades per unit rank). The inner product is asserted to be
@@ -353,7 +329,7 @@ def hs_error_study(n_list, rank_list, *,
     rows = []
     slopes = {}
     for n in n_list:
-        full = _qft_mpo(n, policy)
+        full = fourier_mpo(n, policy)
         errs = {}
         for rank in rank_list:
             trunc = full.recanonicalize(TruncationPolicy(policy.rel_cutoff, int(rank)))
@@ -389,7 +365,7 @@ def periodic_study(n_qubits_list, period_list, rank_list, *, offset: int = 0,
     compile_policy = compile_policy or DEFAULT_COMPILE_POLICY
     rows = []
     for n in n_qubits_list:
-        full = _qft_mpo(n, compile_policy)
+        full = fourier_mpo(n, compile_policy)
         locs = {r: periodic_peak_locations(n, r) for r in period_list}
         exact = {r: periodic_peak_probabilities(n, r, offset % r) for r in period_list}
         for rank in rank_list:
@@ -430,7 +406,7 @@ def aqft_rank_study(n_list, bandwidth_list,
     Bandwidth is the highest retained rotation order. Compilation aborts
     once a bond exceeds ``rank_ceiling``; such rows report ceiling + 1 as a
     lower bound with saturated=true. Metadata records the full transform's
-    rank per size. With check=True the growth-regime trends are asserted:
+    rank per size (`fourier_mpo`). With check=True the growth-regime trends are asserted:
     every studied bandwidth below n exceeds the full transform's rank, and
     the rank roughly doubles per unit bandwidth before leveling off.
     """
@@ -438,7 +414,7 @@ def aqft_rank_study(n_list, bandwidth_list,
     rows = []
     full_ranks = {}
     for n in n_list:
-        full = compile_to_mpo(nearest_neighbor_qft_circuit(n), policy)
+        full = fourier_mpo(n, policy)
         full_ranks[str(n)] = full.max_bond_rank
         per_b = {}
         for b in bandwidth_list:
@@ -596,8 +572,8 @@ def scaling_benchmark(n_list, *, max_rank: int = 16,
     """Wall-clock cost of applying the rank-capped transform to a product
     state, with a log-log exponent fit in the metadata.
 
-    Compilation is excluded from the timing; each size reports the best of
-    ``repeats`` runs.
+    Building the operator (`fourier_mpo`) is excluded from the timing;
+    each size reports the best of ``repeats`` runs.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -605,7 +581,7 @@ def scaling_benchmark(n_list, *, max_rank: int = 16,
     apply_policy = TruncationPolicy(rel_cutoff)
     rows = []
     for n in n_list:
-        mpo = compile_to_mpo(nearest_neighbor_qft_circuit(n), compile_policy)
+        mpo = fourier_mpo(n, compile_policy)
         state = CanonicalMps.from_basis_state(n, (0,) * n)
         best = float("inf")
         for _ in range(repeats):

@@ -33,7 +33,7 @@ from .circuits import (
     nearest_neighbor_qft_circuit,
 )
 from .errors import QftmpoError
-from .mpo import check_width, load_mpo, save_mpo
+from .mpo import _fourier_sweep, check_width, load_mpo, save_mpo
 from .mps import CanonicalMps, save_mps
 from .tensor import TruncationPolicy
 
@@ -47,11 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    # a ValueError: argparse turns it into a usage error, and the --config
-    # reader, which catches only OSError and ValueError, reports it in one line
-    values = [int(part) for part in text.replace(";", ",").split(",") if part.strip()]
+    # argparse prints an ArgumentTypeError's own message, not the function name
+    try:
+        values = [int(part) for part in text.replace(";", ",").split(",") if part.strip()]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError(f"need at least one integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
 
 
@@ -107,9 +109,13 @@ def _cmd_build(args) -> None:
         circuit = generalized_circuit(args.n, RotationScheme.parse(args.scheme))
     else:
         circuit = nearest_neighbor_qft_circuit(args.n)
-    _progress(f"compiling {circuit.family} on {args.n} qubits ({len(circuit.gates)} gates)")
-    trace = compile_trace(circuit, policy)
-    mpo = trace.mpo
+    if circuit.family == "nn-qft":  # the full transform: no gate is absorbed
+        _progress(f"building {circuit.family} on {args.n} qubits from its bulk tensor")
+        mpo, weight = _fourier_sweep(args.n, policy)
+    else:
+        _progress(f"compiling {circuit.family} on {args.n} qubits ({len(circuit.gates)} gates)")
+        trace = compile_trace(circuit, policy)
+        mpo, weight = trace.mpo, trace.discarded_weight
     out = args.out or f"{circuit.family}-{args.n}.mpo"
     fingerprint = circuit_fingerprint(circuit)
     save_mpo(mpo, out, policy=policy, circuit_fingerprint=fingerprint)
@@ -120,7 +126,7 @@ def _cmd_build(args) -> None:
         "max_bond_rank": mpo.max_bond_rank,
         "bond_ranks": list(mpo.bond_ranks),
         "fingerprint": fingerprint,
-        "discarded_weight": math.ldexp(trace.discarded_weight, -mpo.n_qubits),  # over 2^n
+        "discarded_weight": math.ldexp(weight, -mpo.n_qubits),  # over 2^n
     }))
 
 
@@ -271,7 +277,11 @@ def _inject_config_defaults(parser, argv) -> None:
             continue
         raw = values[action.dest]
         if action.type is not None:
-            action.default = action.type(raw)
+            try:
+                action.default = action.type(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                key = action.option_strings[0].lstrip("-")
+                raise ValueError(f"{path}: {key}: {exc}") from None
         elif isinstance(action, argparse._StoreTrueAction):
             action.default = raw.lower() in ("1", "true", "yes")
         elif isinstance(action, argparse._AppendAction):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qftmpo
-from qftmpo._canonical import _split_bond, train_from_vidal
+from qftmpo._canonical import _split_bond, canonicalize_train, train_from_vidal
 from qftmpo.circuits import CircuitSpec, GateSpec, compile_to_mpo
 from qftmpo.errors import NumericalError
 from qftmpo.mpo import CanonicalMpo, _absorb_pair, _single_site_apply, identity_mpo, pair_operator
@@ -160,3 +160,23 @@ def operator_entry(op, y, x):
         if j < n - 1:
             v = v * op.gamma_vectors[j]
     return complex(v[0])
+
+
+def difference_norm(a, b):
+    """||A - B||_F of two operator chains: the bond norm of one untruncated
+    sweep over their difference train, the raw trains as a direct sum with
+    B negated. Linear in the error, so it resolves differences near 1e-15
+    of ||B||, which 1 - |<A, B>| / (||A|| ||B||) does not."""
+    ta = train_from_vidal([t.reshape(t.shape[0], 4, -1) for t in a.site_tensors], a.gamma_vectors)
+    tb = train_from_vidal([t.reshape(t.shape[0], 4, -1) for t in b.site_tensors], b.gamma_vectors)
+    if len(ta) == 1:
+        return float(np.linalg.norm(ta[0] - tb[0]))
+    sites = [np.concatenate([ta[0], -tb[0]], axis=2)]
+    for x, y in zip(ta[1:-1], tb[1:-1]):
+        site = np.zeros((x.shape[0] + y.shape[0], 4, x.shape[2] + y.shape[2]), dtype=complex)
+        site[:x.shape[0], :, :x.shape[2]] = x
+        site[x.shape[0]:, :, x.shape[2]:] = y
+        sites.append(site)
+    sites.append(np.concatenate([ta[-1], tb[-1]], axis=0))
+    _, bonds, _ = canonicalize_train(sites, TruncationPolicy(), normalize=False)
+    return float(np.linalg.norm(bonds[0]))

@@ -121,7 +121,6 @@ def test_criterion_6_bit_reversal_is_optimal_ordering():
     )
 
 
-@pytest.mark.slow
 def test_criterion_7_apply_cost_scaling():
     study = scaling_benchmark([32, 64, 128, 256, 512], max_rank=16, repeats=2)
     exponent = study.metadata["fitted_exponent"]

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from qftmpo.circuits import compile_to_mpo, compile_trace, nearest_neighbor_qft_circuit
+from qftmpo.circuits import (
+    aqft_circuit,
+    circuit_fingerprint,
+    compile_to_mpo,
+    compile_trace,
+    nearest_neighbor_qft_circuit,
+)
 from qftmpo.cli import COMMANDS, _command_args, _emit, _int_list, _Parser, main
-from qftmpo.mpo import identity_mpo, save_mpo
-from qftmpo.oracle import periodic_peak_probabilities
+from qftmpo.mpo import _fourier_sweep, identity_mpo, load_mpo, save_mpo
+from qftmpo.oracle import bit_reversal_permutation, dense_qft_matrix, periodic_peak_probabilities
 from qftmpo.tensor import TruncationPolicy
 from test_sweep import peak_probability
 
@@ -66,6 +72,16 @@ class TestUsageErrors:
             main(["spectrum", "--n-list", "eight"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize("value", ["eight", "8,x", "8.5"])
+    def test_bad_list_names_the_format(self, capsys, value):
+        assert exit_code(["spectrum", "--n-list", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qftmpo spectrum")
+        assert err.splitlines()[-1] == (
+            f"qftmpo spectrum: error: argument --n-list: "
+            f"expected comma-separated integers, got {value!r}")
+        assert "_int_list" not in err
+
     def test_semantic_usage_error_returns_one(self, capsys):
         code, _, err = run(capsys, "ordering-scan", "--n", "12")
         assert code == 1
@@ -79,12 +95,14 @@ class TestUsageErrors:
         if source == "flag":
             argv = [name, flag, value]
             # argparse prints its usage block above this line
-            want = f"qftmpo {name}: error: argument {flag}: invalid _int_list value: {value!r}"
+            want = (f"qftmpo {name}: error: argument {flag}: "
+                    f"expected comma-separated integers, got {value!r}")
         else:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{flag[2:]} = {value}\n")
             argv = [name, "--config", str(cfg)]
-            want = f"qftmpo: config error: need at least one integer, got {value!r}"
+            want = (f"qftmpo: config error: {cfg}: {flag[2:]}: "
+                    f"expected comma-separated integers, got {value!r}")
         assert exit_code(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -270,6 +288,15 @@ class TestBuildApply:
         assert len(lines) == 1
         assert lines[0].startswith("qftmpo: error: operator chains need 1 <= n <= 1023")
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_build_without_qubits_subprocess(self, n):
+        proc = run_cli_process("build", "--n", n)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("qftmpo: error: operator chains need 1 <= n <= 1023")
+
     def test_build_apply_roundtrip(self, capsys, tmp_path):
         mpo_path = tmp_path / "t.mpo"
         code, out, _ = run(capsys, "build", "--n", "8", "--out", str(mpo_path))
@@ -341,11 +368,40 @@ class TestBuildApply:
         assert json.loads(out)["discarded_weight"] > 0
 
     def test_discarded_weight_is_relative(self, capsys, tmp_path):
+        # the plain transform's weight is that of its one truncating sweep
         code, out, _ = run(capsys, "build", "--n", "10", "--max-rank", "4",
                            "--out", str(tmp_path / "t.mpo"))
         assert code == 0
-        trace = compile_trace(nearest_neighbor_qft_circuit(10), TruncationPolicy(1e-14, 4))
+        _, weight = _fourier_sweep(10, TruncationPolicy(1e-14, 4))
+        assert json.loads(out)["discarded_weight"] == weight / 2**10
+
+    def test_discarded_weight_bounds_the_error(self, capsys, tmp_path):
+        n = 10
+        code, out, _ = run(capsys, "build", "--n", str(n), "--max-rank", "4",
+                           "--out", str(tmp_path / "t.mpo"))
+        assert code == 0
+        got = load_mpo(tmp_path / "t.mpo").to_dense().data
+        want = dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]
+        error = np.linalg.norm(got - want) ** 2 / 2**n
+        assert 1e-6 < error <= json.loads(out)["discarded_weight"] * (1 + 1e-9)
+
+    def test_gate_paths_report_their_steps_weight(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "build", "--n", "10", "--bandwidth", "6", "--max-rank", "4",
+                           "--out", str(tmp_path / "t.mpo"))
+        assert code == 0
+        trace = compile_trace(aqft_circuit(10, 6), TruncationPolicy(1e-14, 4))
         assert json.loads(out)["discarded_weight"] == trace.discarded_weight / 2**10
+
+    def test_build_matches_gate_compile(self, capsys, tmp_path):
+        path = tmp_path / "t.mpo"
+        code, out, err = run(capsys, "build", "--n", "32", "--max-rank", "16", "--out", str(path))
+        assert code == 0
+        assert "bulk tensor" in err and "gates" not in err
+        ref = compile_to_mpo(nearest_neighbor_qft_circuit(32), TruncationPolicy(1e-14, 16))
+        assert json.loads(out)["bond_ranks"] == list(ref.bond_ranks)
+        sidecar = json.loads((tmp_path / "t.mpo.json").read_text())
+        assert sidecar["circuit_fingerprint"] == circuit_fingerprint(
+            nearest_neighbor_qft_circuit(32))
 
     def test_apply_periodic_on_64_qubits(self, tmp_path):
         # peak indices reach 2^64, past int64
@@ -426,6 +482,18 @@ class TestConfigFile:
                            "--n-list", "6")
         assert code == 1
         assert "config error" in err
+
+    @pytest.mark.parametrize("line,key", [("n-list = x", "n-list"),
+                                          ("n_list = 8,x", "n-list"),
+                                          ("cutoff = tiny", "cutoff")])
+    def test_bad_value_names_file_and_key(self, tmp_path, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# shared settings\n{line}\n")
+        proc = run_cli_process("spectrum", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"qftmpo: config error: {cfg}: {key}: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_missing_config(self, capsys):
         code, _, err = run(capsys, "spectrum", "--config", "/nonexistent.cfg",

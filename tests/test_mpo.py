@@ -1,12 +1,18 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from qftmpo.circuits import compile_to_mpo, nearest_neighbor_qft_circuit
 from qftmpo.errors import DimensionMismatchError, NumericalError
 from qftmpo.mpo import (
+    FOURIER_NODES,
     MAX_OPERATOR_QUBITS,
     CanonicalMpo,
+    _chebyshev_bound,
+    _lagrange,
+    fourier_mpo,
     from_dense_operator,
     hs_inner,
     identity_mpo,
@@ -15,9 +21,17 @@ from qftmpo.mpo import (
     save_mpo,
 )
 from qftmpo.mps import CanonicalMps
-from qftmpo.tensor import DenseTensor, TruncationPolicy
+from qftmpo.oracle import bit_reversal_permutation, dense_qft_matrix
+from qftmpo.tensor import NOISE_FLOOR, DenseTensor, TruncationPolicy
 
-from conftest import gate_mpo, random_state, random_unitary
+from conftest import (
+    difference_norm,
+    fourier_entry,
+    gate_mpo,
+    operator_entry,
+    random_state,
+    random_unitary,
+)
 
 EXACT = TruncationPolicy(1e-14)
 
@@ -258,3 +272,68 @@ class TestSerialization:
         assert meta["n_qubits"] == 2
         assert meta["circuit_fingerprint"] == "fp"
         assert "bond_spectra" in meta
+
+
+def fourier_dense(n):
+    return dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]
+
+
+class TestFourierMpo:
+    """The transform built from its bulk tensor, against the gate compile
+    and the closed form."""
+
+    def test_nodes_from_the_interpolation_bound(self):
+        assert _chebyshev_bound(FOURIER_NODES) <= NOISE_FLOOR < _chebyshev_bound(FOURIER_NODES - 1)
+        assert FOURIER_NODES == 20
+        # the bound holds for e^{i w s} at the largest frequency, w = 2 pi
+        k = np.arange(FOURIER_NODES)
+        nodes = (1 - np.cos((2 * k + 1) * np.pi / (2 * FOURIER_NODES))) / 2
+        s = np.linspace(0.0, 1.0, 2001)
+        for w in (np.pi, 2 * np.pi):
+            err = np.abs(_lagrange(s, nodes) @ np.exp(1j * w * nodes) - np.exp(1j * w * s))
+            assert err.max() <= _chebyshev_bound(FOURIER_NODES)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_dense_value(self, n):
+        op = fourier_mpo(n, EXACT)
+        op.validate()
+        assert np.max(np.abs(op.to_dense().data - fourier_dense(n))) <= 1e-13
+
+    @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(1e-14, 16),
+                                        TruncationPolicy(1e-10), TruncationPolicy(1e-14, 4)])
+    def test_ranks_match_gate_compile(self, policy):
+        for n in (1, 2, 3, 5, 8, 13, 20):
+            want = compile_to_mpo(nearest_neighbor_qft_circuit(n), policy).bond_ranks
+            assert fourier_mpo(n, policy).bond_ranks == want, n
+
+    @pytest.mark.parametrize("n", [32, 64, pytest.param(128, marks=pytest.mark.slow)])
+    def test_matches_gate_compile(self, n):
+        op = fourier_mpo(n, EXACT)
+        op.validate()
+        ref = compile_to_mpo(nearest_neighbor_qft_circuit(n), EXACT)
+        assert op.bond_ranks == ref.bond_ranks
+        assert difference_norm(op, ref) <= 1e-10 * float(np.linalg.norm(ref.gamma_vectors[0]))
+
+    def test_difference_norm_reads_the_frobenius_distance(self):
+        n = 8
+        full = fourier_mpo(n, EXACT)
+        capped = full.recanonicalize(TruncationPolicy(1e-14, 3))
+        want = np.linalg.norm(capped.to_dense().data - full.to_dense().data)
+        assert difference_norm(capped, full) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [256, 512, MAX_OPERATOR_QUBITS])
+    def test_closed_form_entries(self, n):
+        op = fourier_mpo(n, TruncationPolicy(1e-14, 16))
+        op.validate()
+        assert op.max_bond_rank <= 13
+        rng = random.Random(1000 + n)
+        worst = 0.0
+        for _ in range(200):
+            y, x = rng.getrandbits(n), rng.getrandbits(n)
+            worst = max(worst, abs(operator_entry(op, y, x) - fourier_entry(y, x, n)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, -1, MAX_OPERATOR_QUBITS + 1])
+    def test_width_limit(self, n):
+        with pytest.raises(ValueError, match="operator chains need"):
+            fourier_mpo(n, EXACT)
