@@ -84,7 +84,12 @@ class GateSpec:
 
 @dataclass(frozen=True, eq=False)
 class CircuitSpec:
-    """An ordered gate list on a fixed-width qubit register."""
+    """An ordered gate list on a fixed-width qubit register.
+
+    A gate object may stand at several places of ``gates`` (the cascade
+    builders share one object per distinct gate); its sites are checked
+    once, not once per occurrence.
+    """
 
     n_qubits: int
     gates: tuple[GateSpec, ...]
@@ -95,7 +100,7 @@ class CircuitSpec:
         if self.n_qubits < 1:
             raise ValueError(f"need n_qubits >= 1, got {self.n_qubits}")
         gates = tuple(self.gates)
-        for g in gates:
+        for g in {id(g): g for g in gates}.values():
             for s in g.sites:
                 if not 0 <= s < self.n_qubits:
                     raise ValueError(
@@ -142,8 +147,10 @@ class RotationScheme:
         if self.kind == "base-n" and (self.base is None or self.base < 2):
             raise ValueError("base-n needs an integer base >= 2")
         if self.kind.startswith("perturbed"):
-            if self.scale is None or not 0 <= self.scale:
-                raise ValueError("perturbed schemes need a non-negative scale")
+            # the draw range 2*scale must be finite as well as the scale
+            if self.scale is None or not (0 <= self.scale and math.isfinite(2.0 * self.scale)):
+                raise ValueError(
+                    f"perturbed schemes need a finite non-negative scale, got {self.scale}")
             if self.seed is None:
                 raise ValueError("perturbed schemes need a seed for reproducibility")
         elif self.per_gate:
@@ -169,8 +176,10 @@ class RotationScheme:
                     raise ValueError(f"unknown suffix {parts[3:]}")
                 return cls(kind, scale=float(parts[1]), seed=int(parts[2]),
                            per_gate=parts[3:] == ["per-gate"])
-        except (IndexError, ValueError) as exc:
+        except IndexError as exc:
             raise ValueError(f"cannot parse rotation scheme {text!r}") from exc
+        except ValueError as exc:
+            raise ValueError(f"cannot parse rotation scheme {text!r}: {exc}") from exc
         raise ValueError(f"unknown rotation scheme {kind!r}")
 
     def label(self) -> str:
@@ -185,34 +194,50 @@ class RotationScheme:
 
 
 class _AngleSource:
-    """Resolves the angle for each cascade order, handling perturbations."""
+    """Resolves the angle for each cascade order, handling perturbations.
+
+    Every scheme but a per-gate one has one angle per order, computed
+    up front in increasing k (so perturbations are drawn in a fixed
+    order); a per-gate scheme draws afresh at each call. An angle that
+    overflows or is not finite is a ValueError naming the scheme and the
+    order.
+    """
 
     def __init__(self, scheme: RotationScheme, max_order: int):
         self._scheme = scheme
         self._rng = None
-        self._per_distance = {}
         if scheme.kind.startswith("perturbed"):
             self._rng = np.random.default_rng(scheme.seed)
-            if not scheme.per_gate:
-                # one delta per order, drawn in increasing k for determinism
-                for k in range(2, max_order + 1):
-                    self._per_distance[k] = self._rng.uniform(-scheme.scale, scheme.scale)
+        self._per_order = {}
+        if not scheme.per_gate:
+            self._per_order = {k: self._draw(k) for k in range(2, max_order + 1)}
 
     def angle(self, k: int) -> float:
+        if self._scheme.per_gate:
+            return self._draw(k)
+        return self._per_order[k]
+
+    def _draw(self, k: int) -> float:
         s = self._scheme
-        if s.kind == "standard":
-            return 2.0 * math.pi / 2.0**k
-        if s.kind == "power-law":
-            return 2.0 * math.pi / float(k) ** s.exponent
-        if s.kind == "base-n":
-            return 2.0 * math.pi / float(s.base) ** k
-        if s.per_gate:
-            delta = self._rng.uniform(-s.scale, s.scale)
-        else:
-            delta = self._per_distance[k]
-        if s.kind == "perturbed-exponent":
-            return 2.0 * math.pi / 2.0 ** (k + delta)
-        return 2.0 * math.pi / (2.0 + delta) ** k
+        try:
+            if s.kind == "standard":
+                angle = 2.0 * math.pi / 2.0**k
+            elif s.kind == "power-law":
+                angle = 2.0 * math.pi / float(k) ** s.exponent
+            elif s.kind == "base-n":
+                angle = 2.0 * math.pi / float(s.base) ** k
+            else:
+                delta = self._rng.uniform(-s.scale, s.scale)
+                if s.kind == "perturbed-exponent":
+                    angle = 2.0 * math.pi / 2.0 ** (k + delta)
+                else:
+                    angle = 2.0 * math.pi / (2.0 + delta) ** k
+        except (OverflowError, ZeroDivisionError):
+            angle = math.inf
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation scheme {s.label()}: the angle at order {k} "
+                             f"is not a finite number")
+        return angle
 
 
 # ---------------------------------------------------------------- #
@@ -243,15 +268,30 @@ def _nn_cascade(n: int, angle_source: _AngleSource,
     0, applies its Hadamard, then walks it rightward: a controlled phase of
     order d+2 with the wire-d neighbour (when kept), followed by a
     bookkeeping swap. After stage s the finished qubit is parked at wire
-    n-1-s, so the register ends in reversed order."""
+    n-1-s, so the register ends in reversed order.
+
+    The stages repeat the same gates, so each distinct (kind, sites, angle,
+    side) is one `GateSpec` object, placed at every occurrence: the
+    standard cascade holds 2n - 1 objects among its n^2 gates. Angles are
+    still drawn once per occurrence, in order, so a per-gate perturbed
+    scheme gets one object per draw."""
+    memo: dict = {}
+
+    def shared(kind, sites, angle=None, side="output"):
+        key = (kind, sites, angle, side)
+        gate = memo.get(key)
+        if gate is None:
+            gate = memo[key] = GateSpec(kind, sites, angle=angle, side=side)
+        return gate
+
     gates = []
     for stage in range(n):
-        gates.append(GateSpec("h", (0,)))
+        gates.append(shared("h", (0,)))
         for d in range(n - 1 - stage):
-            k = d + 2
+            k, sites = d + 2, (d, d + 1)
             if keep(k):
-                gates.append(GateSpec("cphase", (d, d + 1), angle=angle_source.angle(k)))
-            gates.append(GateSpec("swap", (d, d + 1), side="both"))
+                gates.append(shared("cphase", sites, angle_source.angle(k)))
+            gates.append(shared("swap", sites, side="both"))
     return tuple(gates)
 
 
@@ -277,7 +317,7 @@ def aqft_circuit(n: int, bandwidth: int) -> CircuitSpec:
     if not 1 <= bandwidth <= n:
         raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
     gates = _nn_cascade(
-        n, _AngleSource(RotationScheme("standard"), n), lambda k: k <= bandwidth
+        n, _AngleSource(RotationScheme("standard"), bandwidth), lambda k: k <= bandwidth
     )
     return CircuitSpec(
         n, gates, family="aqft", params={"n": n, "bandwidth": bandwidth}
@@ -449,14 +489,19 @@ def _gate_from_dict(entry: dict) -> GateSpec:
 
 
 def circuit_to_json(circuit: CircuitSpec) -> str:
-    doc = {
-        "format": CIRCUIT_FORMAT,
-        "n_qubits": circuit.n_qubits,
-        "family": circuit.family,
-        "params": circuit.params,
-        "gates": [_gate_to_dict(g) for g in circuit.gates],
-    }
-    return json.dumps(doc, sort_keys=True)
+    """The circuit as ``json.dumps(doc, sort_keys=True)`` of the document
+    {format, n_qubits, family, params, gates: [one dict per gate]}, byte
+    for byte. Each distinct gate object is encoded once and its text
+    repeated at every occurrence."""
+    encoded: dict = {}
+    for g in circuit.gates:
+        if id(g) not in encoded:
+            encoded[id(g)] = json.dumps(_gate_to_dict(g), sort_keys=True)
+    gates = ", ".join([encoded[id(g)] for g in circuit.gates])
+    # sorted keys: family, format | gates | n_qubits, params
+    head = json.dumps({"family": circuit.family, "format": CIRCUIT_FORMAT}, sort_keys=True)
+    tail = json.dumps({"n_qubits": circuit.n_qubits, "params": circuit.params}, sort_keys=True)
+    return f'{head[:-1]}, "gates": [{gates}], {tail[1:]}'
 
 
 def circuit_from_json(text: str) -> CircuitSpec:

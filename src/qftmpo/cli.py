@@ -1,8 +1,9 @@
 """Command-line front end for compiling transforms and running studies.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (an assertion
-about the data, not about the invocation). Progress notes go to stderr;
-results go to --out files or stdout.
+Exit codes: 0 success, 1 usage or input error, 2 numerical failure or
+resource-cap violation (a dense object past its qubit cap, which
+QFTMPO_DENSE_LIMIT overrides). Progress notes go to stderr; results go to
+--out files or stdout.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .circuits import (
     generalized_circuit,
     nearest_neighbor_qft_circuit,
 )
-from .errors import QftmpoError
+from .errors import QftmpoError, ResourceLimitError
 from .mpo import _fourier_sweep, check_width, load_mpo, save_mpo
 from .mps import CanonicalMps, save_mps
 from .tensor import TruncationPolicy
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"qftmpo: error: {exc}\n")
         return 1
+    except ResourceLimitError as exc:
+        sys.stderr.write(f"qftmpo: resource limit: {exc}\n")
+        return 2
     except QftmpoError as exc:
         sys.stderr.write(f"qftmpo: numerical failure: {exc}\n")
         return 2

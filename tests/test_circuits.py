@@ -460,6 +460,28 @@ class TestSerialization:
         assert a1 != b
         assert len(a1) == 64
 
+    # standard angles are exact binary fractions times 2*pi, so the
+    # digests do not depend on the platform
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: nearest_neighbor_qft_circuit(1),
+         "03b68c00e92393ba7a34bf45054879f0809123cec29ac09684bee50f89b3e96c"),
+        (lambda: nearest_neighbor_qft_circuit(5),
+         "bb7b8cc39449201eaad78d0f9439d131636162f724731f27a15d66e2667bde54"),
+        (lambda: nearest_neighbor_qft_circuit(32),
+         "97e5c6c8566f8acc7e0f423acb1ee068f9e1b9e902da1d6779ee28ef2956cb1e"),
+        (lambda: aqft_circuit(12, 5),
+         "9f1984d21bd7d2bd70ad8420f4cabbc780eb93b0697756705a8920cf8f617d99"),
+    ], ids=["nn1", "nn5", "nn32", "aqft12-5"])
+    def test_fingerprint_pinned(self, make, digest):
+        assert circuit_fingerprint(make()) == digest
+
+    def test_cascade_shares_its_distinct_gates(self):
+        # one Hadamard plus a cphase and a swap per wire pair: 2n - 1
+        # objects among the n^2 gates
+        circ = nearest_neighbor_qft_circuit(64)
+        assert len(circ.gates) == 64 * 64
+        assert len({id(g) for g in circ.gates}) == 2 * 64 - 1
+
     def test_format_tag_checked(self):
         doc = json.loads(circuit_to_json(qft_circuit(2)))
         doc["format"] = "qftmpo-circuit/99"

@@ -190,6 +190,15 @@ class TestNumericalFailures:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_dense_cap_is_a_resource_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("QFTMPO_DENSE_LIMIT", "6")
+        code, out, err = run(capsys, "periodic", "--L", "8", "--r", "3", "--rank-list", "4")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("qftmpo: resource limit: ")
+        assert "dense cap of 6 qubits" in err
+
     def test_no_check_escapes(self, capsys):
         code, out, _ = run(capsys, "aqft-scan", "--n-list", "8",
                            "--bandwidth-list", "1,2", "--no-check")
@@ -423,6 +432,25 @@ class TestBuildApply:
         code, _, err = run(capsys, "build", "--n", "4", "--bandwidth", "2",
                            "--scheme", "standard", "--out", str(tmp_path / "x.mpo"))
         assert code == 1
+
+    @pytest.mark.parametrize("n,scheme,says", [
+        ("4", "perturbed-exponent:inf:1", "finite non-negative scale, got inf"),
+        ("4", "perturbed-exponent:1e308:1", "finite non-negative scale, got 1e+308"),
+        ("3", "perturbed-base:inf:3", "finite non-negative scale, got inf"),
+        ("4", "power-law:99999999999", "angle at order 2 is not a finite number"),
+        ("40", "base-n:99999999999999999999", "angle at order 16 is not a finite number"),
+        # a draw near -2 sends (2 + delta)^k to zero
+        ("300", "perturbed-base:1.99:3", "is not a finite number"),
+    ])
+    def test_overflowing_scheme_is_one_error_line(self, capsys, tmp_path, n, scheme, says):
+        code, out, err = run(capsys, "build", "--n", n, "--scheme", scheme,
+                             "--out", str(tmp_path / "x.mpo"))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("qftmpo: error: ")
+        assert scheme in err and says in err
+        assert not (tmp_path / "x.mpo").exists()
 
 
 class TestConfigFile:

@@ -3,11 +3,14 @@ circuit documents."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qftmpo.circuits import (
+    CircuitSpec,
+    GateSpec,
     RotationScheme,
     aqft_circuit,
     circuit_fingerprint,
@@ -15,9 +18,11 @@ from qftmpo.circuits import (
     circuit_to_json,
     generalized_circuit,
     nearest_neighbor_qft_circuit,
+    _gate_to_dict,
 )
 from qftmpo.mpo import identity_mpo, load_mpo, save_mpo
 from qftmpo.mps import CanonicalMps, load_mps, save_mps
+from qftmpo.tensor import DenseTensor
 
 LOADERS = {"mpo": load_mpo, "mps": load_mps}
 KINDS = sorted(LOADERS)
@@ -99,6 +104,44 @@ def test_circuit_json_round_trip_keeps_fingerprint(circuit):
     again = circuit_from_json(circuit_to_json(circuit))
     assert circuit_fingerprint(again) == circuit_fingerprint(circuit)
     assert again.gates == circuit.gates
+
+
+@st.composite
+def generic_circuits(draw):
+    """Generic phase gates, on one site or a pair, some objects placed
+    more than once."""
+    n = draw(st.integers(2, 6))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        phases = draw(st.lists(st.floats(-4, 4), min_size=2, max_size=4)
+                      .filter(lambda p: len(p) != 3))
+        site = draw(st.integers(0, n - len(phases) // 2))
+        sites = (site,) if len(phases) == 2 else (site, site + 1)
+        pool.append(GateSpec("generic", sites, matrix=DenseTensor(np.diag(np.exp(1j * np.array(
+            phases)))), side=draw(st.sampled_from(["output", "both"]))))
+    gates = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return CircuitSpec(n, tuple(gates), params={"pool": len(pool)})
+
+
+def per_gate_json(circuit):
+    """The document encoded as one object, one dict per gate occurrence."""
+    return json.dumps({
+        "format": "qftmpo-circuit/1",
+        "n_qubits": circuit.n_qubits,
+        "family": circuit.family,
+        "params": circuit.params,
+        "gates": [_gate_to_dict(g) for g in circuit.gates],
+    }, sort_keys=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(circuit=st.one_of(circuits(), generic_circuits()), reload=st.booleans())
+def test_circuit_json_matches_per_gate_encoding(circuit, reload):
+    """Shared gate objects are encoded once; the text stays what encoding
+    every gate afresh gives, for built and for loaded circuits."""
+    if reload:  # one object per gate, none shared
+        circuit = circuit_from_json(circuit_to_json(circuit))
+    assert circuit_to_json(circuit) == per_gate_json(circuit)
 
 
 JSON_VALUES = st.recursive(
