@@ -22,7 +22,13 @@ bond is much wider than that, the left-to-right pass of
 found with a seeded Gaussian sketch of the right block (a randomized range
 finder, Halko, Martinsson & Tropp 2011), and checks the sketch's tail: a
 sketch that may have missed part of the range falls back to the exact
-factor. Plain trains are never sketched, and their sweeps are exact.
+factor. Where a sketch held, the left pass keeps the sketch's range basis
+Q_j of each bond up to the first saturated sketch (a reduced QR supplies
+it on the exact bonds among them), and the right-to-left pass truncates
+those bonds on the compressed train, through one small product Q_j C per
+bond, in place of contracting the state and operator factors again over
+the product bond. Plain trains are never sketched, and their sweeps are
+exact.
 
 A compile's two-site updates use the same range finder: the two-site
 block of a low-rank bond is much wider than its rank, so `two_site_update`
@@ -203,27 +209,34 @@ def canonicalize_train(tensors, policy, *, normalize):
     pairs whose product sites are contracted on the fly and never formed
     (see `_left_multiply`); this is how an operator is applied to a state.
 
-    The left-to-right sweep keeps only a small factor F_j per bond, never
-    the isometry Q_j that would complete it: the left block up to bond j
-    equals Q_j F_j on every vector the sites to its right can produce.
-    Usually F_j is the triangular QR factor of F_{j-1} * site_j. For
-    factor pairs whose product bonds are much wider than the output rank,
-    a randomized range finder shrinks it instead (`_right_sketches`): with
-    M = F_{j-1} * site_j and E_j a Gaussian sketch of the block right of
-    bond j, Q R = qr(M E_j); if R's smallest singular value is at most
-    SKETCH_TAIL of its largest, the range of M E_j holds that of M times
-    the right block to that tail, and F_j = Q^dag M has as many rows as
-    E_j has columns, in place of chi_j. A saturated sketch falls back to
-    the triangular factor and ends sketching for the sweep. Plain trains
-    are never sketched.
+    The left-to-right sweep keeps a small factor F_j per bond: the left
+    block up to bond j equals Q_j F_j on every vector the sites to its
+    right can produce, with Q_j an isometry. Usually F_j is the triangular
+    QR factor of M = F_{j-1} * site_j. For factor pairs whose product
+    bonds are much wider than the output rank, a randomized range finder
+    shrinks it instead (`_right_sketches`): with E_j a Gaussian sketch of
+    the block right of bond j, Q R = qr(M E_j); if R's smallest singular
+    value is at most SKETCH_TAIL of its largest, the range of M E_j holds
+    that of M times the right block to that tail, and F_j = Q^dag M has as
+    many rows as E_j has columns, in place of chi_j. A saturated sketch
+    falls back to the triangular factor and ends sketching for the sweep.
+    Plain trains are never sketched.
 
-    The right-to-left sweep carries a matrix C instead of the Q factors:
+    The right-to-left sweep carries a matrix C instead of the left blocks:
     with X = site_j * C, the SVD of F_{j-1} X = U S Vh truncates bond j-1
     and gives the right-isometric site Vh; the next carry is X Vh^dag,
     because F_{j-1} X Vh^dag = U S. The singular values are the Schmidt
     coefficients across each bond, as if every left block had been made
-    isometric. With ``normalize`` the bond vectors are rescaled to unit
-    2-norm and the encoded vector to norm 1.
+    isometric. Where a sketch held, the left sweep also keeps Q_j of every
+    bond left of the first saturated sketch: the sketch's Q, or the Q of a
+    reduced QR on an exact bond, whose R has the same bits as the
+    triangular factor. From the rightmost of those bonds on, the carry is
+    the compressed C' = U S (k_{j-1}, k'), and F_{j-1} * site_j * (the
+    product carry) is Q_j C' reshaped to (k_{j-1}, d k'): one small
+    product in place of the two contractions over the chi_S chi_O-wide
+    product bond. Where no sketch held, the Q_j are dropped and the sweep
+    is the exact one, bit for bit. With ``normalize`` the bond vectors are
+    rescaled to unit 2-norm and the encoded vector to norm 1.
 
     Returns (gammas, bond_vectors, discarded_weight).
     """
@@ -243,7 +256,9 @@ def canonicalize_train(tensors, policy, *, normalize):
 
     plan = _sketch_plan(sites, policy)
     sketches = _right_sketches(sites, *plan) if plan else [None] * (n - 1)
-    factors = []
+    ranges = []  # Q_j of the bonds left of the first saturated sketch
+    keep, held = plan is not None, False
+    factors = {}  # F_j, dropped left of a bond with Q once a sketch held
     factor = ones
     for j in range(n - 1):  # left-to-right: small factors only
         m = _left_multiply(factor, sites[j])
@@ -252,24 +267,41 @@ def canonicalize_train(tensors, policy, *, normalize):
             q, r = np.linalg.qr(m @ sketches[j])
             if _sketch_holds(np.linalg.svd(r, compute_uv=False)):
                 factor = q.conj().T @ m
+                held = True
             else:  # bond ranks change slowly: the next sketches would saturate too
                 sketches = [None] * (n - 1)
+                keep = False
         if factor is None:
-            factor = np.linalg.qr(m, mode="r")
-        factors.append(factor)
+            if keep:
+                q, factor = np.linalg.qr(m)
+            else:
+                factor = np.linalg.qr(m, mode="r")
+        if keep:
+            ranges.append(q)
+            if held:  # the right pass reads no F left of the last bond with Q
+                factors.clear()
+        factors[j] = factor
+    if not held:  # the exact sweep, bit for bit
+        ranges = []
 
     work = [None] * n
     bond_vectors = [None] * (n - 1)
     discarded = 0.0
     carry = ones
+    p = len(ranges)
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
-        x = _right_multiply(sites[j], carry)
-        u, s, vh, dropped = _split_bond(factors[j - 1] @ x, policy)
+        if j < p:  # compressed carry C' = U S: Q_j C' = F_{j-1} * site_j * (X Vh^dag)
+            y = (ranges[j] @ carry).reshape(ranges[j - 1].shape[1], -1)
+        else:
+            x = _right_multiply(sites[j], carry)
+            y = factors[j - 1] @ x
+        u, s, vh, dropped = _split_bond(y, policy)
         discarded += dropped
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(len(s), -1, carry.shape[1])
-        carry = x @ vh.conj().T
-    work[0] = _right_multiply(sites[0], carry).reshape(1, -1, carry.shape[1])
+        carry = u * s if j <= p else x @ vh.conj().T
+    last = ranges[0] @ carry if p else _right_multiply(sites[0], carry)
+    work[0] = last.reshape(1, -1, carry.shape[1])
 
     # work[0] now carries the full norm; work[1:] are right-isometric with
     # bond_vectors holding the raw Schmidt coefficients.

@@ -324,6 +324,11 @@ def hs_error_study(n_list, rank_list, *,
     1 - Re<truncated, full>. Metadata records per-size decay slopes over
     ranks 2..6 (decades per unit rank). The inner product is asserted to be
     real to 1e-9.
+
+    The measure is quadratic in the error: where the truncated operator
+    is within about 1e-8 of the full one it sits at rounding level, and
+    rows there can read negative (n = 16, ranks 9 and 10 read -2.7e-15
+    and -8.9e-16).
     """
     policy = policy or DEFAULT_COMPILE_POLICY
     rows = []

@@ -460,6 +460,8 @@ def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy) -> CanonicalM
 # ---------------------------------------------------------------- #
 
 CIRCUIT_FORMAT = "qftmpo-circuit/1"
+# json.dumps(doc, sort_keys=True) builds an encoder per call; one is reused
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _gate_to_dict(g: GateSpec) -> dict:
@@ -488,20 +490,29 @@ def _gate_from_dict(entry: dict) -> GateSpec:
     )
 
 
+def _json_pieces(circuit: CircuitSpec):
+    """The text of `circuit_to_json` in pieces, in order: the keys before
+    the gate list, the gates in runs of n_qubits (about one cascade stage)
+    and the keys after it. Each distinct gate object is encoded once and
+    its text repeated at every occurrence."""
+    distinct = {id(g): g for g in circuit.gates}
+    encoded = {key: _SORTED_JSON.encode(_gate_to_dict(g)) for key, g in distinct.items()}
+    # sorted keys: family, format | gates | n_qubits, params
+    head = _SORTED_JSON.encode({"family": circuit.family, "format": CIRCUIT_FORMAT})
+    yield f'{head[:-1]}, "gates": ['
+    gates, step = circuit.gates, circuit.n_qubits
+    for start in range(0, len(gates), step):
+        run = ", ".join([encoded[id(g)] for g in gates[start:start + step]])
+        yield f", {run}" if start else run
+    tail = _SORTED_JSON.encode({"n_qubits": circuit.n_qubits, "params": circuit.params})
+    yield f"], {tail[1:]}"
+
+
 def circuit_to_json(circuit: CircuitSpec) -> str:
     """The circuit as ``json.dumps(doc, sort_keys=True)`` of the document
     {format, n_qubits, family, params, gates: [one dict per gate]}, byte
-    for byte. Each distinct gate object is encoded once and its text
-    repeated at every occurrence."""
-    encoded: dict = {}
-    for g in circuit.gates:
-        if id(g) not in encoded:
-            encoded[id(g)] = json.dumps(_gate_to_dict(g), sort_keys=True)
-    gates = ", ".join([encoded[id(g)] for g in circuit.gates])
-    # sorted keys: family, format | gates | n_qubits, params
-    head = json.dumps({"family": circuit.family, "format": CIRCUIT_FORMAT}, sort_keys=True)
-    tail = json.dumps({"n_qubits": circuit.n_qubits, "params": circuit.params}, sort_keys=True)
-    return f'{head[:-1]}, "gates": [{gates}], {tail[1:]}'
+    for byte."""
+    return "".join(_json_pieces(circuit))
 
 
 def circuit_from_json(text: str) -> CircuitSpec:
@@ -525,5 +536,9 @@ def circuit_from_json(text: str) -> CircuitSpec:
 
 
 def circuit_fingerprint(circuit: CircuitSpec) -> str:
-    """Stable content hash of the serialized circuit."""
-    return hashlib.sha256(circuit_to_json(circuit).encode()).hexdigest()
+    """Stable content hash of the serialized circuit, fed to the hash piece
+    by piece, so the whole document is never held."""
+    digest = hashlib.sha256()
+    for piece in _json_pieces(circuit):
+        digest.update(piece.encode())
+    return digest.hexdigest()

@@ -138,8 +138,7 @@ def _cmd_apply(args) -> None:
     if (args.r is None) == (args.bits is None):
         raise ValueError("give exactly one of --r (periodic input) or --bits")
     if args.bits is not None:
-        bits = tuple(int(b) for b in args.bits)
-        state = CanonicalMps.from_basis_state(n, bits)
+        state = CanonicalMps.from_basis_state(n, args.bits)
     else:
         state = CanonicalMps.from_periodic_state(n, args.r, args.k0)
     # operator convention: input register enters bit-reversed
@@ -153,8 +152,7 @@ def _cmd_apply(args) -> None:
         from .oracle import periodic_peak_locations
         peaks = {}
         for m in periodic_peak_locations(n, args.r):
-            key = format(m, f"0{n}b")
-            peaks[str(m)] = abs(out.amplitude(tuple(int(b) for b in key))) ** 2
+            peaks[str(m)] = abs(out.amplitude(format(m, f"0{n}b"))) ** 2
         report["peak_probabilities"] = peaks
     if args.save_state:
         save_mps(out, args.save_state, policy=policy)

@@ -175,9 +175,12 @@ class CanonicalMpo:
         The state and operator sites go to `_canonical.canonicalize_train`
         as factor pairs, each with its bond vector folded in; the sweep
         contracts them on the fly, so the product chain, whose bond ranks
-        are the products of the factors' ranks, is never formed. The sweep
-        restores canonical form and truncates per ``policy``; the result
-        is renormalized to unit norm.
+        are the products of the factors' ranks, is never formed. Where the
+        product bonds are much wider than the output rank, the left pass
+        sketches them down to a range basis, and the right pass truncates
+        that compressed train, not the product. The sweep restores
+        canonical form and truncates per ``policy``; the result is
+        renormalized to unit norm.
         """
         if self.n_qubits != state.n_qubits:
             raise DimensionMismatchError(

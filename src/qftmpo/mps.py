@@ -25,8 +25,11 @@ DENSE_STATE_LIMIT = 20  # qubits; override with QFTMPO_DENSE_LIMIT
 
 
 def _parse_bits(bits, n: int) -> tuple[int, ...]:
+    """n bits from a string of ASCII "0" and "1" characters or a sequence
+    of 0/1 integers; a wrong length or any other value is a ValueError
+    quoting ``bits``."""
     if isinstance(bits, str):
-        vals = tuple(int(ch) for ch in bits)
+        vals = tuple("01".find(ch) for ch in bits)  # -1 for any other character
     else:
         vals = tuple(int(b) for b in bits)
     if len(vals) != n or any(b not in (0, 1) for b in vals):

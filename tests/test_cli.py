@@ -342,6 +342,15 @@ class TestBuildApply:
                            "--r", "3", "--bits", "0000")
         assert code == 1
 
+    @pytest.mark.parametrize("bits", ["０110", "01x0", "012"],
+                             ids=["fullwidth-zero", "letter", "wrong-length"])
+    def test_apply_reads_only_ascii_bits(self, capsys, tmp_path, bits):
+        mpo_path = tmp_path / "t.mpo"
+        run(capsys, "build", "--n", "4", "--out", str(mpo_path))
+        code, out, err = run(capsys, "apply", "--mpo", str(mpo_path), "--bits", bits)
+        assert code == 1 and out == ""
+        assert err == f"qftmpo: error: need 4 bits of 0/1, got {bits!r}\n"
+
     @pytest.mark.parametrize("damage", ["missing", "truncated"])
     def test_unreadable_operator_is_one_line_input_error(self, capsys, tmp_path, damage):
         mpo_path = tmp_path / "t.mpo"
