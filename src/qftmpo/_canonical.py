@@ -159,23 +159,22 @@ def _right_multiply(site, carry):
     return (site.reshape(chi_l * d, chi_r) @ carry).reshape(chi_l, -1)
 
 
-def _sketch_plan(sites, policy):
+def _sketch_plan(sites):
     """(sketch width, first bond wide enough to sketch) for a train of
     factor pairs, or None where nothing is sketched: for plain trains, and
     where no left factor of the exact pass, whose row counts bound those of
     a sketched pass, would have more than SKETCH_SLACK times the width.
 
-    The width is twice the widest state bond plus a margin of 16, capped
-    at the policy's rank cap plus 16: the transform's output rank stayed
-    below twice the input rank on the inputs measured (58 for rank-31
-    periodic states). It decides only the speed; a bond whose sketch
-    saturates is factored exactly.
+    The width is twice the widest state bond plus a margin of 16: the
+    transform's output rank stayed below twice the input rank on the
+    inputs measured (58 for rank-31 periodic states). A rank cap does not
+    narrow it, because the left pass must hold the untruncated range;
+    truncation happens only in the right pass. The width decides only the
+    speed; a bond whose sketch saturates is factored exactly.
     """
     if not isinstance(sites[0], tuple):
         return None
     width = 2 * max(state.shape[2] for state, _ in sites) + 16
-    if policy.max_rank is not None:
-        width = min(width, policy.max_rank + 16)
     rows = 1
     for j, (state, op) in enumerate(sites[:-1]):
         rows = min(rows * op.shape[1], state.shape[2] * op.shape[3])
@@ -254,7 +253,7 @@ def canonicalize_train(tensors, policy, *, normalize):
             g = g / norm
         return [g], [], 0.0
 
-    plan = _sketch_plan(sites, policy)
+    plan = _sketch_plan(sites)
     sketches = _right_sketches(sites, *plan) if plan else [None] * (n - 1)
     ranges = []  # Q_j of the bonds left of the first saturated sketch
     keep, held = plan is not None, False

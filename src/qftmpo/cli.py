@@ -35,7 +35,7 @@ from .circuits import (
 )
 from .errors import QftmpoError, ResourceLimitError
 from .mpo import _fourier_sweep, check_width, load_mpo, save_mpo
-from .mps import CanonicalMps, save_mps
+from .mps import CanonicalMps, _parse_bits, save_mps
 from .tensor import TruncationPolicy
 
 
@@ -137,12 +137,12 @@ def _cmd_apply(args) -> None:
     policy = TruncationPolicy(args.cutoff)
     if (args.r is None) == (args.bits is None):
         raise ValueError("give exactly one of --r (periodic input) or --bits")
-    if args.bits is not None:
-        state = CanonicalMps.from_basis_state(n, args.bits)
-    else:
-        state = CanonicalMps.from_periodic_state(n, args.r, args.k0)
     # operator convention: input register enters bit-reversed
-    out = mpo.apply_to_mps(state.reverse_qubits(), policy)
+    if args.bits is not None:
+        state = CanonicalMps.from_basis_state(n, _parse_bits(args.bits, n)[::-1])
+    else:
+        state = CanonicalMps.from_periodic_state(n, args.r, args.k0).reverse_qubits()
+    out = mpo.apply_to_mps(state, policy)
     report = {
         "n_qubits": n,
         "input": {"period": args.r, "offset": args.k0} if args.r else {"bits": args.bits},

@@ -172,15 +172,18 @@ class CanonicalMpo:
     def apply_to_mps(self, state: CanonicalMps, policy: TruncationPolicy) -> CanonicalMps:
         """Apply the operator to a state and recanonicalize.
 
-        The state and operator sites go to `_canonical.canonicalize_train`
-        as factor pairs, each with its bond vector folded in; the sweep
-        contracts them on the fly, so the product chain, whose bond ranks
-        are the products of the factors' ranks, is never formed. Where the
-        product bonds are much wider than the output rank, the left pass
-        sketches them down to a range basis, and the right pass truncates
-        that compressed train, not the product. The sweep restores
-        canonical form and truncates per ``policy``; the result is
-        renormalized to unit norm.
+        The state and operator sites go to `_canonical.canonicalize_train`,
+        each with its bond vector folded in. A state whose bonds all have
+        dimension 1 (a product state, such as a basis state) has each of
+        its site vectors contracted into the operator site once, and the
+        sweep runs on that plain (chi_O, 2, chi_O) train. Any other state
+        goes as factor pairs, which the sweep contracts on the fly, so the
+        product chain, whose bond ranks are the products of the factors'
+        ranks, is never formed. Where the product bonds are much wider
+        than the output rank, the left pass sketches them down to a range
+        basis, and the right pass truncates that compressed train, not the
+        product. The sweep restores canonical form and truncates per
+        ``policy``; the result is renormalized to unit norm.
         """
         if self.n_qubits != state.n_qubits:
             raise DimensionMismatchError(
@@ -189,9 +192,11 @@ class CanonicalMpo:
             )
         states = _canonical.train_from_vidal(state.gammas, state.lambdas)
         ops = _canonical.train_from_vidal(self.site_tensors, self.gamma_vectors)
-        new_g, new_l, _ = _canonical.canonicalize_train(
-            list(zip(states, ops)), policy, normalize=True
-        )
+        if max(state.bond_ranks, default=1) == 1:
+            train = [op.transpose(0, 1, 3, 2) @ s[0, :, 0] for s, op in zip(states, ops)]
+        else:
+            train = list(zip(states, ops))
+        new_g, new_l, _ = _canonical.canonicalize_train(train, policy, normalize=True)
         return CanonicalMps(tuple(new_g), tuple(new_l))
 
     def recanonicalize(self, policy: TruncationPolicy) -> "CanonicalMpo":

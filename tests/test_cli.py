@@ -17,9 +17,10 @@ from qftmpo.circuits import (
 )
 from qftmpo.cli import COMMANDS, _command_args, _emit, _int_list, _Parser, main
 from qftmpo.mpo import _fourier_sweep, identity_mpo, load_mpo, save_mpo
+from qftmpo.mps import CanonicalMps, load_mps
 from qftmpo.oracle import bit_reversal_permutation, dense_qft_matrix, periodic_peak_probabilities
 from qftmpo.tensor import TruncationPolicy
-from test_sweep import peak_probability
+from test_sweep import assert_same_bonds, peak_probability, seeded_bits, train_overlap
 
 
 def run(capsys, *argv):
@@ -332,6 +333,21 @@ class TestBuildApply:
         report = json.loads(out)
         # uniform output: every amplitude 1/4, low rank
         assert report["output_max_rank"] <= 16
+
+    @pytest.mark.parametrize("bits", seeded_bits(20, 2), ids=["seed0", "seed1"])
+    def test_apply_bits_feeds_the_input_bit_reversed(self, capsys, tmp_path, bits):
+        mpo_path, state_path = tmp_path / "t.mpo", tmp_path / "s.mps"
+        run(capsys, "build", "--n", "20", "--out", str(mpo_path))
+        text = "".join(map(str, bits))
+        code, _, _ = run(capsys, "apply", "--mpo", str(mpo_path), "--bits", text,
+                         "--save-state", str(state_path))
+        assert code == 0
+        got = load_mps(state_path)
+        want = load_mpo(mpo_path).apply_to_mps(
+            CanonicalMps.from_basis_state(20, text).reverse_qubits(), TruncationPolicy(1e-14))
+        assert_same_bonds(got.lambdas, want.lambdas)
+        overlap = train_overlap(list(got.gammas), got.lambdas, list(want.gammas), want.lambdas)
+        assert abs(1 - overlap) <= 1e-12
 
     def test_apply_needs_exactly_one_input(self, capsys, tmp_path):
         mpo_path = tmp_path / "t.mpo"

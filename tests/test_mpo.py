@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from qftmpo import _canonical
 from qftmpo.circuits import compile_to_mpo, nearest_neighbor_qft_circuit
 from qftmpo.errors import DimensionMismatchError, NumericalError
 from qftmpo.mpo import (
@@ -201,6 +202,41 @@ class TestApplyToMps:
         want = np.array(op.to_dense().data) @ vec
         want /= np.linalg.norm(want)
         assert np.allclose(np.array(out.to_dense().data), want, atol=1e-12)
+
+    def test_product_state_matches_dense_matvec(self, rng):
+        gate = random_unitary(rng, 4)
+        op = gate_mpo(4, ((0, 1), gate), ((1, 2), gate), ((2, 3), gate))
+        vec = np.ones(1)
+        for _ in range(4):
+            vec = np.kron(vec, random_state(rng, 1))
+        st = CanonicalMps.from_dense(vec)
+        assert st.bond_ranks == (1, 1, 1)
+        out = op.apply_to_mps(st, EXACT)
+        out.validate()
+        want = np.array(op.to_dense().data) @ vec
+        want /= np.linalg.norm(want)
+        assert np.allclose(np.array(out.to_dense().data), want, atol=1e-12)
+
+    def test_product_state_sweeps_plain_sites(self, monkeypatch):
+        # a state whose bonds all have dimension 1 is contracted into the
+        # operator sites before the sweep; any other state goes as
+        # (state, operator) factor pairs
+        op = compile_to_mpo(nearest_neighbor_qft_circuit(8), EXACT)
+        periodic = CanonicalMps.from_periodic_state(8, 5).reverse_qubits()
+        trains = []
+        real = _canonical.canonicalize_train
+
+        def spy(tensors, policy, *, normalize):
+            trains.append(tensors)
+            return real(tensors, policy, normalize=normalize)
+
+        monkeypatch.setattr(_canonical, "canonicalize_train", spy)
+        op.apply_to_mps(CanonicalMps.from_basis_state(8, "01101001"), EXACT)
+        op.apply_to_mps(periodic, EXACT)
+        plain, pairs = trains
+        assert [t.shape for t in plain] == [
+            (o.shape[0], 2, o.shape[3]) for o in op.site_tensors]
+        assert all(isinstance(t, tuple) for t in pairs)
 
     def test_size_mismatch(self, rng):
         op = identity_mpo(3)

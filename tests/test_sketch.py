@@ -110,20 +110,22 @@ def test_peaks_at_n64(op64, period):
     ids=["natural-uncapped", "reversed-capped"],
 )
 def test_saturated_sketch_falls_back_to_exact(op20, monkeypatch, reverse, policy):
-    # natural input order gives output bonds of several hundred, and a cap
-    # of 12 gives a sketch of 28 columns for an output rank of 58: both
-    # saturate the sketch at its first try, and the sweep is then the
-    # exact one, bit for bit
+    # natural input order gives output bonds of several hundred, which
+    # saturate the sketch at its first try; in reversed order, where the
+    # sketch would hold, the range test reports saturation. The sweep is
+    # then the exact one, bit for bit
     state = CanonicalMps.from_periodic_state(20, 31)
     if reverse:
         state = state.reverse_qubits()
+    outcomes = range_tests(monkeypatch, saturate_from=0 if reverse else math.inf)
     calls = qr_calls(monkeypatch)
     out = op20.apply_to_mps(state, policy)
-    width, first = _canonical._sketch_plan(pair_train(op20, state), policy)
+    assert outcomes == [False]
+    width, first = _canonical._sketch_plan(pair_train(op20, state))
     # the exact bonds left of the sketch keep Q until the sketch saturates
     assert [shape[1] == width for shape, _ in calls].count(True) == 1
     assert [mode for _, mode in calls].count("reduced") == first + 1
-    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites, policy: None)
+    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites: None)
     exact = op20.apply_to_mps(state, policy)
     assert all(np.array_equal(a, b) for a, b in zip(out.gammas, exact.gammas))
     assert all(np.array_equal(a, b) for a, b in zip(out.lambdas, exact.lambdas))
@@ -159,7 +161,7 @@ def test_no_sketch_holds_is_the_exact_sweep(op20, monkeypatch):
     outcomes = range_tests(monkeypatch, saturate_from=0)
     out = op20.apply_to_mps(state, EXACT)
     assert outcomes == [False]
-    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites, policy: None)
+    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites: None)
     exact = op20.apply_to_mps(state, EXACT)
     assert all(np.array_equal(a, b) for a, b in zip(out.gammas, exact.gammas))
     assert all(np.array_equal(a, b) for a, b in zip(out.lambdas, exact.lambdas))
@@ -199,18 +201,17 @@ def test_short_pair_trains(monkeypatch, n_sites):
 
 @pytest.mark.parametrize("period,cap", [(7, 12), (11, 20), (31, 12), (31, 20)])
 def test_capped_error_matches_exact_sweep(op20, monkeypatch, period, cap):
-    # periods 7 and 11: every sketch holds and the right pass truncates the
-    # compressed carry; period 31: the first sketch saturates. The capped
-    # output may be at most 1.1 times as far from the uncapped one as the
-    # exact sweep's (1.013 at period 11, whose infidelity of 3.3e-13 is
-    # near rounding; 1 to six digits elsewhere)
+    # the cap does not narrow the sketch, so every sketch holds and the
+    # right pass truncates the compressed carry. The capped output may be
+    # at most 1.1 times as far from the uncapped one as the exact sweep's
+    # (1.037 at period 31, cap 20; 0.99 to 1.0 elsewhere)
     state = periodic_input(20, period)
     policy = TruncationPolicy(1e-14, cap)
     full = op20.apply_to_mps(state, EXACT)
     outcomes = range_tests(monkeypatch)
     got = infidelity(op20.apply_to_mps(state, policy), full)
-    assert outcomes == ([False] if period == 31 else [True] * len(outcomes))
-    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites, policy: None)
+    assert outcomes and all(outcomes)
+    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites: None)
     want = infidelity(op20.apply_to_mps(state, policy), full)
     assert want > 1e-13  # the cap truncates
     assert got <= 1.1 * want
