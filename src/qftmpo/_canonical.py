@@ -30,13 +30,6 @@ bond, in place of contracting the state and operator factors again over
 the product bond. Plain trains are never sketched, and their sweeps are
 exact.
 
-A compile's two-site updates use the same range finder: the two-site
-block of a low-rank bond is much wider than its rank, so `two_site_update`
-can split the sketched block Q^dag theta in place of theta when the caller
-hands it a `SplitSketch`. The same tail test guards it, and the first
-saturated sketch switches sketching off for the rest of that compile.
-Callers that pass no sketch get the exact split.
-
 The chain invariants (structure, bond norms, canonical defect) and the
 binary container live here once for both chain kinds; the ``normalize``
 flag that picks the norm convention of a sweep picks the same convention
@@ -68,18 +61,11 @@ from .tensor import (
 SKETCH_SLACK = 1.5
 SKETCH_TAIL = 1e-15
 SKETCH_SEED = 20140603
-# a sketched two-site split has this many columns more than the bond's
-# rank before the update
-SPLIT_SKETCH_MARGIN = 6
 
 
 def _split_bond(mat, policy):
     """SVD a bond matrix and truncate. Returns (u, kept s, vh, dropped weight)."""
-    return _truncate(*_svd_matrix(mat), policy)
-
-
-def _truncate(u, s, vh, policy):
-    """Keep the leading singular triplets of an SVD under ``policy``."""
+    u, s, vh = _svd_matrix(mat)
     k = retained_count(s, policy)
     if k == 0 or s[0] == 0.0:
         raise NumericalError("bond spectrum vanished; chain encodes the zero vector")
@@ -90,33 +76,12 @@ def _truncate(u, s, vh, policy):
 def _sketch_holds(sv) -> bool:
     """The range test of a sketch M Omega = Q R of a matrix M.
 
-    ``sv`` are the descending singular values of R, or of Q^dag M, whose
-    i-th value is at least R's divided by ||Omega||. A smallest value at
+    ``sv`` are the descending singular values of R. A smallest value at
     most SKETCH_TAIL of the largest means the sketch had a column to spare,
     so its range holds the range of M to that tail. Otherwise the sketch
     saturated and may have missed part of it.
     """
     return sv[-1] <= SKETCH_TAIL * sv[0]
-
-
-class SplitSketch:
-    """Sketch state for the two-site updates of one compile: Gaussian test
-    matrices, drawn once per shape from a generator seeded with SKETCH_SEED
-    (so a compile is reproducible and the global random state is left
-    alone), and an off switch that the first saturated sketch throws."""
-
-    def __init__(self):
-        self.on = True
-        self._rng = np.random.default_rng(SKETCH_SEED)
-        self._tests = {}
-
-    def test_matrix(self, rows: int, width: int) -> np.ndarray:
-        """Complex Gaussian (rows, width) test matrix."""
-        omega = self._tests.get((rows, width))
-        if omega is None:
-            omega = self._rng.standard_normal((rows, 2 * width)).view(np.complex128)
-            self._tests[rows, width] = omega
-        return omega
 
 
 def _left_multiply(rmat, site):
@@ -388,8 +353,7 @@ def bonds_around(bond_vectors, first, last):
     return left, right
 
 
-def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, policy,
-                    *, sketch: SplitSketch | None = None):
+def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, policy):
     """Apply a two-site operator and restore the shared bond by one SVD.
 
     ``pair_op`` has legs (new1, new2, old1, old2) over the train's physical
@@ -397,18 +361,6 @@ def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, poli
     Neighbouring bond vectors are folded in before the SVD, so the new bond
     vector holds the updated Schmidt coefficients directly, unnormalized as
     the norm-carrying convention of operator chains keeps them.
-
-    With a ``sketch`` that is on, a two-site block theta wider than
-    SKETCH_SLACK times the sketch width s (the middle bond's rank plus
-    SPLIT_SKETCH_MARGIN, capped at the policy's rank cap plus the margin)
-    is split through a randomized range finder: Q = qr(theta Omega) with a
-    Gaussian (d c, s) test matrix Omega, the SVD of the (s, d c) matrix
-    Q^dag theta = U S Vh, and Q U in place of theta's left singular
-    vectors. The range test reads S itself (`_sketch_holds`), so a
-    sketched step costs one QR and one small SVD. A saturated sketch falls
-    back to the exact split and switches the sketch off. The discarded
-    weight of a sketched step does not count the weight outside the
-    sketch, which the test puts near (SKETCH_TAIL * s_max)^2.
 
     Returns (g_left', bond', g_right', discarded_weight).
     """
@@ -419,21 +371,7 @@ def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, poli
     right = g_right * lam_right[None, None, :]
     theta = theta.reshape(a * d, -1) @ right.reshape(-1, d * c)  # (a p, q c)
     theta = np.matmul(pair_op.reshape(d * d, d * d), theta.reshape(a, d * d, c))  # a xy c
-    theta = theta.reshape(a * d, d * c)
-    split = None
-    if sketch is not None and sketch.on:
-        width = len(lam_mid) + SPLIT_SKETCH_MARGIN
-        if policy.max_rank is not None:
-            width = min(width, policy.max_rank + SPLIT_SKETCH_MARGIN)
-        if min(theta.shape) > SKETCH_SLACK * width:
-            q, _ = np.linalg.qr(theta @ sketch.test_matrix(d * c, width))
-            u, s, vh = _svd_matrix(q.conj().T @ theta)
-            if _sketch_holds(s):
-                u, s, vh, discarded = _truncate(u, s, vh, policy)
-                split = q @ u, s, vh, discarded
-            else:
-                sketch.on = False
-    u, s, vh, discarded = split or _split_bond(theta, policy)
+    u, s, vh, discarded = _split_bond(theta.reshape(a * d, d * c), policy)
     g_left_new = u.reshape(a, d, -1) / lam_left[:, None, None]
     g_right_new = vh.reshape(-1, d, c) / lam_right[None, None, :]
     return g_left_new, s, g_right_new, discarded

@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._canonical import SplitSketch
 from .errors import NonAdjacentGateError, NumericalError
 from .mpo import CanonicalMpo, _absorb_pair, _single_site_apply, identity_mpo, pair_operator
 from .tensor import DenseTensor, TruncationPolicy, check_unitary
@@ -353,10 +352,9 @@ class CompileTrace:
     step crossed the ceiling. ``discarded_weight`` sums the squared
     singular values the steps truncated away, in the operator's
     norm-carrying convention (squared bond vectors sum to ||O||^2 = 2^n for
-    an n-qubit unitary); ``qftmpo build`` reports it divided by 2^n. The
-    final recanonicalization sweep is not included, and a sketched step
-    does not count the weight outside its sketch, which its range test
-    puts near (SKETCH_TAIL * s_max)^2 (see `_canonical.two_site_update`).
+    an n-qubit unitary); ``qftmpo build`` reports it divided by 2^n. Each
+    step splits its bond with one exact SVD, so the sum counts all of a
+    step's cut weight. The final recanonicalization sweep is not included.
     """
 
     mpo: CanonicalMpo | None
@@ -394,15 +392,11 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
     Gates honour their side flag. A one-site gate is applied exactly. A
     two-site gate, together with the two-site gates directly after it on
     the same pair, is absorbed as one step: their product acts on the pair
-    and one SVD re-truncates the touched bond under ``policy``. Lifted pair
-    operators are cached for the compile, next to its `SplitSketch`: a
-    step whose two-site block is much wider than the bond's rank splits a
-    randomized sketch of the block instead (`_canonical.two_site_update`),
-    until the first sketch that saturates switches sketching off for the
-    rest of the compile. A ``rank_ceiling`` aborts compilation after the
-    first step that leaves a bond above it (the trace is then marked
-    saturated). The finished operator gets a final full recanonicalization
-    sweep.
+    and one exact SVD re-truncates the touched bond under ``policy``.
+    Lifted pair operators are cached for the compile. A ``rank_ceiling``
+    aborts compilation after the first step that leaves a bond above it
+    (the trace is then marked saturated). The finished operator gets a
+    final full recanonicalization sweep.
     """
     n = circuit.n_qubits
     start = identity_mpo(n)
@@ -417,7 +411,6 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
 
     gates = circuit.gates
     cache: dict = {}
-    sketch = SplitSketch()
     history = []
     peak = 1
     weight = 0.0
@@ -437,8 +430,7 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
                 )
             while stop < len(gates) and gates[stop].sites == gate.sites:
                 stop += 1
-            weight += _absorb_pair(sites, gammas, a, _lift(gates[idx:stop], cache), eff_policy,
-                                   sketch)
+            weight += _absorb_pair(sites, gammas, a, _lift(gates[idx:stop], cache), eff_policy)
             peak = max(peak, len(gammas[a]))
         history.extend([peak] * (stop - idx))
         idx = stop

@@ -104,13 +104,18 @@ def _cmd_build(args) -> None:
     check_width(args.n)
     if args.bandwidth is not None and args.scheme:
         raise ValueError("--bandwidth and --scheme are mutually exclusive")
+    # full: the options spell the gates of nearest_neighbor_qft_circuit(n)
     if args.bandwidth is not None:
         circuit = aqft_circuit(args.n, args.bandwidth)
+        full = args.bandwidth == args.n
     elif args.scheme:
-        circuit = generalized_circuit(args.n, RotationScheme.parse(args.scheme))
+        scheme = RotationScheme.parse(args.scheme)
+        circuit = generalized_circuit(args.n, scheme)
+        full = scheme.kind == "standard" or (scheme.kind == "base-n" and scheme.base == 2)
     else:
         circuit = nearest_neighbor_qft_circuit(args.n)
-    if circuit.family == "nn-qft":  # the full transform: no gate is absorbed
+        full = True
+    if full:  # the full transform: no gate is absorbed
         _progress(f"building {circuit.family} on {args.n} qubits from its bulk tensor")
         mpo, weight = _fourier_sweep(args.n, policy)
     else:

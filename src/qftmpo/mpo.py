@@ -80,17 +80,14 @@ def _single_site_apply(site: np.ndarray, gate: np.ndarray, side: str) -> np.ndar
 
 
 def _absorb_pair(sites: list, gammas: list, j: int, pair_op: np.ndarray,
-                 policy: TruncationPolicy, sketch=None) -> float:
+                 policy: TruncationPolicy) -> float:
     """In-place two-site absorption on raw arrays; returns discarded weight.
 
     ``pair_op`` is a `pair_operator` result or its (16, 16) matrix, which
-    may be a product of several lifted gates. ``sketch`` (a
-    `_canonical.SplitSketch`) lets the split be sketched; without it the
-    split is exact."""
+    may be a product of several lifted gates."""
     lam_l, lam_r = _canonical.bonds_around(gammas, j, j + 1)
     g1, lam_new, g2, weight = _canonical.two_site_update(
-        lam_l, _fused(sites[j]), gammas[j], _fused(sites[j + 1]), lam_r,
-        pair_op, policy, sketch=sketch,
+        lam_l, _fused(sites[j]), gammas[j], _fused(sites[j + 1]), lam_r, pair_op, policy,
     )
     sites[j] = _unfused(g1)
     sites[j + 1] = _unfused(g2)

@@ -55,9 +55,9 @@ def gate_mpo(n, *gates):
 
 
 def per_gate_reference(circuit, policy):
-    """Compile gate by gate, one exact SVD per two-site gate (no sketch,
-    no fused steps, no cached lifts): an independent path to check the
-    compiler against."""
+    """Compile gate by gate, one exact SVD per two-site gate (no fused
+    steps, no cached lifts): an independent path to check the compiler
+    against."""
     start = identity_mpo(circuit.n_qubits)
     sites = list(start.site_tensors)
     gammas = list(start.gamma_vectors)

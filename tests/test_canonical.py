@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_unitary
 from qftmpo._canonical import (
-    SPLIT_SKETCH_MARGIN,
-    SplitSketch,
     _bonds_ordered,
     _left_multiply,
     _right_multiply,
@@ -91,71 +88,17 @@ def test_two_site_update_matches_einsum():
 
 
 class TestSplitSketch:
-    """The sketched split of `two_site_update`, which compiles use."""
+    """The two-site split of compiles: one exact SVD a step, no random sketch."""
 
-    # a rank-13 middle bond between rank-13 outer bonds: theta is 52 x 52
-    A, D, M, C = 13, 4, 13, 13
     POLICY = TruncationPolicy(1e-14, 16)
-
-    def block(self, seed):
-        rng = np.random.default_rng(seed)
-        g_left, g_right = random_array(rng, self.A, self.D, self.M), random_array(
-            rng, self.M, self.D, self.C)
-        lam_l, lam_m, lam_r = (np.sort(rng.uniform(0.5, 2.0, size))[::-1]
-                               for size in (self.A, self.M, self.C))
-        return lam_l, g_left, lam_m, g_right, lam_r
-
-    def update(self, block, pair_op, sketch=None):
-        return two_site_update(*block, pair_op, self.POLICY, sketch=sketch)
-
-    def reconstruct(self, block, result):
-        lam_l, _, _, _, lam_r = block
-        g1, lam, g2, _ = result
-        left = (g1 * lam_l[:, None, None]).reshape(self.A * self.D, -1)
-        return (left * lam) @ (g2 * lam_r[None, None, :]).reshape(-1, self.D * self.C)
-
-    def test_low_rank_block_matches_exact_split(self, monkeypatch):
-        # a product of one-site operators keeps theta at rank 13, well inside
-        # a sketch of 13 + margin columns
-        block = self.block(21)
-        rng = np.random.default_rng(22)
-        pair_op = np.kron(random_unitary(rng, 4), random_unitary(rng, 4))
-        exact = self.update(block, pair_op)
-        calls = qr_calls(monkeypatch)
-        sketch = SplitSketch()
-        got = self.update(block, pair_op, sketch)
-        assert calls == [((self.A * self.D, self.M + SPLIT_SKETCH_MARGIN), "reduced")]
-        assert sketch.on
-        s_max = exact[1][0]
-        assert len(got[1]) == len(exact[1]) == self.M
-        assert np.max(np.abs(got[1] - exact[1])) <= 1e-13 * s_max
-        want = self.reconstruct(block, exact)
-        assert np.max(np.abs(self.reconstruct(block, got) - want)) <= 1e-13 * np.max(np.abs(want))
-
-    def test_full_rank_block_saturates_to_exact_split(self, monkeypatch):
-        block = self.block(23)
-        pair_op = random_unitary(np.random.default_rng(24), 16)  # theta has rank 52
-        exact = self.update(block, pair_op)
-        sketch = SplitSketch()
-        got = self.update(block, pair_op, sketch)
-        assert not sketch.on
-        for a, b in zip(got, exact):
-            assert np.array_equal(a, b)
-        # switched off: a later block the sketch would hold is split exactly
-        rng = np.random.default_rng(25)
-        low_rank = np.kron(random_unitary(rng, 4), random_unitary(rng, 4))
-        calls = qr_calls(monkeypatch)
-        later = self.update(block, low_rank, sketch)
-        assert calls == []
-        for a, b in zip(later, self.update(block, low_rank)):
-            assert np.array_equal(a, b)
 
     def test_compiles_are_reproducible(self, monkeypatch):
         calls = qr_calls(monkeypatch)
         circuit = nearest_neighbor_qft_circuit(16)
         before = np.random.get_state()[1].copy()
         first = compile_trace(circuit, self.POLICY).mpo
-        assert len(calls) > 2 * 15  # sketched steps besides the final sweep's QRs
+        # no sketched step: the only QRs are the final sweep's, one per bond
+        assert len(calls) == 15 and all(mode == "r" for _, mode in calls)
         second = compile_trace(circuit, self.POLICY).mpo
         assert np.array_equal(np.random.get_state()[1], before)
         for a, b in zip(first.site_tensors, second.site_tensors):

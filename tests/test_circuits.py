@@ -359,6 +359,10 @@ class TestFusedSteps:
         fused = compile_to_mpo(circ, EXACT)
         ref = per_gate_reference(circ, EXACT)
         assert abs(1 - hs_inner(ref, fused)) <= 1e-12
+        again = compile_to_mpo(circ, EXACT)  # compiles give identical bits
+        for a, b in zip((*fused.site_tensors, *fused.gamma_vectors),
+                        (*again.site_tensors, *again.gamma_vectors)):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("ceiling", [None, 8])
     def test_history_one_entry_per_gate_non_decreasing(self, ceiling):

@@ -9,10 +9,12 @@ import pytest
 
 from conftest import run_python
 from qftmpo.circuits import (
+    RotationScheme,
     aqft_circuit,
     circuit_fingerprint,
     compile_to_mpo,
     compile_trace,
+    generalized_circuit,
     nearest_neighbor_qft_circuit,
 )
 from qftmpo.cli import COMMANDS, _command_args, _emit, _int_list, _Parser, main
@@ -436,6 +438,27 @@ class TestBuildApply:
         sidecar = json.loads((tmp_path / "t.mpo.json").read_text())
         assert sidecar["circuit_fingerprint"] == circuit_fingerprint(
             nearest_neighbor_qft_circuit(32))
+
+    @pytest.mark.parametrize("option,circuit", [
+        (["--scheme", "standard"], generalized_circuit(64, RotationScheme("standard"))),
+        (["--scheme", "base-n:2"], generalized_circuit(64, RotationScheme("base-n", base=2))),
+        (["--bandwidth", "64"], aqft_circuit(64, 64)),
+    ], ids=["standard", "base-n-2", "full-bandwidth"])
+    def test_full_transform_spellings_take_the_bulk_tensor(self, capsys, tmp_path, monkeypatch,
+                                                          option, circuit):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "build", "--n", "64", "--max-rank", "16", *option)
+        assert code == 0
+        assert "bulk tensor" in err and "gates" not in err
+        path = tmp_path / f"{circuit.family}-64.mpo"
+        assert json.loads(out)["file"] == path.name and path.exists()
+        run(capsys, "build", "--n", "64", "--max-rank", "16", "--out", "plain.mpo")
+        plain = load_mpo(tmp_path / "plain.mpo")
+        assert json.loads(out)["bond_ranks"] == list(plain.bond_ranks)
+        sidecar = json.loads((tmp_path / f"{path.name}.json").read_text())
+        assert sidecar["circuit_fingerprint"] == circuit_fingerprint(circuit)
+        assert sidecar["circuit_fingerprint"] != circuit_fingerprint(
+            nearest_neighbor_qft_circuit(64))
 
     def test_apply_periodic_on_64_qubits(self, tmp_path):
         # peak indices reach 2^64, past int64

@@ -338,7 +338,7 @@ class TestFourierMpo:
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(1e-14, 16),
                                         TruncationPolicy(1e-10), TruncationPolicy(1e-14, 4)])
     def test_ranks_match_gate_compile(self, policy):
-        for n in (1, 2, 3, 5, 8, 13, 20):
+        for n in (1, 2, 3, 5, 8, 13, 20, 30):
             want = compile_to_mpo(nearest_neighbor_qft_circuit(n), policy).bond_ranks
             assert fourier_mpo(n, policy).bond_ranks == want, n
 
