@@ -353,28 +353,28 @@ def bonds_around(bond_vectors, first, last):
     return left, right
 
 
-def two_site_update(lam_left, g_left, lam_mid, g_right, lam_right, pair_op, policy):
-    """Apply a two-site operator and restore the shared bond by one SVD.
+def two_site_update(lam_left, b_left, b_right, pair_op, policy):
+    """Apply a two-site operator to a raw train and restore the shared
+    bond by one SVD, dividing by no bond vector (Hastings, arXiv:0903.3253).
 
-    ``pair_op`` has legs (new1, new2, old1, old2) over the train's physical
-    dimension d, as a (d, d, d, d) array or its (d*d, d*d) matrix.
-    Neighbouring bond vectors are folded in before the SVD, so the new bond
-    vector holds the updated Schmidt coefficients directly, unnormalized as
-    the norm-carrying convention of operator chains keeps them.
+    ``b_left`` and ``b_right`` are right-canonical sites with the bond
+    vector on their right folded in; ``lam_left`` is the bond vector left
+    of ``b_left``. ``pair_op`` has legs (new1, new2, old1, old2) over the
+    physical dimension d, as a (d, d, d, d) array or its (d*d, d*d)
+    matrix. With theta = pair_op (b_left b_right) and lam_left theta =
+    U S Vh, the new bond vector is S, unnormalized as the norm-carrying
+    convention of operator chains keeps it, b_right' = Vh and b_left' =
+    theta Vh^dag, which is lam_left^-1 U S.
 
-    Returns (g_left', bond', g_right', discarded_weight).
+    Returns (b_left', bond', b_right', discarded_weight).
     """
-    a, d, _ = g_left.shape
-    c = g_right.shape[2]
-    theta = g_left * lam_left[:, None, None]
-    theta = theta * lam_mid[None, None, :]
-    right = g_right * lam_right[None, None, :]
-    theta = theta.reshape(a * d, -1) @ right.reshape(-1, d * c)  # (a p, q c)
+    a, d, _ = b_left.shape
+    c = b_right.shape[2]
+    theta = b_left.reshape(a * d, -1) @ b_right.reshape(-1, d * c)  # (a p, q c)
     theta = np.matmul(pair_op.reshape(d * d, d * d), theta.reshape(a, d * d, c))  # a xy c
-    u, s, vh, discarded = _split_bond(theta.reshape(a * d, d * c), policy)
-    g_left_new = u.reshape(a, d, -1) / lam_left[:, None, None]
-    g_right_new = vh.reshape(-1, d, c) / lam_right[None, None, :]
-    return g_left_new, s, g_right_new, discarded
+    theta = theta.reshape(a * d, d * c)
+    _, s, vh, discarded = _split_bond(np.repeat(lam_left, d)[:, None] * theta, policy)
+    return (theta @ vh.conj().T).reshape(a, d, -1), s, vh.reshape(-1, d, c), discarded
 
 
 # ---------------------------------------------------------------- #

@@ -20,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
+from ._canonical import train_from_vidal
 from .errors import NonAdjacentGateError, NumericalError
-from .mpo import CanonicalMpo, _absorb_pair, _single_site_apply, identity_mpo, pair_operator
+from .mpo import CanonicalMpo, _absorb_pair, _single_site_apply, _sweep, identity_mpo, pair_operator
 from .tensor import DenseTensor, TruncationPolicy, check_unitary
 
 GATE_KINDS = ("h", "cphase", "swap", "generic")
@@ -344,21 +345,17 @@ class CompileTrace:
     """Compilation record.
 
     ``mpo`` is the operator, or None when the rank ceiling was hit.
-    ``max_rank_history`` has one entry per absorbed gate: the running
-    maximum bond rank after that gate's step. Consecutive gates on the same
-    pair form one step, so each of them records the rank after the whole
-    step, and the history never decreases. ``gates_applied`` counts the
-    gates through the last step taken, and ``saturated`` says whether that
-    step crossed the ceiling. ``discarded_weight`` sums the squared
-    singular values the steps truncated away, in the operator's
-    norm-carrying convention (squared bond vectors sum to ||O||^2 = 2^n for
-    an n-qubit unitary); ``qftmpo build`` reports it divided by 2^n. Each
-    step splits its bond with one exact SVD, so the sum counts all of a
-    step's cut weight. The final recanonicalization sweep is not included.
+    ``gates_applied`` counts the gates through the last step taken, and
+    ``saturated`` says whether that step crossed the ceiling.
+    ``discarded_weight`` sums the squared singular values the steps
+    truncated away, in the operator's norm-carrying convention (squared
+    bond vectors sum to ||O||^2 = 2^n for an n-qubit unitary); ``qftmpo
+    build`` reports it divided by 2^n. Each step splits its bond with one
+    exact SVD, so the sum counts all of a step's cut weight. The final
+    sweep is not included.
     """
 
     mpo: CanonicalMpo | None
-    max_rank_history: list[int]
     saturated: bool
     gates_applied: int
     discarded_weight: float = 0.0
@@ -387,21 +384,22 @@ def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
 
 def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
                   rank_ceiling: int | None = None) -> CompileTrace:
-    """Absorb the circuit's gates in order into an identity chain.
+    """Absorb the circuit's gates in order into the raw train of an
+    identity chain (see `mpo._absorb_pair`).
 
     Gates honour their side flag. A one-site gate is applied exactly. A
     two-site gate, together with the two-site gates directly after it on
     the same pair, is absorbed as one step: their product acts on the pair
-    and one exact SVD re-truncates the touched bond under ``policy``.
-    Lifted pair operators are cached for the compile. A ``rank_ceiling``
-    aborts compilation after the first step that leaves a bond above it
-    (the trace is then marked saturated). The finished operator gets a
-    final full recanonicalization sweep.
+    and one exact SVD, dividing by no Schmidt value, re-truncates the
+    touched bond under ``policy``. Lifted pair operators are cached for
+    the compile. A ``rank_ceiling`` aborts compilation after the first
+    step that leaves a bond above it (the trace is then marked saturated).
+    One final sweep of the train gives the canonical chain.
     """
     n = circuit.n_qubits
     start = identity_mpo(n)
-    sites = list(start.site_tensors)
-    gammas = list(start.gamma_vectors)
+    sites = train_from_vidal(start.site_tensors, start.gamma_vectors)
+    bonds = list(start.gamma_vectors)
     eff_policy = policy
     if rank_ceiling is not None:
         if rank_ceiling < 1:
@@ -411,7 +409,6 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
 
     gates = circuit.gates
     cache: dict = {}
-    history = []
     peak = 1
     weight = 0.0
     idx = 0
@@ -430,16 +427,14 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
                 )
             while stop < len(gates) and gates[stop].sites == gate.sites:
                 stop += 1
-            weight += _absorb_pair(sites, gammas, a, _lift(gates[idx:stop], cache), eff_policy)
-            peak = max(peak, len(gammas[a]))
-        history.extend([peak] * (stop - idx))
+            weight += _absorb_pair(sites, bonds, a, _lift(gates[idx:stop], cache), eff_policy)
+            peak = max(peak, len(bonds[a]))
         idx = stop
         if rank_ceiling is not None and peak > rank_ceiling:
-            return CompileTrace(None, history, True, idx, weight)
+            return CompileTrace(None, True, idx, weight)
 
-    mpo = CanonicalMpo(tuple(sites), tuple(gammas))
-    mpo = mpo.recanonicalize(policy)
-    return CompileTrace(mpo, history, False, len(gates), weight)
+    mpo, _ = _sweep([t.reshape(t.shape[0], 4, -1) for t in sites], policy)
+    return CompileTrace(mpo, False, len(gates), weight)
 
 
 def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy) -> CanonicalMpo:

@@ -79,19 +79,21 @@ def _single_site_apply(site: np.ndarray, gate: np.ndarray, side: str) -> np.ndar
     return out
 
 
-def _absorb_pair(sites: list, gammas: list, j: int, pair_op: np.ndarray,
+def _absorb_pair(sites: list, bonds: list, j: int, pair_op: np.ndarray,
                  policy: TruncationPolicy) -> float:
-    """In-place two-site absorption on raw arrays; returns discarded weight.
+    """In-place two-site absorption on a raw train of right-canonical
+    sites, each with the bond vector on its right folded in, and its bond
+    vectors (see `_canonical.two_site_update`); returns discarded weight.
 
     ``pair_op`` is a `pair_operator` result or its (16, 16) matrix, which
     may be a product of several lifted gates."""
-    lam_l, lam_r = _canonical.bonds_around(gammas, j, j + 1)
-    g1, lam_new, g2, weight = _canonical.two_site_update(
-        lam_l, _fused(sites[j]), gammas[j], _fused(sites[j + 1]), lam_r, pair_op, policy,
+    lam_l = bonds[j - 1] if j > 0 else np.ones(1)
+    b1, lam_new, b2, weight = _canonical.two_site_update(
+        lam_l, _fused(sites[j]), _fused(sites[j + 1]), pair_op, policy,
     )
-    sites[j] = _unfused(g1)
-    sites[j + 1] = _unfused(g2)
-    gammas[j] = lam_new
+    sites[j] = _unfused(b1)
+    sites[j + 1] = _unfused(b2)
+    bonds[j] = lam_new
     return weight
 
 
@@ -203,11 +205,11 @@ class CanonicalMpo:
         canonical conditions: its left conditions are off at the cut bonds
         (`canonical_defect` 9.5e-3 for the 20-qubit transform at
         ``max_rank=2``, 9.4e-9 at 5; `validate` rejects all four caps
-        2..5), and `_canonical.two_site_update`, which assumes both
-        conditions, must not be used on it. What reads the chain as a raw
-        train, bond vectors folded into the left sites (`hs_inner`,
-        `apply_to_mps`), is unaffected. Recanonicalizing the capped result
-        again without a cap restores both conditions.
+        2..5), and Hastings' inverse-free `_canonical.two_site_update`,
+        which assumes both conditions, must not be run on it. What reads the
+        chain only as a raw train, bond vectors folded into the left sites
+        (`hs_inner`, `apply_to_mps`), is unaffected. Recanonicalizing the
+        capped result again without a cap restores both conditions.
         """
         train = _canonical.train_from_vidal(self._fused_sites(), self.gamma_vectors)
         return _sweep(train, policy)[0]

@@ -12,7 +12,7 @@ import qftmpo
 from qftmpo._canonical import _split_bond, canonicalize_train, train_from_vidal
 from qftmpo.circuits import CircuitSpec, GateSpec, compile_to_mpo
 from qftmpo.errors import NumericalError
-from qftmpo.mpo import CanonicalMpo, _absorb_pair, _single_site_apply, identity_mpo, pair_operator
+from qftmpo.mpo import _absorb_pair, _single_site_apply, _sweep, identity_mpo, pair_operator
 from qftmpo.tensor import DenseTensor, TruncationPolicy
 
 
@@ -59,15 +59,15 @@ def per_gate_reference(circuit, policy):
     steps, no cached lifts): an independent path to check the compiler
     against."""
     start = identity_mpo(circuit.n_qubits)
-    sites = list(start.site_tensors)
-    gammas = list(start.gamma_vectors)
+    sites = train_from_vidal(start.site_tensors, start.gamma_vectors)
+    bonds = list(start.gamma_vectors)
     for gate in circuit.gates:
         j = gate.sites[0]
         if len(gate.sites) == 1:
             sites[j] = _single_site_apply(sites[j], gate.dense_matrix(), gate.side)
         else:
-            _absorb_pair(sites, gammas, j, pair_operator(gate.dense_matrix(), gate.side), policy)
-    return CanonicalMpo(tuple(sites), tuple(gammas)).recanonicalize(policy)
+            _absorb_pair(sites, bonds, j, pair_operator(gate.dense_matrix(), gate.side), policy)
+    return _sweep([t.reshape(t.shape[0], 4, -1) for t in sites], policy)[0]
 
 
 def reference_canonicalize_train(tensors, policy, *, normalize):

@@ -226,6 +226,13 @@ class TestAqftStudy:
         assert row["saturated"] is True
         assert row["max_bond_rank"] == 17
 
+    def test_pinned_at_study_arguments(self):
+        # criterion 5 checks only trends; this pins the ranks the compile gives
+        res = aqft_rank_study([12], range(5, 12), TruncationPolicy(1e-10), rank_ceiling=64)
+        assert [row["max_bond_rank"] for row in res.rows] == [16, 32, 61, 63, 48, 31, 18]
+        assert not any(row["saturated"] for row in res.rows)
+        assert res.metadata["full_qft_ranks"] == {"12": 10}
+
     def test_doubling_window(self):
         per_b = {2: (4, False), 3: (8, False), 4: (16, False),
                  5: (18, False), 6: (12, False)}
@@ -245,6 +252,17 @@ class TestRotationStudy:
         assert by_scheme["base-n:3"]["tail_slope"] < std["tail_slope"]
         pl = by_scheme["power-law:2"]
         assert pl["saturated"] or pl["max_bond_rank"] > std["max_bond_rank"]
+
+    def test_pinned_at_study_arguments(self):
+        # criterion 8 checks only trends; this pins the ranks and the slopes
+        res = rotation_scheme_study([14], ["standard", "base-n:3", "power-law:2"],
+                                    TruncationPolicy(1e-10), rank_ceiling=64)
+        by_scheme = {row["scheme"]: row for row in res.rows}
+        assert {s: row["max_bond_rank"] for s, row in by_scheme.items()} == {
+            "standard": 10, "base-n:3": 7, "power-law:2": 65}
+        assert [row["saturated"] for row in res.rows] == [False, False, True]
+        assert abs(by_scheme["standard"]["tail_slope"] + 2.0616145174) <= 1e-8
+        assert abs(by_scheme["base-n:3"]["tail_slope"] + 3.0161970116) <= 1e-8
 
     def test_accepts_scheme_strings(self):
         res = rotation_scheme_study([6], ["standard", "base-n:4"])

@@ -68,23 +68,36 @@ class TestFactoredLayouts:
         assert np.allclose(_right_multiply(site, carry), right, rtol=0, atol=1e-13 * 8)
 
 
-def test_two_site_update_matches_einsum():
+def check_two_site_update(lam_left):
+    """`two_site_update` on right-canonical random sites against the
+    einsum theta = pair_op (b_left b_right), lam_left folded in."""
     rng = np.random.default_rng(15)
-    a, d, m, c = 3, 2, 4, 5
-    g_left, g_right = random_array(rng, a, d, m), random_array(rng, m, d, c)
-    lam_l, lam_m, lam_r = (np.sort(rng.uniform(0.5, 2.0, size))[::-1] for size in (a, m, c))
+    a, d, m, c = len(lam_left), 2, 4, 5
+    b_left = random_array(rng, a, d, m)
+    q, _ = np.linalg.qr(random_array(rng, d * c, m))
+    b_right = q.conj().T.reshape(m, d, c)
     pair_op = random_array(rng, d, d, d, d)
-    theta = np.einsum("a,apm,m,mqc,c->apqc", lam_l, g_left, lam_m, g_right, lam_r)
-    want = np.einsum("xypq,apqc->axyc", pair_op, theta).reshape(a * d, d * c)
+    theta = np.einsum("xypq,apm,mqc->axyc", pair_op, b_left, b_right).reshape(a * d, d * c)
+    weighted = (lam_left[:, None] * theta.reshape(a, -1)).reshape(a * d, d * c)
 
-    g1, lam_new, g2, dropped = two_site_update(
-        lam_l, g_left, lam_m, g_right, lam_r, pair_op, TruncationPolicy())
+    b1, lam_new, b2, dropped = two_site_update(lam_left, b_left, b_right, pair_op,
+                                               TruncationPolicy())
     assert dropped == 0.0
-    assert np.allclose(lam_new, np.linalg.svd(want, compute_uv=False), rtol=0, atol=1e-13)
-    left = (g1 * lam_l[:, None, None]).reshape(a * d, -1)
-    right = (g2 * lam_r[None, None, :]).reshape(-1, d * c)
-    got = (left * lam_new) @ right
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = np.linalg.svd(weighted, compute_uv=False)
+    assert np.max(np.abs(lam_new - want)) <= 1e-13 * want[0]
+    right = b2.reshape(len(lam_new), d * c)
+    assert np.max(np.abs(right @ right.conj().T - np.eye(len(lam_new)))) <= 1e-13
+    got = b1.reshape(a * d, -1) @ right
+    assert np.max(np.abs(got - theta)) <= 1e-13 * np.max(np.abs(theta))
+
+
+def test_two_site_update_matches_einsum():
+    check_two_site_update(np.sort(np.random.default_rng(16).uniform(0.5, 2.0, 3))[::-1])
+
+
+def test_two_site_update_graded_left_bond():
+    # no division by the bond vector: a 1e-13 Schmidt value costs no digits
+    check_two_site_update(np.geomspace(1.0, 1e-13, 3))
 
 
 class TestSplitSketch:

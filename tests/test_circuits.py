@@ -22,7 +22,7 @@ from qftmpo.circuits import (
     qft_circuit,
 )
 from qftmpo.errors import NonAdjacentGateError
-from qftmpo.mpo import hs_inner
+from qftmpo.mpo import CanonicalMpo, hs_inner
 from qftmpo.oracle import bit_reversal_permutation, dense_circuit_matrix, dense_qft_matrix
 from qftmpo.tensor import DenseTensor, TruncationPolicy
 
@@ -320,14 +320,12 @@ class TestCompilation:
         assert trace.saturated
         assert trace.mpo is None
         assert trace.gates_applied < len(circ.gates)
-        assert max(trace.max_rank_history) == 9
 
     def test_trace_unsaturated(self):
         trace = compile_trace(nearest_neighbor_qft_circuit(6), EXACT, rank_ceiling=64)
         assert not trace.saturated
         assert trace.gates_applied == len(nearest_neighbor_qft_circuit(6).gates)
         assert trace.mpo is not None
-        assert max(trace.max_rank_history) <= 64
 
     def test_empty_circuit_is_identity(self):
         mpo = compile_to_mpo(CircuitSpec(3, ()), EXACT)
@@ -363,14 +361,6 @@ class TestFusedSteps:
         for a, b in zip((*fused.site_tensors, *fused.gamma_vectors),
                         (*again.site_tensors, *again.gamma_vectors)):
             assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("ceiling", [None, 8])
-    def test_history_one_entry_per_gate_non_decreasing(self, ceiling):
-        circ = generalized_circuit(8, RotationScheme("power-law", exponent=2))
-        trace = compile_trace(circ, TruncationPolicy(1e-10), rank_ceiling=ceiling)
-        assert trace.saturated == (ceiling is not None)
-        assert len(trace.max_rank_history) == trace.gates_applied
-        assert all(a <= b for a, b in zip(trace.max_rank_history, trace.max_rank_history[1:]))
 
     def test_generic_gate_then_swap_matches_dense(self, rng):
         gate = DenseTensor(random_unitary(rng, 4))
@@ -417,8 +407,24 @@ class TestFusedSteps:
         trace = compile_trace(circ, EXACT, rank_ceiling=1)
         assert trace.saturated
         assert trace.gates_applied == 3
-        assert trace.max_rank_history[0] == 1
-        assert trace.max_rank_history[1] == trace.max_rank_history[2] > 1
+        assert trace.mpo is None
+
+    def test_compile_builds_seed_and_result_only(self, monkeypatch):
+        calls = []
+
+        def counting(attr):
+            original = getattr(CanonicalMpo, attr)
+
+            def wrapper(self, *args):
+                calls.append(attr)
+                return original(self, *args)
+            return wrapper
+
+        for attr in ("__post_init__", "recanonicalize"):
+            monkeypatch.setattr(CanonicalMpo, attr, counting(attr))
+        compile_trace(nearest_neighbor_qft_circuit(12), EXACT)
+        # the identity seed and the swept result; no chain in between
+        assert calls == ["__post_init__"] * 2
 
     def test_discarded_weight_recorded(self):
         circ = nearest_neighbor_qft_circuit(12)
