@@ -34,7 +34,7 @@ from .circuits import (
     nearest_neighbor_qft_circuit,
 )
 from .errors import QftmpoError, ResourceLimitError
-from .mpo import _fourier_sweep, check_width, load_mpo, save_mpo
+from .mpo import FOURIER_NODES, _fourier_sweep, check_width, load_mpo, save_mpo
 from .mps import CanonicalMps, _parse_bits, save_mps
 from .tensor import TruncationPolicy
 
@@ -118,13 +118,16 @@ def _cmd_build(args) -> None:
     if full:  # the full transform: no gate is absorbed
         _progress(f"building {circuit.family} on {args.n} qubits from its bulk tensor")
         mpo, weight = _fourier_sweep(args.n, policy)
+        construction = {"kind": "bulk-tensor", "nodes": FOURIER_NODES}
     else:
         _progress(f"compiling {circuit.family} on {args.n} qubits ({len(circuit.gates)} gates)")
         trace = compile_trace(circuit, policy)
         mpo, weight = trace.mpo, trace.discarded_weight
+        construction = {"kind": "gate-compile"}
     out = args.out or f"{circuit.family}-{args.n}.mpo"
     fingerprint = circuit_fingerprint(circuit)
-    save_mpo(mpo, out, policy=policy, circuit_fingerprint=fingerprint)
+    save_mpo(mpo, out, policy=policy, circuit_fingerprint=fingerprint,
+             construction=construction)
     _progress(f"wrote {out} (max bond rank {mpo.max_bond_rank})")
     print(json.dumps({
         "file": out,
@@ -132,6 +135,7 @@ def _cmd_build(args) -> None:
         "max_bond_rank": mpo.max_bond_rank,
         "bond_ranks": list(mpo.bond_ranks),
         "fingerprint": fingerprint,
+        "construction": construction,
         "discarded_weight": math.ldexp(weight, -mpo.n_qubits),  # over 2^n
     }))
 

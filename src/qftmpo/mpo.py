@@ -238,8 +238,8 @@ def _sweep(train, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
 
 def _chebyshev_bound(k: int) -> float:
     """Bound on the K-node Chebyshev interpolation error of e^{i w s},
-    w <= 2 pi, over s in [0, 1] (see `fourier_mpo`)."""
-    return 2.0 * math.sqrt(2.0) * (math.pi / 2.0) ** k / math.factorial(k)
+    |w| <= pi, over s in [0, 1] (see `fourier_mpo`)."""
+    return 2.0 * math.sqrt(2.0) * (math.pi / 4.0) ** k / math.factorial(k)
 
 
 # the fewest nodes whose bound is within the noise floor the sweeps cut at
@@ -256,11 +256,14 @@ def _lagrange(s: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def _fourier_site(left: np.ndarray, nodes: np.ndarray | None) -> np.ndarray:
-    """Fused site e^{i pi (t + x) y} P_m((t + x)/2) / sqrt(2) over the left
-    bond's points t, output bit y, input bit x and right node m; without
-    ``nodes`` (the last site) the right bond has dimension 1 and P_m = 1."""
-    u = left[:, None] + np.arange(2.0)  # (t, x)
-    site = np.exp(1j * math.pi * u[:, None, :] * np.arange(2.0)[:, None])  # (t, y, x)
+    """Fused site e^{i pi [(t + x)(y + 1/2) - t]} P_m((t + x)/2) / sqrt(2)
+    over the left bond's points t, output bit y, input bit x and right node
+    m; without ``nodes`` (the last site) the right bond has dimension 1,
+    P_m = 1 and no e^{i pi u} is carried, so the phase is
+    e^{i pi [(t + x) y - t]}. The first site is the row t = 0."""
+    u = left[:, None] + np.arange(2.0)  # (t, x): twice the next cut's u
+    y = np.arange(2.0)[:, None] + (0.0 if nodes is None else 0.5)
+    site = np.exp(1j * math.pi * (u[:, None, :] * y - left[:, None, None]))  # (t, y, x)
     site = site[..., None] / math.sqrt(2.0)
     if nodes is not None:
         site = site * _lagrange((u / 2).ravel(), nodes).reshape(len(left), 1, 2, -1)
@@ -277,27 +280,36 @@ def fourier_mpo(n: int, policy: TruncationPolicy) -> CanonicalMpo:
     significant. Entry (y, x) is 2^{-n/2} exp(2 pi i sum_{k <= j} y_j x_k
     2^{k-j-1}), and across the cut after site c the two halves couple
     through exp(2 pi i u v), with u = sum_{k <= c} x_k 2^{k-c-1} and
-    v = sum_{j > c} y_j 2^{c-j}, both in [0, 1). Interpolating in u at
-    the K Chebyshev nodes t_m = (1 - cos((2m + 1) pi / 2K)) / 2 of [0, 1],
-    with Lagrange basis P_m, and using u -> (u + x_{c+1}) / 2 from one cut
-    to the next, gives the same tensor at every bulk site and every n,
+    v = sum_{j > c} y_j 2^{c-j}, both in [0, 1). Write the coupling as
+    e^{i pi u} exp(2 pi i u (v - 1/2)). The left sites carry e^{i pi u}
+    exactly, and the right block, a function of u through
+    exp(2 pi i u (v - 1/2)) times factors free of u, is interpolated in u
+    at the K Chebyshev nodes t_m = (1 - cos((2m + 1) pi / 2K)) / 2 of
+    [0, 1], with Lagrange basis P_m. From one cut to the next u -> u' =
+    (u + x_{c+1}) / 2, and a site multiplies by e^{i pi (u' - t)}, t the
+    node of its left cut. That gives the same tensor at every bulk site and
+    every n,
 
-        T[m', y, x, m] = e^{i pi (t_{m'} + x) y} P_m((t_{m'} + x) / 2) / sqrt(2),
+        T[m', y, x, m] = e^{i pi [(t_{m'} + x)(y + 1/2) - t_{m'}]}
+                         P_m((t_{m'} + x) / 2) / sqrt(2),
 
-    the interpolative construction of Chen & Lindsey (2024). The first
-    site is the row t = 0 and the last site is e^{i pi (t_{m'} + x) y} /
-    sqrt(2). One `_canonical.canonicalize_train` sweep (a left QR pass,
-    then a right pass that truncates each bond under ``policy``) gives the
-    canonical chain. The raw train is left-orthogonalized before any bond
-    is cut, so the squared Frobenius distance between the train and the
-    result is at most the discarded weight of that sweep.
+    the interpolative construction of Chen & Lindsey (2024) on the centred
+    coupling. The first site is the row t = 0, e^{i pi x (y + 1/2)}
+    P_m(x / 2) / sqrt(2), and the last site, which interpolates nothing, is
+    e^{i pi [(t_{m'} + x) y - t_{m'}]} / sqrt(2). One
+    `_canonical.canonicalize_train` sweep (a left QR pass, then a right
+    pass that truncates each bond under ``policy``) gives the canonical
+    chain. The raw train is left-orthogonalized before any bond is cut, so
+    the squared Frobenius distance between the train and the result is at
+    most the discarded weight of that sweep.
 
     K: the error of the K-node Chebyshev interpolant of g(s) = e^{i w s}
     on [0, 1] is at most max|g^(K)| / K! * max_s |prod_m (s - t_m)|, that
-    is w^K / K! * 2 * 4^{-K} for each of the real and imaginary parts.
-    With w = 2 pi v <= 2 pi, |g - p| <= 2 sqrt(2) (pi / 2)^K / K!, which is
-    1.2e-13 at K = 19 and 9.7e-15 at K = 20. FOURIER_NODES is the smallest
-    K with the bound at most NOISE_FLOOR: 20. The bound holds per cut; the
+    is |w|^K / K! * 2 * 4^{-K} for each of the real and imaginary parts.
+    With w = 2 pi (v - 1/2), |w| <= pi, so |g - p| <= 2 sqrt(2) (pi / 4)^K
+    / K!, which is 5.7e-14 at K = 15 and 2.8e-15 at K = 16 (the uncentred
+    coupling, |w| <= 2 pi, needs K = 20). FOURIER_NODES is the smallest K
+    with the bound at most NOISE_FLOOR: 16. The bound holds per cut; the
     worst of 200 sampled entries (times 2^{n/2}) is 4.1e-13 off the closed
     form at n = 1023.
     """
@@ -378,11 +390,13 @@ def hs_inner(a: CanonicalMpo, b: CanonicalMpo) -> complex:
 # ---------------------------------------------------------------- #
 
 def save_mpo(op: CanonicalMpo, path: str | Path, policy: TruncationPolicy | None = None,
-             circuit_fingerprint: str | None = None) -> None:
-    """Write the chain to ``path`` and a JSON summary to ``path + '.json'``."""
+             circuit_fingerprint: str | None = None, construction: dict | None = None) -> None:
+    """Write the chain to ``path`` and a JSON summary to ``path + '.json'``;
+    ``construction`` says how the chain was made (see `qftmpo build`)."""
     _canonical.save_chain(
         path, "mpo", op.site_tensors, op.gamma_vectors, policy,
         circuit_fingerprint=circuit_fingerprint,
+        construction=construction,
         bond_spectra=[[float(v) for v in gam] for gam in op.gamma_vectors],
     )
 

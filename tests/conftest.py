@@ -12,7 +12,14 @@ import qftmpo
 from qftmpo._canonical import _split_bond, canonicalize_train, train_from_vidal
 from qftmpo.circuits import CircuitSpec, GateSpec, compile_to_mpo
 from qftmpo.errors import NumericalError
-from qftmpo.mpo import _absorb_pair, _single_site_apply, _sweep, identity_mpo, pair_operator
+from qftmpo.mpo import (
+    _absorb_pair,
+    _lagrange,
+    _single_site_apply,
+    _sweep,
+    identity_mpo,
+    pair_operator,
+)
 from qftmpo.tensor import DenseTensor, TruncationPolicy
 
 
@@ -135,6 +142,27 @@ def reference_apply(op, state, policy):
         sites.append(t.reshape(a * c, x, b * e))
     bonds = [np.kron(s, o) for s, o in zip(state.lambdas, op.gamma_vectors)]
     return reference_canonicalize_train(train_from_vidal(sites, bonds), policy, normalize=True)
+
+
+def reference_fourier_train(n):
+    """Raw fused train of the n-qubit transform interpolated on the
+    uncentred coupling exp(2 pi i u v): sites e^{i pi (t + x) y}
+    P_m((t + x)/2) / sqrt(2) on 20 Chebyshev nodes, the node count the
+    interpolation bound needs at frequencies up to 2 pi. A second route to
+    `fourier_mpo`'s operator; sweep it with `mpo._sweep`."""
+    k = np.arange(20)
+    nodes = (1 - np.cos((2 * k + 1) * np.pi / 40)) / 2
+
+    def site(left, last=False):
+        u = left[:, None] + np.arange(2.0)  # (t, x)
+        t = np.exp(1j * np.pi * u[:, None, :] * np.arange(2.0)[:, None])[..., None]
+        if not last:
+            t = t * _lagrange((u / 2).ravel(), nodes).reshape(len(left), 1, 2, -1)
+        return (t / math.sqrt(2.0)).reshape(len(left), 4, -1)
+
+    if n == 1:
+        return [site(np.zeros(1), last=True)]
+    return [site(np.zeros(1))] + [site(nodes)] * (n - 2) + [site(nodes, last=True)]
 
 
 def fourier_entry(y, x, n):

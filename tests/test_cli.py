@@ -439,6 +439,19 @@ class TestBuildApply:
         assert sidecar["circuit_fingerprint"] == circuit_fingerprint(
             nearest_neighbor_qft_circuit(32))
 
+    @pytest.mark.parametrize("option,construction", [
+        ([], {"kind": "bulk-tensor", "nodes": 16}),
+        (["--bandwidth", "4"], {"kind": "gate-compile"}),
+        (["--scheme", "power-law:2"], {"kind": "gate-compile"}),
+    ], ids=["bulk-tensor", "aqft", "scheme"])
+    def test_build_records_its_construction(self, capsys, tmp_path, option, construction):
+        path = tmp_path / "t.mpo"
+        code, out, _ = run(capsys, "build", "--n", "8", *option, "--out", str(path))
+        assert code == 0
+        assert json.loads(out)["construction"] == construction
+        sidecar = json.loads((tmp_path / "t.mpo.json").read_text())
+        assert sidecar["construction"] == construction
+
     @pytest.mark.parametrize("option,circuit", [
         (["--scheme", "standard"], generalized_circuit(64, RotationScheme("standard"))),
         (["--scheme", "base-n:2"], generalized_circuit(64, RotationScheme("base-n", base=2))),

@@ -12,7 +12,9 @@ from qftmpo.mpo import (
     MAX_OPERATOR_QUBITS,
     CanonicalMpo,
     _chebyshev_bound,
+    _fourier_site,
     _lagrange,
+    _sweep,
     fourier_mpo,
     from_dense_operator,
     hs_inner,
@@ -32,6 +34,7 @@ from conftest import (
     operator_entry,
     random_state,
     random_unitary,
+    reference_fourier_train,
 )
 
 EXACT = TruncationPolicy(1e-14)
@@ -307,6 +310,7 @@ class TestSerialization:
         meta = json.loads((tmp_path / "i.mpo.json").read_text())
         assert meta["n_qubits"] == 2
         assert meta["circuit_fingerprint"] == "fp"
+        assert meta["construction"] is None  # only `qftmpo build` knows how the chain was made
         assert "bond_spectra" in meta
 
 
@@ -320,14 +324,20 @@ class TestFourierMpo:
 
     def test_nodes_from_the_interpolation_bound(self):
         assert _chebyshev_bound(FOURIER_NODES) <= NOISE_FLOOR < _chebyshev_bound(FOURIER_NODES - 1)
-        assert FOURIER_NODES == 20
-        # the bound holds for e^{i w s} at the largest frequency, w = 2 pi
+        assert FOURIER_NODES == 16
         k = np.arange(FOURIER_NODES)
         nodes = (1 - np.cos((2 * k + 1) * np.pi / (2 * FOURIER_NODES))) / 2
+        assert _fourier_site(nodes, nodes).shape == (16, 4, 16)
+        # the bound holds for the centred coupling exp(2 pi i s (v - 1/2)),
+        # v over [0, 1): every frequency from -pi to pi. The bound is for
+        # exact arithmetic; the rounding of the double-precision basis is
+        # read off the constant 1, which the interpolant reproduces exactly
         s = np.linspace(0.0, 1.0, 2001)
-        for w in (np.pi, 2 * np.pi):
-            err = np.abs(_lagrange(s, nodes) @ np.exp(1j * w * nodes) - np.exp(1j * w * s))
-            assert err.max() <= _chebyshev_bound(FOURIER_NODES)
+        basis = _lagrange(s, nodes)
+        rounding = np.abs(basis.sum(axis=1) - 1).max()
+        w = 2 * np.pi * (np.arange(1024) / 1024 - 0.5)
+        err = np.abs(basis @ np.exp(1j * np.outer(nodes, w)) - np.exp(1j * np.outer(s, w)))
+        assert err.max() <= _chebyshev_bound(FOURIER_NODES) + rounding
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_dense_value(self, n):
@@ -356,6 +366,15 @@ class TestFourierMpo:
         capped = full.recanonicalize(TruncationPolicy(1e-14, 3))
         want = np.linalg.norm(capped.to_dense().data - full.to_dense().data)
         assert difference_norm(capped, full) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [128, 512, MAX_OPERATOR_QUBITS])
+    @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(1e-14, 16)])
+    def test_matches_uncentred_train(self, n, policy):
+        # past the dense caps: the 20-node train on the uncentred coupling
+        op = fourier_mpo(n, policy)
+        ref = _sweep(reference_fourier_train(n), policy)[0]
+        assert op.bond_ranks == ref.bond_ranks
+        assert difference_norm(op, ref) <= 1e-12 * float(np.linalg.norm(ref.gamma_vectors[0]))
 
     @pytest.mark.parametrize("n", [256, 512, MAX_OPERATOR_QUBITS])
     def test_closed_form_entries(self, n):
