@@ -527,10 +527,11 @@ def save_chain(path, kind: str, sites, bond_vectors, policy: TruncationPolicy | 
 def load_chain(path, kind: str):
     """Read a container written by `save_chain`; returns (site tensors,
     bond vectors) as read-only arrays. A truncated file, a header declaring
-    more data than the file holds or a NaN or inf entry fails with a
-    ValueError."""
+    more or less data than the file holds or a NaN or inf entry fails with
+    a ValueError."""
     magic = CONTAINER_MAGIC[kind]
-    f = io.BytesIO(Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    f = io.BytesIO(data)
     found = f.read(4)
     if found != magic:
         raise ValueError(f"bad container magic {found!r}, expected {magic!r}")
@@ -539,4 +540,7 @@ def load_chain(path, kind: str):
         raise ValueError(f"unsupported container version {version}")
     sites = [read_tensor_from(f) for _ in range(n)]
     bonds = [read_tensor_from(f).real for _ in range(n - 1)]
+    extra = len(data) - f.tell()
+    if extra:
+        raise ValueError(f"{extra} bytes after the last record of the container")
     return sites, bonds

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._canonical import train_from_vidal
+from ._canonical import train_from_vidal, two_site_update
 from .errors import NonAdjacentGateError, NumericalError
-from .mpo import CanonicalMpo, _absorb_pair, _single_site_apply, _sweep, identity_mpo, pair_operator
+from .mpo import CanonicalMpo, _sweep, identity_mpo, pair_operator
 from .tensor import DenseTensor, TruncationPolicy, check_unitary
 
 GATE_KINDS = ("h", "cphase", "swap", "generic")
@@ -362,8 +362,10 @@ class CompileTrace:
 
 
 def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
-    """Pair operator of consecutive gates on one pair as a (16, 16) matrix
-    over the fused legs, later gates to the left.
+    """Operator of consecutive gates on one site or one pair as a matrix
+    over the fused legs, later gates to the left: (4, 4) for a one-site
+    gate, kron(g, I), or kron(g, conj(g)) on side "both"; (16, 16) for a
+    pair run, the input of `_canonical.two_site_update`.
 
     Single gates and runs alike are cached in ``cache`` by their gates'
     (kind, angle, side) keys; a generic gate is lifted afresh each time.
@@ -373,10 +375,14 @@ def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
         key = tuple((g.kind, g.angle, g.side) for g in run)
         if key in cache:
             return cache[key]
-    if len(run) == 1:
-        op = pair_operator(run[0].dense_matrix(), run[0].side).reshape(16, 16)
-    else:
+    gate = run[0]
+    if len(run) > 1:
         op = _lift(run[-1:], cache) @ _lift(run[:-1], cache)
+    elif len(gate.sites) == 1:
+        g = gate.dense_matrix()
+        op = np.kron(g, g.conj() if gate.side == "both" else np.eye(2))
+    else:
+        op = pair_operator(gate.dense_matrix(), gate.side).reshape(16, 16)
     if key is not None:
         cache[key] = op
     return op
@@ -385,20 +391,21 @@ def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
 def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
                   rank_ceiling: int | None = None) -> CompileTrace:
     """Absorb the circuit's gates in order into the raw train of an
-    identity chain (see `mpo._absorb_pair`).
+    identity chain, kept as fused (l, 4, r) sites from seed to sweep.
 
-    Gates honour their side flag. A one-site gate is applied exactly. A
-    two-site gate, together with the two-site gates directly after it on
-    the same pair, is absorbed as one step: their product acts on the pair
-    and one exact SVD, dividing by no Schmidt value, re-truncates the
-    touched bond under ``policy``. Lifted pair operators are cached for
-    the compile. A ``rank_ceiling`` aborts compilation after the first
-    step that leaves a bond above it (the trace is then marked saturated).
-    One final sweep of the train gives the canonical chain.
+    Gates honour their side flag. A one-site gate is applied exactly, one
+    (4, 4) matmul on its site. A two-site gate, together with the two-site
+    gates directly after it on the same pair, is absorbed as one
+    `_canonical.two_site_update` step: their product acts on the pair and
+    one exact SVD, dividing by no Schmidt value, re-truncates the touched
+    bond under ``policy``. Lifted operators are cached for the compile. A
+    ``rank_ceiling`` aborts compilation after the first step that leaves a
+    bond above it (the trace is then marked saturated). One final sweep of
+    the train gives the canonical chain.
     """
     n = circuit.n_qubits
     start = identity_mpo(n)
-    sites = train_from_vidal(start.site_tensors, start.gamma_vectors)
+    sites = train_from_vidal(start._fused_sites(), start.gamma_vectors)
     bonds = list(start.gamma_vectors)
     eff_policy = policy
     if rank_ceiling is not None:
@@ -417,7 +424,7 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
         stop = idx + 1
         if len(gate.sites) == 1:
             s = gate.sites[0]
-            sites[s] = _single_site_apply(sites[s], gate.dense_matrix(), gate.side)
+            sites[s] = _lift(gates[idx:stop], cache) @ sites[s]
         else:
             a, b = gate.sites
             if b != a + 1:
@@ -427,13 +434,16 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
                 )
             while stop < len(gates) and gates[stop].sites == gate.sites:
                 stop += 1
-            weight += _absorb_pair(sites, bonds, a, _lift(gates[idx:stop], cache), eff_policy)
+            lam_left = bonds[a - 1] if a > 0 else np.ones(1)
+            sites[a], bonds[a], sites[b], dropped = two_site_update(
+                lam_left, sites[a], sites[b], _lift(gates[idx:stop], cache), eff_policy)
+            weight += dropped
             peak = max(peak, len(bonds[a]))
         idx = stop
         if rank_ceiling is not None and peak > rank_ceiling:
             return CompileTrace(None, True, idx, weight)
 
-    mpo, _ = _sweep([t.reshape(t.shape[0], 4, -1) for t in sites], policy)
+    mpo, _ = _sweep(sites, policy)
     return CompileTrace(mpo, False, len(gates), weight)
 
 

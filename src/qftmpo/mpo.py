@@ -69,34 +69,6 @@ def pair_operator(gate: np.ndarray, side: str) -> np.ndarray:
     return np.ascontiguousarray(p.reshape(4, 4, 4, 4))
 
 
-def _single_site_apply(site: np.ndarray, gate: np.ndarray, side: str) -> np.ndarray:
-    """One-qubit gate on a site tensor; exact, no bond is touched."""
-    out = np.einsum("xi,lijr->lxjr", gate, site)
-    if side == "both":
-        out = np.einsum("yj,lijr->liyr", gate.conj(), out)
-    elif side != "output":
-        raise ValueError(f"side must be 'output' or 'both', got {side!r}")
-    return out
-
-
-def _absorb_pair(sites: list, bonds: list, j: int, pair_op: np.ndarray,
-                 policy: TruncationPolicy) -> float:
-    """In-place two-site absorption on a raw train of right-canonical
-    sites, each with the bond vector on its right folded in, and its bond
-    vectors (see `_canonical.two_site_update`); returns discarded weight.
-
-    ``pair_op`` is a `pair_operator` result or its (16, 16) matrix, which
-    may be a product of several lifted gates."""
-    lam_l = bonds[j - 1] if j > 0 else np.ones(1)
-    b1, lam_new, b2, weight = _canonical.two_site_update(
-        lam_l, _fused(sites[j]), _fused(sites[j + 1]), pair_op, policy,
-    )
-    sites[j] = _unfused(b1)
-    sites[j + 1] = _unfused(b2)
-    bonds[j] = lam_new
-    return weight
-
-
 @dataclass(frozen=True, eq=False)
 class CanonicalMpo:
     """An operator chain in canonical form with norm-carrying bond vectors."""

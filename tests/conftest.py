@@ -9,17 +9,10 @@ import numpy as np
 import pytest
 
 import qftmpo
-from qftmpo._canonical import _split_bond, canonicalize_train, train_from_vidal
+from qftmpo._canonical import _split_bond, canonicalize_train, train_from_vidal, two_site_update
 from qftmpo.circuits import CircuitSpec, GateSpec, compile_to_mpo
 from qftmpo.errors import NumericalError
-from qftmpo.mpo import (
-    _absorb_pair,
-    _lagrange,
-    _single_site_apply,
-    _sweep,
-    identity_mpo,
-    pair_operator,
-)
+from qftmpo.mpo import _lagrange, _sweep, identity_mpo, pair_operator
 from qftmpo.tensor import DenseTensor, TruncationPolicy
 
 
@@ -62,18 +55,26 @@ def gate_mpo(n, *gates):
 
 
 def per_gate_reference(circuit, policy):
-    """Compile gate by gate, one exact SVD per two-site gate (no fused
+    """Compile gate by gate on the unfused (l, 2, 2, r) raw train, one
+    einsum per one-site gate and one exact SVD per two-site gate (no fused
     steps, no cached lifts): an independent path to check the compiler
     against."""
     start = identity_mpo(circuit.n_qubits)
     sites = train_from_vidal(start.site_tensors, start.gamma_vectors)
-    bonds = list(start.gamma_vectors)
+    bonds = [np.ones(1)] + list(start.gamma_vectors)  # bonds[j]: left of site j
     for gate in circuit.gates:
         j = gate.sites[0]
+        g = gate.dense_matrix()
         if len(gate.sites) == 1:
-            sites[j] = _single_site_apply(sites[j], gate.dense_matrix(), gate.side)
-        else:
-            _absorb_pair(sites, bonds, j, pair_operator(gate.dense_matrix(), gate.side), policy)
+            sites[j] = np.einsum("xi,lijr->lxjr", g, sites[j])
+            if gate.side == "both":
+                sites[j] = np.einsum("yj,lijr->liyr", g.conj(), sites[j])
+            continue
+        left, right = (sites[k].reshape(sites[k].shape[0], 4, -1) for k in (j, j + 1))
+        left, bonds[j + 1], right, _ = two_site_update(
+            bonds[j], left, right, pair_operator(g, gate.side), policy)
+        sites[j] = left.reshape(left.shape[0], 2, 2, -1)
+        sites[j + 1] = right.reshape(right.shape[0], 2, 2, -1)
     return _sweep([t.reshape(t.shape[0], 4, -1) for t in sites], policy)[0]
 
 

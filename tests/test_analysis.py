@@ -199,6 +199,19 @@ class TestPeriodicStudy:
         assert res.rows[0]["offset"] == 1
         assert res.rows[0]["max_peak_error"] < 1e-10
 
+    def test_inputs_built_once_per_size_and_period(self, monkeypatch):
+        built = []
+        original = analysis.CanonicalMps.from_periodic_state
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis.CanonicalMps, "from_periodic_state", counting)
+        res = periodic_study([8], [3, 5], rank_list=[4, 8])
+        assert len(res.rows) == 4
+        assert built == [(8, 3, 0), (8, 5, 0)]
+
 
 class TestAqftStudy:
     def test_growth_regime_passes_checks(self):

@@ -369,12 +369,13 @@ class TestBuildApply:
         assert code == 1 and out == ""
         assert err == f"qftmpo: error: need 4 bits of 0/1, got {bits!r}\n"
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "trailing"])
     def test_unreadable_operator_is_one_line_input_error(self, capsys, tmp_path, damage):
         mpo_path = tmp_path / "t.mpo"
-        if damage == "truncated":
+        if damage != "missing":
             run(capsys, "build", "--n", "4", "--out", str(mpo_path))
-            mpo_path.write_bytes(mpo_path.read_bytes()[:40])
+            raw = mpo_path.read_bytes()
+            mpo_path.write_bytes(raw[:40] if damage == "truncated" else raw + bytes(192))
         proc = run_cli_process("apply", "--mpo", str(mpo_path), "--r", "3")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr

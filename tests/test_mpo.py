@@ -313,6 +313,13 @@ class TestSerialization:
         assert meta["construction"] is None  # only `qftmpo build` knows how the chain was made
         assert "bond_spectra" in meta
 
+    def test_trailing_bytes_refused(self, tmp_path):
+        path = tmp_path / "i.mpo"
+        save_mpo(identity_mpo(3), path)
+        path.write_bytes(path.read_bytes() + bytes(192))
+        with pytest.raises(ValueError, match="^192 bytes after the last record"):
+            load_mpo(path)
+
 
 def fourier_dense(n):
     return dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]

@@ -214,3 +214,10 @@ class TestSerialization:
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(ValueError):
             load_mps(path)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        path = tmp_path / "p.mps"
+        save_mps(CanonicalMps.from_periodic_state(4, 3), path)
+        path.write_bytes(path.read_bytes() + bytes(192))
+        with pytest.raises(ValueError, match="^192 bytes after the last record"):
+            load_mps(path)
