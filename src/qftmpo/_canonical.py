@@ -9,7 +9,10 @@ tensors (gammas) plus one non-negative vector per bond whose entries are
 the Schmidt coefficients of the encoded vector across that bond. For a
 normalized chain each bond vector has unit 2-norm; otherwise every bond
 vector carries the full 2-norm of the vector, which is the convention used
-for operator chains.
+for operator chains. A dense vector is first split into an exact raw
+train by a QR cascade (`train_from_vector`). The conversion to gammas at
+the end of `canonicalize_train` is the one place that divides by a
+Schmidt value.
 
 Singular values below `tensor.NOISE_FLOOR` relative to the bond maximum
 are pure double-precision noise and are always dropped, independent of
@@ -211,12 +214,10 @@ def canonicalize_train(tensors, policy, *, normalize):
     ones = np.ones((1, 1), dtype=np.complex128)
     if n == 1:
         g = _right_multiply(sites[0], ones).reshape(1, -1, 1)
-        if normalize:
-            norm = np.linalg.norm(g)
-            if norm == 0.0:
-                raise NumericalError("chain encodes the zero vector")
-            g = g / norm
-        return [g], [], 0.0
+        norm = np.linalg.norm(g)
+        if norm == 0.0:
+            raise NumericalError("chain encodes the zero vector")
+        return [g / norm if normalize else g], [], 0.0
 
     plan = _sketch_plan(sites)
     sketches = _right_sketches(sites, *plan) if plan else [None] * (n - 1)
@@ -283,43 +284,20 @@ def canonicalize_train(tensors, policy, *, normalize):
     return gammas, stored, discarded
 
 
-def vidal_from_vector(vec, n_sites, phys_dim, policy, *, normalize):
-    """Canonical form of a dense vector over ``n_sites`` sites.
-
-    A straight left-to-right SVD cascade: at each bond the left block is
-    already an isometry, so the singular values are the exact Schmidt
-    coefficients of the remaining vector.
-    """
-    vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    if len(vec) != phys_dim**n_sites:
-        raise ValueError(
-            f"vector of length {len(vec)} does not factor into {n_sites} sites of dim {phys_dim}"
+def train_from_vector(vec, n_sites, phys_dim):
+    """Exact raw train of a dense vector over ``n_sites`` sites of dimension
+    ``phys_dim``, by a left-to-right QR cascade; `canonicalize_train` gives
+    its canonical form."""
+    if n_sites < 1:
+        raise DimensionMismatchError(
+            f"dense input of length {np.size(vec)} spans no qubit; at least one qubit is needed"
         )
-    if n_sites == 1:
-        g = vec.reshape(1, phys_dim, 1)
-        if normalize:
-            norm = np.linalg.norm(g)
-            if norm == 0.0:
-                raise NumericalError("zero vector")
-            g = g / norm
-        return [g], [], 0.0
-
-    gammas = []
-    bond_vectors = []
-    discarded = 0.0
-    rem = vec.reshape(1, -1)
-    prev = np.ones(1)
+    rem = np.asarray(vec, dtype=np.complex128).reshape(1, -1)
+    train = []
     for _ in range(n_sites - 1):
-        chi = rem.shape[0]
-        u, s, vh, dropped = _split_bond(rem.reshape(chi * phys_dim, -1), policy)
-        discarded += dropped
-        lam = s / np.linalg.norm(s) if normalize else s
-        gammas.append(u.reshape(chi, phys_dim, -1) / prev[:, None, None])
-        bond_vectors.append(lam)
-        rem = lam[:, None] * vh
-        prev = lam
-    gammas.append((rem / prev[:, None]).reshape(-1, phys_dim, 1))
-    return gammas, bond_vectors, discarded
+        q, rem = np.linalg.qr(rem.reshape(rem.shape[0] * phys_dim, -1))
+        train.append(q.reshape(-1, phys_dim, q.shape[1]))
+    return train + [rem.reshape(-1, phys_dim, 1)]
 
 
 def train_from_vidal(gammas, bond_vectors):

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._canonical import train_from_vidal, two_site_update
 from .errors import NonAdjacentGateError, NumericalError
-from .mpo import CanonicalMpo, _sweep, identity_mpo, pair_operator
+from .mpo import CanonicalMpo, _sweep, identity_mpo
 from .tensor import DenseTensor, TruncationPolicy, check_unitary
 
 GATE_KINDS = ("h", "cphase", "swap", "generic")
@@ -363,9 +363,11 @@ class CompileTrace:
 
 def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
     """Operator of consecutive gates on one site or one pair as a matrix
-    over the fused legs, later gates to the left: (4, 4) for a one-site
-    gate, kron(g, I), or kron(g, conj(g)) on side "both"; (16, 16) for a
-    pair run, the input of `_canonical.two_site_update`.
+    over the fused legs, later gates to the left: (4, 4) on one site,
+    (16, 16) on a pair, the input of `_canonical.two_site_update`. A gate g
+    lifts to kron(g, I), or kron(g, conj(g)) on side "both", over (outputs,
+    inputs); a pair gate's legs are then regrouped into the fused order
+    (y1 x1)(y2 x2) of its two sites.
 
     Single gates and runs alike are cached in ``cache`` by their gates'
     (kind, angle, side) keys; a generic gate is lifted afresh each time.
@@ -375,14 +377,13 @@ def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
         key = tuple((g.kind, g.angle, g.side) for g in run)
         if key in cache:
             return cache[key]
-    gate = run[0]
     if len(run) > 1:
         op = _lift(run[-1:], cache) @ _lift(run[:-1], cache)
-    elif len(gate.sites) == 1:
-        g = gate.dense_matrix()
-        op = np.kron(g, g.conj() if gate.side == "both" else np.eye(2))
     else:
-        op = pair_operator(gate.dense_matrix(), gate.side).reshape(16, 16)
+        g = run[0].dense_matrix()
+        op = np.kron(g, g.conj() if run[0].side == "both" else np.eye(len(g)))
+        if len(g) == 4:  # (y1 y2 x1 x2) -> (y1 x1 y2 x2), rows and columns
+            op = op.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
     if key is not None:
         cache[key] = op
     return op

@@ -49,26 +49,6 @@ def _unfused(site: np.ndarray) -> np.ndarray:
     return site.reshape(shp[0], 2, 2, shp[2])
 
 
-def pair_operator(gate: np.ndarray, side: str) -> np.ndarray:
-    """Lift a two-qubit gate to the fused (output, input) legs of two sites.
-
-    side="output" multiplies the gate onto the output legs only;
-    side="both" also conjugates the input legs with the same gate, which is
-    how bookkeeping swaps track the input ordering alongside the output.
-    Returns legs (new1, new2, old1, old2) over the fused dimension 4.
-    """
-    g4 = gate.reshape(2, 2, 2, 2)
-    if side == "output":
-        eye = np.eye(2, dtype=np.complex128)
-        p = np.einsum("aceg,bf,dh->abcdefgh", g4, eye, eye)
-    elif side == "both":
-        c4 = gate.conj().reshape(2, 2, 2, 2)
-        p = np.einsum("aceg,bdfh->abcdefgh", g4, c4)
-    else:
-        raise ValueError(f"side must be 'output' or 'both', got {side!r}")
-    return np.ascontiguousarray(p.reshape(4, 4, 4, 4))
-
-
 @dataclass(frozen=True, eq=False)
 class CanonicalMpo:
     """An operator chain in canonical form with norm-carrying bond vectors."""
@@ -317,7 +297,8 @@ def identity_mpo(n: int) -> CanonicalMpo:
 
 def from_dense_operator(mat) -> CanonicalMpo:
     """Canonical operator chain of a dense matrix (for cross-checks and
-    small reference operators); only noise-floor singular values are
+    small reference operators), by the QR cascade and sweep of
+    `_canonical.train_from_vector`; only noise-floor singular values are
     dropped."""
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -329,10 +310,7 @@ def from_dense_operator(mat) -> CanonicalMpo:
     split = arr.reshape((2,) * (2 * n))  # (i_0..i_{n-1}, j_0..j_{n-1})
     perm = [ax for k in range(n) for ax in (k, n + k)]
     vec = np.transpose(split, perm).reshape(-1)
-    gammas, bond_vectors, _ = _canonical.vidal_from_vector(
-        vec, n, 4, TruncationPolicy(), normalize=False
-    )
-    return CanonicalMpo(tuple(_unfused(g) for g in gammas), tuple(bond_vectors))
+    return _sweep(_canonical.train_from_vector(vec, n, 4), TruncationPolicy())[0]
 
 
 def hs_inner(a: CanonicalMpo, b: CanonicalMpo) -> complex:

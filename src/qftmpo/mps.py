@@ -111,8 +111,8 @@ class CanonicalMps:
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"state norm {norm} is not 1 within 1e-8")
-        gammas, lambdas, _ = _canonical.vidal_from_vector(
-            arr, n, 2, TruncationPolicy(), normalize=True
+        gammas, lambdas, _ = _canonical.canonicalize_train(
+            _canonical.train_from_vector(arr, n, 2), TruncationPolicy(), normalize=True
         )
         return cls(tuple(gammas), tuple(lambdas))
 

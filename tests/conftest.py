@@ -12,7 +12,7 @@ import qftmpo
 from qftmpo._canonical import _split_bond, canonicalize_train, train_from_vidal, two_site_update
 from qftmpo.circuits import CircuitSpec, GateSpec, compile_to_mpo
 from qftmpo.errors import NumericalError
-from qftmpo.mpo import _lagrange, _sweep, identity_mpo, pair_operator
+from qftmpo.mpo import _lagrange, _sweep, identity_mpo
 from qftmpo.tensor import DenseTensor, TruncationPolicy
 
 
@@ -54,11 +54,25 @@ def gate_mpo(n, *gates):
     return compile_to_mpo(CircuitSpec(n, specs), TruncationPolicy(1e-14))
 
 
+def einsum_pair_operator(gate, side):
+    """A two-qubit gate on the fused (output, input) legs of two sites, by
+    one einsum: legs (new1, new2, old1, old2) over the fused dimension 4.
+    side "output" acts on the output legs only; side "both" also
+    conjugates the input legs with the gate."""
+    g4 = gate.reshape(2, 2, 2, 2)
+    if side == "output":
+        eye = np.eye(2, dtype=np.complex128)
+        p = np.einsum("aceg,bf,dh->abcdefgh", g4, eye, eye)
+    else:
+        p = np.einsum("aceg,bdfh->abcdefgh", g4, gate.conj().reshape(2, 2, 2, 2))
+    return np.ascontiguousarray(p.reshape(4, 4, 4, 4))
+
+
 def per_gate_reference(circuit, policy):
     """Compile gate by gate on the unfused (l, 2, 2, r) raw train, one
-    einsum per one-site gate and one exact SVD per two-site gate (no fused
-    steps, no cached lifts): an independent path to check the compiler
-    against."""
+    einsum per one-site gate and one exact SVD per two-site gate, lifted by
+    `einsum_pair_operator` (no fused steps, no cached Kronecker lifts): an
+    independent path to check the compiler against."""
     start = identity_mpo(circuit.n_qubits)
     sites = train_from_vidal(start.site_tensors, start.gamma_vectors)
     bonds = [np.ones(1)] + list(start.gamma_vectors)  # bonds[j]: left of site j
@@ -72,7 +86,7 @@ def per_gate_reference(circuit, policy):
             continue
         left, right = (sites[k].reshape(sites[k].shape[0], 4, -1) for k in (j, j + 1))
         left, bonds[j + 1], right, _ = two_site_update(
-            bonds[j], left, right, pair_operator(g, gate.side), policy)
+            bonds[j], left, right, einsum_pair_operator(g, gate.side), policy)
         sites[j] = left.reshape(left.shape[0], 2, 2, -1)
         sites[j + 1] = right.reshape(right.shape[0], 2, 2, -1)
     return _sweep([t.reshape(t.shape[0], 4, -1) for t in sites], policy)[0]

@@ -345,6 +345,20 @@ def counting(monkeypatch, name):
     return calls
 
 
+def lifted_gates(monkeypatch):
+    """Record the gates compile_trace lifts: each lift reads its gate's
+    matrix once, and a cached lift reads none."""
+    calls = []
+    original = GateSpec.dense_matrix
+
+    def wrapper(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GateSpec, "dense_matrix", wrapper)
+    return calls
+
+
 class TestFusedSteps:
     @pytest.mark.parametrize("circ", [
         nearest_neighbor_qft_circuit(16),
@@ -388,15 +402,15 @@ class TestFusedSteps:
         assert [len(args[0]) for args in steps] == [1, 2, 1]
 
     def test_lifted_operators_cached_per_key(self, monkeypatch):
-        lifted = counting(monkeypatch, "pair_operator")
+        lifted = lifted_gates(monkeypatch)
         compile_trace(nearest_neighbor_qft_circuit(8), EXACT)
-        assert len(lifted) == 8  # seven cphase angles and the swap
+        assert len(lifted) == 9  # the Hadamard, seven cphase angles and the swap
 
     def test_generic_gates_lifted_each_time(self, monkeypatch, rng):
-        lifted = counting(monkeypatch, "pair_operator")
+        lifted = lifted_gates(monkeypatch)
         gate = GateSpec("generic", (0, 1), matrix=DenseTensor(random_unitary(rng, 4)))
         compile_trace(CircuitSpec(2, (gate, GateSpec("h", (0,)), gate)), EXACT)
-        assert len(lifted) == 2
+        assert [g.kind for g in lifted] == ["generic", "h", "generic"]
 
     def test_ceiling_counts_through_fused_step(self):
         circ = CircuitSpec(2, (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qftmpo import _canonical
-from qftmpo.circuits import compile_to_mpo, nearest_neighbor_qft_circuit
+from qftmpo.circuits import GateSpec, _lift, compile_to_mpo, nearest_neighbor_qft_circuit
 from qftmpo.errors import DimensionMismatchError, NumericalError
 from qftmpo.mpo import (
     FOURIER_NODES,
@@ -20,15 +20,15 @@ from qftmpo.mpo import (
     hs_inner,
     identity_mpo,
     load_mpo,
-    pair_operator,
     save_mpo,
 )
 from qftmpo.mps import CanonicalMps
-from qftmpo.oracle import bit_reversal_permutation, dense_qft_matrix
+from qftmpo.oracle import bit_reversal_permutation, dense_operator_schmidt, dense_qft_matrix
 from qftmpo.tensor import NOISE_FLOOR, DenseTensor, TruncationPolicy
 
 from conftest import (
     difference_norm,
+    einsum_pair_operator,
     fourier_entry,
     gate_mpo,
     operator_entry,
@@ -93,29 +93,46 @@ class TestIdentityMpo:
 
 
 class TestPairOperator:
+    """`circuits._lift` of one two-site gate, a Kronecker lift regrouped
+    into fused legs, against the einsum lift of the test reference."""
+
+    @staticmethod
+    def identity_action(pair):
+        # the lifted operator acting on the vectorized identity of a pair
+        theta = np.eye(4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+        out = pair @ theta
+        return out.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+
+    @pytest.mark.parametrize("spec", [
+        GateSpec("cphase", (0, 1), angle=0.3),
+        GateSpec("swap", (0, 1), side="both"),
+    ], ids=["output", "both"])
+    def test_lift_matches_einsum_reference(self, spec):
+        # the two pair lifts of the nearest-neighbour cascades
+        pair = _lift((spec,), {})
+        assert pair.shape == (16, 16)
+        want = einsum_pair_operator(spec.dense_matrix(), spec.side).reshape(16, 16)
+        assert np.array_equal(pair, want)
+
+    @pytest.mark.parametrize("side", ["output", "both"])
+    def test_generic_lift_matches_einsum_reference(self, rng, side):
+        gate = random_unitary(rng, 4)
+        pair = _lift((GateSpec("generic", (0, 1), matrix=DenseTensor(gate), side=side),), {})
+        want = einsum_pair_operator(gate, side).reshape(16, 16)
+        # bit for bit on the output side; on both sides kron's complex
+        # products g * conj(g') may round differently from einsum's
+        tol = 0.0 if side == "output" else 4 * np.finfo(float).eps
+        assert np.max(np.abs(pair - want)) <= tol
+
     def test_output_side_identity_action(self, rng):
         gate = random_unitary(rng, 4)
-        pair = pair_operator(gate, "output")
-        assert pair.shape == (4, 4, 4, 4)
-        # acting on vectorized identity pairs must reproduce the gate
-        theta = np.zeros((1, 4, 4, 1), dtype=complex)
-        theta[0, :, :, 0] = np.eye(4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-        out = np.einsum("xypq,apqc->axyc", pair, theta)[0, :, :, 0]
-        got = out.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-        assert np.allclose(got, gate, atol=1e-13)
+        pair = _lift((GateSpec("generic", (0, 1), matrix=DenseTensor(gate)),), {})
+        assert np.allclose(self.identity_action(pair), gate, atol=1e-13)
 
     def test_both_sides_identity_invisible(self, rng):
         gate = random_unitary(rng, 4)
-        pair = pair_operator(gate, "both")
-        theta = np.zeros((1, 4, 4, 1), dtype=complex)
-        theta[0, :, :, 0] = np.eye(4).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-        out = np.einsum("xypq,apqc->axyc", pair, theta)[0, :, :, 0]
-        got = out.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-        assert np.allclose(got, np.eye(4), atol=1e-13)
-
-    def test_bad_side(self, rng):
-        with pytest.raises(ValueError):
-            pair_operator(np.eye(4), "left")
+        pair = _lift((GateSpec("generic", (0, 1), matrix=DenseTensor(gate), side="both"),), {})
+        assert np.allclose(self.identity_action(pair), np.eye(4), atol=1e-13)
 
 
 class TestAbsorbGate:
@@ -191,6 +208,26 @@ class TestDenseRoundTrip:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             from_dense_operator(np.zeros((4, 8)))
+
+    def test_rejects_zero_qubits(self):
+        with pytest.raises(DimensionMismatchError, match="at least one qubit"):
+            from_dense_operator(np.ones((1, 1)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_zero_operator(self, n):
+        # the single-site sweep refuses a zero chain as the bond SVDs do
+        with pytest.raises(NumericalError, match="zero vector"):
+            from_dense_operator(np.zeros((2**n, 2**n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bond_vectors_are_operator_schmidt_coefficients(self, rng, n):
+        mat = random_unitary(rng, 2**n)
+        op = from_dense_operator(mat)
+        for cut in range(1, n):
+            want = dense_operator_schmidt(mat, cut)
+            got = op.gamma_vectors[cut - 1]
+            assert len(got) == len(want)
+            assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
 
 
 class TestApplyToMps:
