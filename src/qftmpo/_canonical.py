@@ -23,15 +23,14 @@ while the output often needs far fewer Schmidt vectors. Where a product
 bond is much wider than that, the left-to-right pass of
 `canonicalize_train` replaces the exact triangular factor by the range
 found with a seeded Gaussian sketch of the right block (a randomized range
-finder, Halko, Martinsson & Tropp 2011), and checks the sketch's tail: a
-sketch that may have missed part of the range falls back to the exact
-factor. Where a sketch held, the left pass keeps the sketch's range basis
-Q_j of each bond up to the first saturated sketch (a reduced QR supplies
-it on the exact bonds among them), and the right-to-left pass truncates
-those bonds on the compressed train, through one small product Q_j C per
-bond, in place of contracting the state and operator factors again over
-the product bond. Plain trains are never sketched, and their sweeps are
-exact.
+finder, Halko, Martinsson & Tropp 2011), and checks the sketch's tail.
+The sweep makes one decision: if every sketch held, the left pass keeps
+the range basis Q_j of every bond (a reduced QR supplies it on the bonds
+too narrow to sketch), and the right-to-left pass truncates the
+compressed train, through one small product Q_j C per bond, in place of
+contracting the state and operator factors again over the product bond;
+if any sketch may have missed part of the range, the whole sweep is the
+exact one. Plain trains are never sketched, and their sweeps are exact.
 
 The chain invariants (structure, bond norms, canonical defect) and the
 binary container live here once for both chain kinds; the ``normalize``
@@ -127,37 +126,38 @@ def _right_multiply(site, carry):
     return (site.reshape(chi_l * d, chi_r) @ carry).reshape(chi_l, -1)
 
 
-def _sketch_plan(sites):
-    """(sketch width, first bond wide enough to sketch) for a train of
-    factor pairs, or None where nothing is sketched: for plain trains, and
-    where no left factor of the exact pass, whose row counts bound those of
-    a sketched pass, would have more than SKETCH_SLACK times the width.
+def _sketched_left_pass(sites):
+    """The left pass by a randomized range finder: (Q_j of every bond, the
+    last left factor F_{n-2}), or None where the exact pass runs instead.
 
-    The width is twice the widest state bond plus a margin of 16: the
-    transform's output rank stayed below twice the input rank on the
-    inputs measured (58 for rank-31 periodic states). A rank cap does not
-    narrow it, because the left pass must hold the untruncated range;
-    truncation happens only in the right pass. The width decides only the
-    speed; a bond whose sketch saturates is factored exactly.
+    Only trains of factor pairs are sketched, and only where some left
+    factor of the exact pass, whose row counts bound those of a sketched
+    pass, would have more than SKETCH_SLACK times the sketch width; bond
+    ``first`` is the first such one. The width is twice the widest state
+    bond plus a margin of 16: the transform's output rank stayed below
+    twice the input rank on the inputs measured (58 for rank-31 periodic
+    states). A rank cap does not narrow it, because the left pass must hold
+    the untruncated range; truncation happens only in the right pass.
+
+    E_j, a (chi_j, width) sketch of the block right of bond j >= ``first``,
+    is (site_{j+1} * E_{j+1}) Omega_j, with complex Gaussian Omega_j drawn
+    from a generator seeded here, so a sweep is reproducible and the global
+    random state is left alone. Each E_j is scaled to unit Frobenius norm;
+    the range tests depend only on its column space. A bond too narrow to
+    sketch keeps the Q of a reduced QR. The first range test
+    (`_sketch_holds`) runs at bond ``first``, and the first that fails
+    returns None.
     """
     if not isinstance(sites[0], tuple):
         return None
     width = 2 * max(state.shape[2] for state, _ in sites) + 16
     rows = 1
-    for j, (state, op) in enumerate(sites[:-1]):
+    for first, (state, op) in enumerate(sites[:-1]):
         rows = min(rows * op.shape[1], state.shape[2] * op.shape[3])
         if rows > SKETCH_SLACK * width:
-            return width, j
-    return None
-
-
-def _right_sketches(sites, width, first):
-    """Sketch E_j, a (chi_j, width) matrix, of the block right of each bond
-    j >= ``first`` (None for the bonds before it): E_j = (site_{j+1} *
-    E_{j+1}) Omega_j, with complex Gaussian Omega_j drawn from a generator
-    seeded here, so a sweep is reproducible and the global random state is
-    left alone. Each E_j is scaled to unit Frobenius norm; the range tests
-    depend only on its column space."""
+            break
+    else:
+        return None
     rng = np.random.default_rng(SKETCH_SEED)
     sketches = [None] * (len(sites) - 1)
     e = np.ones((1, 1), dtype=np.complex128)
@@ -166,7 +166,19 @@ def _right_sketches(sites, width, first):
         e = t @ rng.standard_normal((t.shape[1], 2 * width)).view(np.complex128)
         e /= np.linalg.norm(e) or 1.0
         sketches[j - 1] = e
-    return sketches
+    ranges = []
+    factor = np.ones((1, 1), dtype=np.complex128)
+    for site, sketch in zip(sites, sketches):
+        m = _left_multiply(factor, site)
+        if sketch is not None and min(m.shape) > SKETCH_SLACK * width:
+            q, r = np.linalg.qr(m @ sketch)
+            if not _sketch_holds(np.linalg.svd(r, compute_uv=False)):
+                return None
+            factor = q.conj().T @ m
+        else:
+            q, factor = np.linalg.qr(m)
+        ranges.append(q)
+    return ranges, factor
 
 
 def canonicalize_train(tensors, policy, *, normalize):
@@ -178,32 +190,30 @@ def canonicalize_train(tensors, policy, *, normalize):
 
     The left-to-right sweep keeps a small factor F_j per bond: the left
     block up to bond j equals Q_j F_j on every vector the sites to its
-    right can produce, with Q_j an isometry. Usually F_j is the triangular
-    QR factor of M = F_{j-1} * site_j. For factor pairs whose product
-    bonds are much wider than the output rank, a randomized range finder
-    shrinks it instead (`_right_sketches`): with E_j a Gaussian sketch of
-    the block right of bond j, Q R = qr(M E_j); if R's smallest singular
-    value is at most SKETCH_TAIL of its largest, the range of M E_j holds
-    that of M times the right block to that tail, and F_j = Q^dag M has as
-    many rows as E_j has columns, in place of chi_j. A saturated sketch
-    falls back to the triangular factor and ends sketching for the sweep.
+    right can produce, with Q_j an isometry. In the exact sweep F_j is the
+    triangular QR factor of M = F_{j-1} * site_j. For factor pairs whose
+    product bonds are much wider than the output rank, a randomized range
+    finder shrinks it instead (`_sketched_left_pass`): with E_j a Gaussian
+    sketch of the block right of bond j, Q R = qr(M E_j); if R's smallest
+    singular value is at most SKETCH_TAIL of its largest, the range of
+    M E_j holds that of M times the right block to that tail, and
+    F_j = Q^dag M has as many rows as E_j has columns, in place of chi_j.
+    That pass keeps Q_j of every bond. If any of its sketches saturates,
+    the whole sweep is the exact one, from the first bond, bit for bit.
     Plain trains are never sketched.
 
     The right-to-left sweep carries a matrix C instead of the left blocks:
     with X = site_j * C, the SVD of F_{j-1} X = U S Vh truncates bond j-1
-    and gives the right-isometric site Vh; the next carry is X Vh^dag,
-    because F_{j-1} X Vh^dag = U S. The singular values are the Schmidt
-    coefficients across each bond, as if every left block had been made
-    isometric. Where a sketch held, the left sweep also keeps Q_j of every
-    bond left of the first saturated sketch: the sketch's Q, or the Q of a
-    reduced QR on an exact bond, whose R has the same bits as the
-    triangular factor. From the rightmost of those bonds on, the carry is
-    the compressed C' = U S (k_{j-1}, k'), and F_{j-1} * site_j * (the
-    product carry) is Q_j C' reshaped to (k_{j-1}, d k'): one small
-    product in place of the two contractions over the chi_S chi_O-wide
-    product bond. Where no sketch held, the Q_j are dropped and the sweep
-    is the exact one, bit for bit. With ``normalize`` the bond vectors are
-    rescaled to unit 2-norm and the encoded vector to norm 1.
+    and gives the right-isometric site Vh. In the exact sweep the next
+    carry is X Vh^dag, because F_{j-1} X Vh^dag = U S. After a sketched
+    left pass only the last bond takes F_{n-2} X; from there on the carry
+    is the compressed C' = U S (k_{j-1}, k'), and F_{j-1} * site_j * (the
+    product carry) is Q_j C' reshaped to (k_{j-1}, d k'): one small product
+    in place of the two contractions over the chi_S chi_O-wide product
+    bond. The singular values are the Schmidt coefficients across each
+    bond, as if every left block had been made isometric. With
+    ``normalize`` the bond vectors are rescaled to unit 2-norm and the
+    encoded vector to norm 1.
 
     Returns (gammas, bond_vectors, discarded_weight).
     """
@@ -219,53 +229,32 @@ def canonicalize_train(tensors, policy, *, normalize):
             raise NumericalError("chain encodes the zero vector")
         return [g / norm if normalize else g], [], 0.0
 
-    plan = _sketch_plan(sites)
-    sketches = _right_sketches(sites, *plan) if plan else [None] * (n - 1)
-    ranges = []  # Q_j of the bonds left of the first saturated sketch
-    keep, held = plan is not None, False
-    factors = {}  # F_j, dropped left of a bond with Q once a sketch held
-    factor = ones
-    for j in range(n - 1):  # left-to-right: small factors only
-        m = _left_multiply(factor, sites[j])
-        factor = None
-        if sketches[j] is not None and min(m.shape) > SKETCH_SLACK * sketches[j].shape[1]:
-            q, r = np.linalg.qr(m @ sketches[j])
-            if _sketch_holds(np.linalg.svd(r, compute_uv=False)):
-                factor = q.conj().T @ m
-                held = True
-            else:  # bond ranks change slowly: the next sketches would saturate too
-                sketches = [None] * (n - 1)
-                keep = False
-        if factor is None:
-            if keep:
-                q, factor = np.linalg.qr(m)
-            else:
-                factor = np.linalg.qr(m, mode="r")
-        if keep:
-            ranges.append(q)
-            if held:  # the right pass reads no F left of the last bond with Q
-                factors.clear()
-        factors[j] = factor
-    if not held:  # the exact sweep, bit for bit
-        ranges = []
+    sketched = _sketched_left_pass(sites)
+    if sketched:
+        ranges, factor = sketched
+        factors = [factor]  # the right pass reads F_{n-2} alone
+    else:  # the exact left pass: triangular factors only
+        factors, factor = [], ones
+        for site in sites[:-1]:
+            factor = np.linalg.qr(_left_multiply(factor, site), mode="r")
+            factors.append(factor)
 
     work = [None] * n
     bond_vectors = [None] * (n - 1)
     discarded = 0.0
     carry = ones
-    p = len(ranges)
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
-        if j < p:  # compressed carry C' = U S: Q_j C' = F_{j-1} * site_j * (X Vh^dag)
+        if sketched and j < n - 1:  # compressed carry C' = U S: Q_j C' = F_{j-1} * site_j * (X Vh^dag)
             y = (ranges[j] @ carry).reshape(ranges[j - 1].shape[1], -1)
         else:
             x = _right_multiply(sites[j], carry)
-            y = factors[j - 1] @ x
+            y = factors.pop() @ x  # F_{j-1}
         u, s, vh, dropped = _split_bond(y, policy)
         discarded += dropped
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(len(s), -1, carry.shape[1])
-        carry = u * s if j <= p else x @ vh.conj().T
-    last = ranges[0] @ carry if p else _right_multiply(sites[0], carry)
+        carry = u * s if sketched else x @ vh.conj().T
+    last = ranges[0] @ carry if sketched else _right_multiply(sites[0], carry)
     work[0] = last.reshape(1, -1, carry.shape[1])
 
     # work[0] now carries the full norm; work[1:] are right-isometric with

@@ -141,11 +141,11 @@ def _cmd_build(args) -> None:
 
 
 def _cmd_apply(args) -> None:
+    if (args.r is None) == (args.bits is None):
+        raise ValueError("give exactly one of --r (periodic input) or --bits")
     mpo = load_mpo(args.mpo)
     n = mpo.n_qubits
     policy = TruncationPolicy(args.cutoff)
-    if (args.r is None) == (args.bits is None):
-        raise ValueError("give exactly one of --r (periodic input) or --bits")
     # operator convention: input register enters bit-reversed
     if args.bits is not None:
         state = CanonicalMps.from_basis_state(n, _parse_bits(args.bits, n)[::-1])

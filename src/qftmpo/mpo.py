@@ -133,8 +133,9 @@ class CanonicalMpo:
         ranks, is never formed. Where the product bonds are much wider
         than the output rank, the left pass sketches them down to a range
         basis, and the right pass truncates that compressed train, not the
-        product. The sweep restores canonical form and truncates per
-        ``policy``; the result is renormalized to unit norm.
+        product; if any sketch saturates, the sweep is the exact one. The
+        sweep restores canonical form and truncates per ``policy``; the
+        result is renormalized to unit norm.
         """
         if self.n_qubits != state.n_qubits:
             raise DimensionMismatchError(
@@ -303,7 +304,7 @@ def from_dense_operator(mat) -> CanonicalMpo:
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"need a square matrix, got shape {arr.shape}")
-    n = int(math.log2(arr.shape[0]))
+    n = int(math.log2(arr.shape[0])) if arr.shape[0] else 0
     if 2**n != arr.shape[0]:
         raise DimensionMismatchError(f"matrix dimension {arr.shape[0]} is not a power of two")
     check_dense_size(n, DENSE_OPERATOR_LIMIT, "dense operator matrix")

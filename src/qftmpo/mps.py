@@ -105,7 +105,7 @@ class CanonicalMps:
         """Canonical form of a dense state vector (unit norm within 1e-8);
         only noise-floor Schmidt values are dropped."""
         arr = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        n = int(math.log2(len(arr)))
+        n = int(math.log2(len(arr))) if len(arr) else 0
         if 2**n != len(arr):
             raise DimensionMismatchError(f"state length {len(arr)} is not a power of two")
         norm = np.linalg.norm(arr)

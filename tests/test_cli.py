@@ -354,11 +354,15 @@ class TestBuildApply:
     def test_apply_needs_exactly_one_input(self, capsys, tmp_path):
         mpo_path = tmp_path / "t.mpo"
         run(capsys, "build", "--n", "4", "--out", str(mpo_path))
+        usage = "give exactly one of --r (periodic input) or --bits"
         code, _, err = run(capsys, "apply", "--mpo", str(mpo_path))
-        assert code == 1
+        assert code == 1 and usage in err
         code, _, err = run(capsys, "apply", "--mpo", str(mpo_path),
                            "--r", "3", "--bits", "0000")
-        assert code == 1
+        assert code == 1 and usage in err
+        # the usage error comes before the operator file is read
+        code, _, err = run(capsys, "apply", "--mpo", str(tmp_path / "missing.mpo"))
+        assert code == 1 and usage in err
 
     @pytest.mark.parametrize("bits", ["０110", "01x0", "012"],
                              ids=["fullwidth-zero", "letter", "wrong-length"])

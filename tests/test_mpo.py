@@ -213,6 +213,10 @@ class TestDenseRoundTrip:
         with pytest.raises(DimensionMismatchError, match="at least one qubit"):
             from_dense_operator(np.ones((1, 1)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError, match="dimension 0 is not a power of two"):
+            from_dense_operator(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_rejects_zero_operator(self, n):
         # the single-site sweep refuses a zero chain as the bond SVDs do

@@ -87,6 +87,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CanonicalMps.from_dense(np.ones(6) / math.sqrt(6))
 
+    def test_from_dense_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError, match="state length 0 is not a power of two"):
+            CanonicalMps.from_dense(np.ones(0))
+
     def test_from_dense_rejects_zero_qubits(self):
         with pytest.raises(DimensionMismatchError, match="at least one qubit"):
             CanonicalMps.from_dense(np.ones(1))

@@ -10,6 +10,7 @@ import pytest
 from conftest import reference_apply, reference_canonicalize_train
 from qftmpo import _canonical
 from qftmpo.circuits import compile_to_mpo, nearest_neighbor_qft_circuit
+from qftmpo.mpo import fourier_mpo
 from qftmpo.mps import CanonicalMps
 from qftmpo.tensor import TruncationPolicy
 from test_sweep import assert_same_bonds, peak_probability, train_overlap
@@ -44,12 +45,6 @@ def periodic_input(n, period):
     return CanonicalMps.from_periodic_state(n, period).reverse_qubits()
 
 
-def pair_train(op, state):
-    """The (state, operator) factor pairs that `apply_to_mps` sweeps."""
-    return list(zip(_canonical.train_from_vidal(state.gammas, state.lambdas),
-                    _canonical.train_from_vidal(op.site_tensors, op.gamma_vectors)))
-
-
 def range_tests(monkeypatch, saturate_from=math.inf):
     """Record the outcome of every sketch range test from now on; the tests
     from the ``saturate_from``-th on (counting from 0) report a saturated
@@ -67,6 +62,18 @@ def range_tests(monkeypatch, saturate_from=math.inf):
 
 def infidelity(a, b):
     return 1 - abs(train_overlap(list(a.gammas), a.lambdas, list(b.gammas), b.lambdas)) ** 2
+
+
+def assert_bitwise_equal(a, b):
+    assert all(np.array_equal(x, y) for x, y in zip(a.gammas, b.gammas))
+    assert all(np.array_equal(x, y) for x, y in zip(a.lambdas, b.lambdas))
+
+
+def exact_sweep(op, state, policy, monkeypatch):
+    """The apply with the sketched left pass switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(_canonical, "_sketched_left_pass", lambda sites: None)
+        return op.apply_to_mps(state, policy)
 
 
 def test_periodic_apply_is_sketched(op20, monkeypatch):
@@ -88,8 +95,7 @@ def test_sketched_apply_is_reproducible(op20):
     first = op20.apply_to_mps(state, EXACT)
     second = op20.apply_to_mps(state, EXACT)
     assert np.array_equal(np.random.get_state()[1], before)
-    assert all(np.array_equal(a, b) for a, b in zip(first.gammas, second.gammas))
-    assert all(np.array_equal(a, b) for a, b in zip(first.lambdas, second.lambdas))
+    assert_bitwise_equal(first, second)
 
 
 @pytest.mark.parametrize("period", [29, 31])
@@ -102,6 +108,22 @@ def test_peaks_at_n64(op64, period):
         y = q + (1 if 2 * rem > period else 0)
         got = abs(out.amplitude(format(y, f"0{n}b"))) ** 2
         assert abs(got - peak_probability(n, period, y)) <= 1e-12
+
+
+def test_range_test_traffic(monkeypatch):
+    # every range test holds on the periodic applies of the apply-n20
+    # benchmark (reversed input, rank-16 operator), and natural order
+    # saturates at the first test: no benchmark apply throws a held
+    # sketch away
+    op = fourier_mpo(20, TruncationPolicy(1e-14, 16))
+    outcomes = range_tests(monkeypatch)
+    for period in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        outcomes.clear()
+        op.apply_to_mps(periodic_input(20, period), EXACT)
+        assert outcomes and all(outcomes), period
+    outcomes.clear()
+    op.apply_to_mps(CanonicalMps.from_periodic_state(20, 31), EXACT)
+    assert outcomes == [False]
 
 
 @pytest.mark.parametrize(
@@ -118,17 +140,9 @@ def test_saturated_sketch_falls_back_to_exact(op20, monkeypatch, reverse, policy
     if reverse:
         state = state.reverse_qubits()
     outcomes = range_tests(monkeypatch, saturate_from=0 if reverse else math.inf)
-    calls = qr_calls(monkeypatch)
     out = op20.apply_to_mps(state, policy)
     assert outcomes == [False]
-    width, first = _canonical._sketch_plan(pair_train(op20, state))
-    # the exact bonds left of the sketch keep Q until the sketch saturates
-    assert [shape[1] == width for shape, _ in calls].count(True) == 1
-    assert [mode for _, mode in calls].count("reduced") == first + 1
-    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites: None)
-    exact = op20.apply_to_mps(state, policy)
-    assert all(np.array_equal(a, b) for a, b in zip(out.gammas, exact.gammas))
-    assert all(np.array_equal(a, b) for a, b in zip(out.lambdas, exact.lambdas))
+    assert_bitwise_equal(out, exact_sweep(op20, state, policy, monkeypatch))
     if policy is EXACT:
         ref_g, ref_l, _ = reference_apply(op20, state, policy)
         got_g = list(out.gammas)
@@ -137,17 +151,14 @@ def test_saturated_sketch_falls_back_to_exact(op20, monkeypatch, reverse, policy
 
 
 def test_sketch_saturating_midway(op20, monkeypatch):
-    # three sketches hold, so the bonds up to the third keep their range
-    # basis and the right pass ends on the compressed carry; the fourth
-    # saturates, and the bonds from it on take the exact triangular factor
-    # and the product carry
+    # three sketches hold and the fourth saturates: the held ones are
+    # thrown away, and the sweep is the exact one from the first bond, bit
+    # for bit
     state = periodic_input(20, 31)
     outcomes = range_tests(monkeypatch, saturate_from=3)
-    calls = qr_calls(monkeypatch)
     out = op20.apply_to_mps(state, EXACT)
     assert outcomes == [True, True, True, False]
-    modes = [mode for _, mode in calls]  # bonds 9..18 take the triangular factor
-    assert modes == ["reduced"] * (len(modes) - 10) + ["r"] * 10
+    assert_bitwise_equal(out, exact_sweep(op20, state, EXACT, monkeypatch))
     ref_g, ref_l, _ = reference_apply(op20, state, EXACT)
     assert abs(1 - train_overlap(list(out.gammas), out.lambdas, ref_g, ref_l)) <= 1e-12
     assert_same_bonds(out.lambdas, ref_l)
@@ -155,16 +166,13 @@ def test_sketch_saturating_midway(op20, monkeypatch):
 
 
 def test_no_sketch_holds_is_the_exact_sweep(op20, monkeypatch):
-    # sketches that would hold are all reported saturated: the range bases
-    # the exact bonds kept are dropped, and the sweep is the exact one
+    # sketches that would hold are all reported saturated: the sweep is the
+    # exact one
     state = periodic_input(20, 31)
     outcomes = range_tests(monkeypatch, saturate_from=0)
     out = op20.apply_to_mps(state, EXACT)
     assert outcomes == [False]
-    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites: None)
-    exact = op20.apply_to_mps(state, EXACT)
-    assert all(np.array_equal(a, b) for a, b in zip(out.gammas, exact.gammas))
-    assert all(np.array_equal(a, b) for a, b in zip(out.lambdas, exact.lambdas))
+    assert_bitwise_equal(out, exact_sweep(op20, state, EXACT, monkeypatch))
 
 
 @pytest.mark.parametrize("n_sites", [2, 3])
@@ -211,7 +219,6 @@ def test_capped_error_matches_exact_sweep(op20, monkeypatch, period, cap):
     outcomes = range_tests(monkeypatch)
     got = infidelity(op20.apply_to_mps(state, policy), full)
     assert outcomes and all(outcomes)
-    monkeypatch.setattr(_canonical, "_sketch_plan", lambda sites: None)
-    want = infidelity(op20.apply_to_mps(state, policy), full)
+    want = infidelity(exact_sweep(op20, state, policy, monkeypatch), full)
     assert want > 1e-13  # the cap truncates
     assert got <= 1.1 * want
