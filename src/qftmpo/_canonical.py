@@ -494,8 +494,8 @@ def save_chain(path, kind: str, sites, bond_vectors, policy: TruncationPolicy | 
 def load_chain(path, kind: str):
     """Read a container written by `save_chain`; returns (site tensors,
     bond vectors) as read-only arrays. A truncated file, a header declaring
-    more or less data than the file holds or a NaN or inf entry fails with
-    a ValueError."""
+    more or less data than the file holds, a NaN or inf entry or a bond
+    record with a nonzero imaginary part fails with a ValueError."""
     magic = CONTAINER_MAGIC[kind]
     data = Path(path).read_bytes()
     f = io.BytesIO(data)
@@ -506,7 +506,12 @@ def load_chain(path, kind: str):
     if version != CONTAINER_VERSION:
         raise ValueError(f"unsupported container version {version}")
     sites = [read_tensor_from(f) for _ in range(n)]
-    bonds = [read_tensor_from(f).real for _ in range(n - 1)]
+    bonds = []
+    for j in range(n - 1):
+        bond = read_tensor_from(f)
+        if np.any(bond.imag):
+            raise ValueError(f"bond {j} of the container has a nonzero imaginary part")
+        bonds.append(bond.real)
     extra = len(data) - f.tell()
     if extra:
         raise ValueError(f"{extra} bytes after the last record of the container")

@@ -15,6 +15,7 @@ import math
 import subprocess
 import time
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,12 @@ from .circuits import RotationScheme, aqft_circuit, compile_trace, generalized_c
 from .errors import NumericalError
 from .mpo import fourier_mpo, hs_inner
 from .mps import CanonicalMps
-from .oracle import periodic_peak_locations, periodic_peak_probabilities
+from .oracle import (
+    dense_operator_schmidt,
+    dense_qft_matrix,
+    periodic_peak_locations,
+    periodic_peak_probabilities,
+)
 from .tensor import TruncationPolicy
 
 # squared weights at or below ~(100 x double-precision floor)^2 carry no
@@ -195,11 +201,25 @@ def spectrum_study(n_list, policy: TruncationPolicy | None = None) -> StudyResul
     return StudyResult("spectrum", meta, rows)
 
 
-def _check_reference_size(n_list, n_ref: int) -> None:
-    """A convergence study measures each size against a larger one."""
+def _convergence_study(study: str, n_list, n_ref: int, policy: TruncationPolicy,
+                       distance) -> StudyResult:
+    """Rows of ``distance(fourier_mpo(n), reference)`` for each n in
+    ``n_list``, against the larger reference size ``n_ref``."""
     if n_list and n_ref <= max(n_list):
         raise ValueError(f"n_ref ({n_ref}) must exceed the largest size in n_list "
                          f"({max(n_list)})")
+    ref = fourier_mpo(n_ref, policy)
+    rows = [{"n": n, "n_ref": n_ref, "mean_abs_diff": distance(fourier_mpo(n, policy), ref)}
+            for n in n_list]
+    return StudyResult(study, _base_metadata(policy, n_ref=n_ref), rows)
+
+
+def _spectrum_distance(mpo_a, mpo_b) -> float:
+    """Mean absolute difference of the middle-bond spectra, zero-padded to
+    a common length."""
+    p, q = (m.bond_probability_distribution(middle_bond(m.n_qubits)) for m in (mpo_a, mpo_b))
+    width = max(len(p), len(q))
+    return float(np.mean(np.abs(np.pad(p, (0, width - len(p))) - np.pad(q, (0, width - len(q))))))
 
 
 def spectrum_convergence_study(n_list, n_ref: int,
@@ -210,35 +230,8 @@ def spectrum_convergence_study(n_list, n_ref: int,
     absolute difference. Convergence with n shows the transform's middle
     acquires a size-independent structure.
     """
-    _check_reference_size(n_list, n_ref)
-    policy = policy or DEFAULT_COMPILE_POLICY
-    ref = fourier_mpo(n_ref, policy).bond_probability_distribution(middle_bond(n_ref))
-    rows = []
-    for n in n_list:
-        p = fourier_mpo(n, policy).bond_probability_distribution(middle_bond(n))
-        width = max(len(p), len(ref))
-        a = np.zeros(width)
-        b = np.zeros(width)
-        a[: len(p)] = p
-        b[: len(ref)] = ref
-        rows.append({
-            "n": n,
-            "n_ref": n_ref,
-            "mean_abs_diff": float(np.mean(np.abs(a - b))),
-        })
-    return StudyResult("spectrum-convergence", _base_metadata(policy, n_ref=n_ref), rows)
-
-
-def _degenerate_blocks(values: np.ndarray):
-    """Split indices of a descending vector into runs of values equal to
-    a relative 1e-8."""
-    blocks = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or abs(values[i] - values[start]) > 1e-8 * max(values[start], 1e-300):
-            blocks.append((start, i))
-            start = i
-    return blocks
+    return _convergence_study("spectrum-convergence", n_list, n_ref,
+                              policy or DEFAULT_COMPILE_POLICY, _spectrum_distance)
 
 
 def middle_tensor_difference(mpo_a, mpo_b) -> float:
@@ -248,48 +241,40 @@ def middle_tensor_difference(mpo_a, mpo_b) -> float:
     lambda_r with both bond vectors scaled to unit norm (the weighting of
     `_canonical.canonical_defect`): bare Gamma = W / lambda blows up the
     slices whose Schmidt value sits near the noise floor, and those would
-    swamp the comparison. Entries are compared in absolute value (phase
-    gauge). Bonds of the larger tensor are truncated to the smaller's
-    dimensions; bond vectors are descending so the leading slices dominate.
-    Within degenerate bond blocks the slices are sorted by norm, the
-    documented substitute for full gauge fixing. Returns mean absolute
-    difference over entries, relative to the largest entry of the first
-    tensor.
+    swamp the comparison. Bonds of the larger tensor are truncated to the
+    smaller's dimensions; bond vectors are descending so the leading
+    slices dominate. Returns the mean absolute difference over entries,
+    relative to the largest entry of the first tensor.
+
+    Entries are compared in absolute value. That removes the phase a
+    canonical sweep leaves on each Schmidt vector, which is the whole gauge
+    freedom of a bond whose Schmidt values are distinct. Where two values
+    on a central bond agree to a relative 1e-8, any unitary mixes their
+    vectors and no entrywise comparison is gauge-invariant; such a bond is
+    a ValueError.
     """
-    a, ga = _weighted_middle(mpo_a)
-    b, gb = _weighted_middle(mpo_b)
+    a = _weighted_middle(mpo_a)
+    b = _weighted_middle(mpo_b)
     l = min(a.shape[0], b.shape[0])
     r = min(a.shape[3], b.shape[3])
-    a = _block_sorted(np.abs(a[:l, :, :, :r]), ga[0][:l], ga[1][:r])
-    b = _block_sorted(np.abs(b[:l, :, :, :r]), gb[0][:l], gb[1][:r])
+    a = np.abs(a[:l, :, :, :r])
+    b = np.abs(b[:l, :, :, :r])
     scale = float(np.max(a)) or 1.0
     return float(np.mean(np.abs(a - b))) / scale
 
 
-def _weighted_middle(mpo):
-    """Central tensor with its unit-norm bond vectors folded in, and those
-    bond vectors."""
+def _weighted_middle(mpo) -> np.ndarray:
+    """Central tensor with its unit-norm bond vectors folded in; a bond with
+    two Schmidt values equal to a relative 1e-8 is a ValueError."""
     site = mpo.n_qubits // 2
     left, right = bonds_around(mpo.gamma_vectors, site, site)
+    for bond in (left, right):
+        if np.any(np.abs(np.diff(bond)) <= 1e-8 * bond[:-1]):
+            raise ValueError(f"degenerate Schmidt values on a bond of central site {site}: "
+                             f"the central tensor has no entrywise gauge")
     left = left / np.linalg.norm(left)
     right = right / np.linalg.norm(right)
-    t = mpo.middle_tensor() * left[:, None, None, None] * right[None, None, None, :]
-    return t, (left, right)
-
-
-def _block_sorted(t: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    out = t.copy()
-    for start, stop in _degenerate_blocks(left):
-        if stop - start > 1:
-            norms = [float(np.linalg.norm(out[i])) for i in range(start, stop)]
-            order = np.argsort(norms)[::-1]
-            out[start:stop] = out[start:stop][order]
-    for start, stop in _degenerate_blocks(right):
-        if stop - start > 1:
-            norms = [float(np.linalg.norm(out[..., i])) for i in range(start, stop)]
-            order = np.argsort(norms)[::-1]
-            out[..., start:stop] = out[..., start:stop][..., order]
-    return out
+    return mpo.middle_tensor() * left[:, None, None, None] * right[None, None, None, :]
 
 
 def tensor_convergence_study(n_list, n_ref: int,
@@ -297,18 +282,8 @@ def tensor_convergence_study(n_list, n_ref: int,
     """Distance between each transform's central tensor and a
     larger reference's, under the gauge conventions of
     `middle_tensor_difference`."""
-    _check_reference_size(n_list, n_ref)
-    policy = policy or DEFAULT_COMPILE_POLICY
-    ref = fourier_mpo(n_ref, policy)
-    rows = []
-    for n in n_list:
-        mpo = fourier_mpo(n, policy)
-        rows.append({
-            "n": n,
-            "n_ref": n_ref,
-            "mean_abs_diff": middle_tensor_difference(mpo, ref),
-        })
-    return StudyResult("tensor-convergence", _base_metadata(policy, n_ref=n_ref), rows)
+    return _convergence_study("tensor-convergence", n_list, n_ref,
+                              policy or DEFAULT_COMPILE_POLICY, middle_tensor_difference)
 
 
 # ---------------------------------------------------------------- #
@@ -326,9 +301,9 @@ def hs_error_study(n_list, rank_list, *,
     real to 1e-9.
 
     The measure is quadratic in the error: where the truncated operator
-    is within about 1e-8 of the full one it sits at rounding level, and
-    rows there can read negative (n = 16, ranks 9 and 10 read -2.7e-15
-    and -8.9e-16).
+    is within about 1e-8 of the full one it sits at rounding level: a few
+    multiples of the double-precision epsilon, of either sign, so rows
+    there can read negative.
     """
     policy = policy or DEFAULT_COMPILE_POLICY
     rows = []
@@ -533,10 +508,6 @@ def ordering_study(n: int) -> StudyResult:
     1e-10 of the largest, is recorded. Exhaustive over n!
     permutations, so n is capped at 8.
     """
-    from itertools import permutations
-
-    from .oracle import dense_operator_schmidt, dense_qft_matrix
-
     if not 2 <= n <= 8:
         raise ValueError(f"exhaustive ordering scan supports 2 <= n <= 8, got {n}")
     f = np.asarray(dense_qft_matrix(n))

@@ -36,6 +36,7 @@ from .circuits import (
 from .errors import QftmpoError, ResourceLimitError
 from .mpo import FOURIER_NODES, _fourier_sweep, check_width, load_mpo, save_mpo
 from .mps import CanonicalMps, _parse_bits, save_mps
+from .oracle import periodic_peak_locations
 from .tensor import TruncationPolicy
 
 
@@ -158,7 +159,6 @@ def _cmd_apply(args) -> None:
         "output_max_rank": max(out.bond_ranks) if out.bond_ranks else 1,
     }
     if args.r is not None:
-        from .oracle import periodic_peak_locations
         peaks = {}
         for m in periodic_peak_locations(n, args.r):
             peaks[str(m)] = abs(out.amplitude(format(m, f"0{n}b"))) ** 2

@@ -78,23 +78,15 @@ class CanonicalMps:
             raise ValueError(f"period must lie in [1, 2^{n_qubits}), got {period}")
         if not 0 <= offset < period:
             raise ValueError(f"offset must lie in [0, period), got {offset}")
-        r = period
-        if n_qubits == 1:  # the checks above leave r = 1: support {0, 1}
-            return cls.from_dense(np.full(2, 1 / math.sqrt(2), dtype=np.complex128))
-        # transition tensors of the automaton tracking (partial value mod r)
-        first = np.zeros((1, 2, r), dtype=np.complex128)
-        for b in (0, 1):
-            first[0, b, b % r] = 1.0
-        mid = np.zeros((r, 2, r), dtype=np.complex128)
-        for rho in range(r):
-            for b in (0, 1):
-                mid[rho, b, (2 * rho + b) % r] = 1.0
-        last = np.zeros((r, 2, 1), dtype=np.complex128)
-        for rho in range(r):
-            for b in (0, 1):
-                if (2 * rho + b) % r == offset % r:
-                    last[rho, b, 0] = 1.0
-        train = [first] + [mid] * (n_qubits - 2) + [last]
+        # one transition tensor of the automaton tracking (partial value mod
+        # period): step[rho, b, (2 rho + b) mod period] = 1
+        rho = np.arange(period)[:, None]
+        bit = np.arange(2)[None, :]
+        step = np.zeros((period, 2, period), dtype=np.complex128)
+        step[rho, bit, (2 * rho + bit) % period] = 1.0
+        # the first site starts from residue 0; the last accepts the offset
+        train = [step[:1]] + [step] * (n_qubits - 1)
+        train[-1] = train[-1][..., offset:offset + 1]
         gammas, lambdas, _ = _canonical.canonicalize_train(
             train, TruncationPolicy(), normalize=True
         )

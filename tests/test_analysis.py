@@ -26,8 +26,10 @@ from qftmpo.analysis import (
     spectrum_tail_slope,
     tensor_convergence_study,
 )
+from qftmpo._canonical import bonds_around
 from qftmpo.circuits import RotationScheme, compile_to_mpo, nearest_neighbor_qft_circuit
 from qftmpo.errors import NumericalError
+from qftmpo.mpo import fourier_mpo, from_dense_operator
 from qftmpo.tensor import TruncationPolicy
 
 
@@ -165,6 +167,24 @@ class TestSpectrumStudies:
         policy = TruncationPolicy(1e-14)
         fused = compile_to_mpo(circ, policy)
         assert middle_tensor_difference(fused, per_gate_reference(circ, policy)) <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [1e-14, 1e-10])
+    def test_transform_central_bonds_are_nondegenerate(self, cutoff):
+        # |.| is the whole gauge freedom of a bond with distinct Schmidt
+        # values, so the tensor study needs no sorting on the transform
+        for n in range(2, 65):
+            mpo = fourier_mpo(n, TruncationPolicy(cutoff))
+            for bond in bonds_around(mpo.gamma_vectors, n // 2, n // 2):
+                assert np.all(np.abs(np.diff(bond)) > 1e-8 * bond[:-1]), n
+
+    def test_middle_tensor_difference_refuses_degenerate_bond(self):
+        # the swap's one bond carries four equal Schmidt values
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        mpo = from_dense_operator(swap)
+        lam = mpo.gamma_vectors[0]
+        assert len(lam) == 4 and np.allclose(lam, lam[0])
+        with pytest.raises(ValueError, match="^degenerate Schmidt values"):
+            middle_tensor_difference(mpo, mpo)
 
 
 class TestHsErrorStudy:

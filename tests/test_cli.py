@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python
+from qftmpo import _canonical
 from qftmpo.circuits import (
     RotationScheme,
     aqft_circuit,
@@ -18,7 +19,7 @@ from qftmpo.circuits import (
     nearest_neighbor_qft_circuit,
 )
 from qftmpo.cli import COMMANDS, _command_args, _emit, _int_list, _Parser, main
-from qftmpo.mpo import _fourier_sweep, identity_mpo, load_mpo, save_mpo
+from qftmpo.mpo import _fourier_sweep, fourier_mpo, identity_mpo, load_mpo, save_mpo
 from qftmpo.mps import CanonicalMps, load_mps
 from qftmpo.oracle import bit_reversal_permutation, dense_qft_matrix, periodic_peak_probabilities
 from qftmpo.tensor import TruncationPolicy
@@ -401,6 +402,18 @@ class TestBuildApply:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("qftmpo: error: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_complex_bond_is_one_line_input_error(self, tmp_path):
+        # an imaginary part on a bond record is damage, not to be dropped
+        mpo_path = tmp_path / "t.mpo"
+        op = fourier_mpo(6, TruncationPolicy(1e-14))
+        bonds = list(op.gamma_vectors)
+        bonds[2] = bonds[2] + 1j * bonds[2]
+        _canonical.save_chain(mpo_path, "mpo", op.site_tensors, bonds, None)
+        proc = run_cli_process("apply", "--mpo", str(mpo_path), "--bits", "010101")
+        assert proc.returncode == 1
+        assert proc.stderr == ("qftmpo: error: bond 2 of the container has a nonzero "
+                               "imaginary part\n")
 
     def test_build_reports_discarded_weight(self, capsys, tmp_path):
         code, out, _ = run(capsys, "build", "--n", "10", "--max-rank", "4",

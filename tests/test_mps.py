@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qftmpo import _canonical
 from qftmpo.errors import DimensionMismatchError, NumericalError
 from qftmpo.mps import CanonicalMps, load_mps, save_mps
 from qftmpo.oracle import periodic_support_count
@@ -228,4 +229,15 @@ class TestSerialization:
         save_mps(CanonicalMps.from_periodic_state(4, 3), path)
         path.write_bytes(path.read_bytes() + bytes(192))
         with pytest.raises(ValueError, match="^192 bytes after the last record"):
+            load_mps(path)
+
+    def test_complex_bond_refused(self, tmp_path):
+        # a bond record is real; an imaginary part is damage, not dropped
+        st = CanonicalMps.from_periodic_state(5, 3)
+        bonds = list(st.lambdas)
+        bonds[2] = bonds[2] + 1j * bonds[2]
+        path = tmp_path / "p.mps"
+        _canonical.save_chain(path, "mps", st.gammas, bonds, None)
+        with pytest.raises(ValueError, match="^bond 2 of the container has a nonzero "
+                                             "imaginary part$"):
             load_mps(path)
