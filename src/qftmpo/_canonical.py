@@ -47,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._version import __version__
 from .errors import DimensionMismatchError, NumericalError
 from .tensor import (
     TruncationPolicy,
@@ -471,7 +472,8 @@ CONTAINER_MAGIC = {"mps": b"MPSC", "mpo": b"MPOC"}
 def save_chain(path, kind: str, sites, bond_vectors, policy: TruncationPolicy | None,
                **sidecar) -> None:
     """Write a ``kind`` ("mps" or "mpo") container to ``path`` and a JSON
-    summary, extended by ``sidecar``, to ``path + '.json'``."""
+    summary, extended by ``sidecar``, to ``path + '.json'``. The summary
+    names the package and numpy versions that wrote it."""
     path = Path(path)
     with open(path, "wb") as f:
         f.write(struct.pack("<4sII", CONTAINER_MAGIC[kind], CONTAINER_VERSION, len(sites)))
@@ -486,6 +488,8 @@ def save_chain(path, kind: str, sites, bond_vectors, policy: TruncationPolicy | 
         "policy": None if policy is None else {
             "rel_cutoff": policy.rel_cutoff, "max_rank": policy.max_rank,
         },
+        "package_version": __version__,
+        "numpy_version": np.__version__,
         **sidecar,
     }
     Path(str(path) + ".json").write_text(json.dumps(summary, indent=2) + "\n")

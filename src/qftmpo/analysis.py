@@ -510,7 +510,7 @@ def ordering_study(n: int) -> StudyResult:
     """
     if not 2 <= n <= 8:
         raise ValueError(f"exhaustive ordering scan supports 2 <= n <= 8, got {n}")
-    f = np.asarray(dense_qft_matrix(n))
+    f = dense_qft_matrix(n)
     size = 2**n
     x = np.arange(size, dtype=np.int64)
     bits = [(x >> (n - 1 - i)) & 1 for i in range(n)]

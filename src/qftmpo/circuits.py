@@ -21,9 +21,9 @@ from typing import Callable
 import numpy as np
 
 from ._canonical import train_from_vidal, two_site_update
-from .errors import NonAdjacentGateError, NumericalError
+from .errors import NonAdjacentGateError
 from .mpo import CanonicalMpo, _sweep, identity_mpo
-from .tensor import DenseTensor, TruncationPolicy, check_unitary
+from .tensor import TruncationPolicy, check_unitary
 
 GATE_KINDS = ("h", "cphase", "swap", "generic")
 GATE_SIDES = ("output", "both")
@@ -42,12 +42,15 @@ class GateSpec:
     two-qubit kinds; the first site is the slower index of the gate matrix.
     ``side`` selects whether compilation multiplies the gate onto the
     output legs only or conjugates both sides (reordering bookkeeping).
+    A generic gate's ``matrix`` may be given as any 2x2 or 4x4 array; once
+    checked unitary it is kept as a tuple of row tuples of complex, so the
+    gate is immutable, hashable and compared by value.
     """
 
     kind: str
     sites: tuple[int, ...]
     angle: float | None = None
-    matrix: DenseTensor | None = None
+    matrix: tuple[tuple[complex, ...], ...] | None = None
     side: str = "output"
 
     def __post_init__(self):
@@ -60,11 +63,14 @@ class GateSpec:
         if self.kind == "generic":
             if self.matrix is None:
                 raise ValueError("generic gates need an explicit matrix")
-            shape = np.shape(self.matrix)
-            if shape not in ((2, 2), (4, 4)):
-                raise ValueError(f"generic gate matrix must be 2x2 or 4x4, got shape {shape}")
-            check_unitary(np.asarray(self.matrix), shape[0])
-            expected = 1 if shape == (2, 2) else 2
+            mat = np.asarray(self.matrix)
+            if mat.shape not in ((2, 2), (4, 4)):
+                raise ValueError(f"generic gate matrix must be 2x2 or 4x4, got shape {mat.shape}")
+            check_unitary(mat, len(mat))
+            object.__setattr__(self, "matrix", tuple(tuple(map(complex, row)) for row in mat))
+            expected = len(mat) // 2
+        elif self.matrix is not None:
+            raise ValueError(f"{self.kind} gates take no matrix")
         if len(self.sites) != expected:
             raise ValueError(f"{self.kind} gate takes {expected} site(s), got {self.sites}")
         if len(self.sites) == 2 and self.sites[0] == self.sites[1]:
@@ -79,7 +85,7 @@ class GateSpec:
             return np.diag([1.0, 1.0, 1.0, np.exp(1j * self.angle)]).astype(np.complex128)
         if self.kind == "swap":
             return _SWAP.copy()
-        return np.array(self.matrix.data)
+        return np.array(self.matrix, dtype=np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,13 +376,11 @@ def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
     (y1 x1)(y2 x2) of its two sites.
 
     Single gates and runs alike are cached in ``cache`` by their gates'
-    (kind, angle, side) keys; a generic gate is lifted afresh each time.
+    (kind, angle, matrix, side) keys, so equal generic gates share a lift.
     """
-    key = None
-    if all(g.kind != "generic" for g in run):
-        key = tuple((g.kind, g.angle, g.side) for g in run)
-        if key in cache:
-            return cache[key]
+    key = tuple((g.kind, g.angle, g.matrix, g.side) for g in run)
+    if key in cache:
+        return cache[key]
     if len(run) > 1:
         op = _lift(run[-1:], cache) @ _lift(run[:-1], cache)
     else:
@@ -384,8 +388,7 @@ def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
         op = np.kron(g, g.conj() if run[0].side == "both" else np.eye(len(g)))
         if len(g) == 4:  # (y1 y2 x1 x2) -> (y1 x1 y2 x2), rows and columns
             op = op.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
-    if key is not None:
-        cache[key] = op
+    cache[key] = op
     return op
 
 
@@ -454,7 +457,7 @@ def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy) -> CanonicalM
 
 
 # ---------------------------------------------------------------- #
-# JSON round-trip and fingerprinting
+# JSON document and fingerprinting
 # ---------------------------------------------------------------- #
 
 CIRCUIT_FORMAT = "qftmpo-circuit/1"
@@ -467,25 +470,8 @@ def _gate_to_dict(g: GateSpec) -> dict:
     if g.angle is not None:
         entry["angle"] = g.angle
     if g.matrix is not None:
-        entry["matrix"] = [
-            [[float(v.real), float(v.imag)] for v in row] for row in g.matrix.data
-        ]
+        entry["matrix"] = [[[v.real, v.imag] for v in row] for row in g.matrix]
     return entry
-
-
-def _gate_from_dict(entry: dict) -> GateSpec:
-    matrix = None
-    if "matrix" in entry:
-        matrix = DenseTensor(
-            np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
-        )
-    return GateSpec(
-        kind=entry["kind"],
-        sites=tuple(entry["sites"]),
-        angle=float(entry["angle"]) if "angle" in entry else None,
-        matrix=matrix,
-        side=entry.get("side", "output"),
-    )
 
 
 def _json_pieces(circuit: CircuitSpec):
@@ -511,26 +497,6 @@ def circuit_to_json(circuit: CircuitSpec) -> str:
     {format, n_qubits, family, params, gates: [one dict per gate]}, byte
     for byte."""
     return "".join(_json_pieces(circuit))
-
-
-def circuit_from_json(text: str) -> CircuitSpec:
-    """Read a document written by `circuit_to_json`. Invalid JSON, another
-    format, a missing key or a value of the wrong type or range fails with
-    a one-line ValueError."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"circuit document must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format") != CIRCUIT_FORMAT:
-        raise ValueError(f"unsupported circuit format {doc.get('format')!r}")
-    try:
-        return CircuitSpec(
-            n_qubits=int(doc["n_qubits"]),
-            gates=tuple(_gate_from_dict(e) for e in doc["gates"]),
-            family=doc.get("family", "custom"),
-            params=doc.get("params", {}),
-        )
-    except (KeyError, TypeError, AttributeError, OverflowError, NumericalError) as exc:
-        raise ValueError(f"damaged circuit document: {type(exc).__name__}: {exc}") from None
 
 
 def circuit_fingerprint(circuit: CircuitSpec) -> str:

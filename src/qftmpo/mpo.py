@@ -25,7 +25,7 @@ import numpy as np
 from . import _canonical
 from .errors import DimensionMismatchError
 from .mps import CanonicalMps
-from .tensor import NOISE_FLOOR, DenseTensor, TruncationPolicy, check_dense_size, frozen_array
+from .tensor import NOISE_FLOOR, TruncationPolicy, check_dense_size, frozen_array
 
 DENSE_OPERATOR_LIMIT = 12  # qubits; override with QFTMPO_DENSE_LIMIT
 MAX_OPERATOR_QUBITS = 1023  # the squared norm 2^n of a unitary is still a finite double
@@ -167,15 +167,15 @@ class CanonicalMpo:
         train = _canonical.train_from_vidal(self._fused_sites(), self.gamma_vectors)
         return _sweep(train, policy)[0]
 
-    def to_dense(self) -> DenseTensor:
-        """Dense matrix of the operator (guarded by the dense-size limit)."""
+    def to_dense(self) -> np.ndarray:
+        """Read-only dense matrix of the operator (guarded by the dense-size limit)."""
         n = self.n_qubits
         check_dense_size(n, DENSE_OPERATOR_LIMIT, "dense operator matrix")
         vec = _canonical.vector_from_vidal(self._fused_sites(), self.gamma_vectors)
         arr = vec.reshape((2,) * (2 * n))  # (i_0, j_0, i_1, j_1, ...)
         perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
         mat = np.transpose(arr, perm).reshape(2**n, 2**n)
-        return DenseTensor(mat)
+        return frozen_array(mat)
 
 
 def _sweep(train, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _canonical
 from .errors import DimensionMismatchError
-from .tensor import DenseTensor, TruncationPolicy, check_dense_size, frozen_array
+from .tensor import TruncationPolicy, check_dense_size, frozen_array
 
 DENSE_STATE_LIMIT = 20  # qubits; override with QFTMPO_DENSE_LIMIT
 
@@ -147,10 +147,10 @@ class CanonicalMps:
             v = (v * self.lambdas[j - 1]) @ self.gammas[j][:, vals[j], :]
         return complex(v[0])
 
-    def to_dense(self) -> DenseTensor:
-        """Dense amplitude vector (guarded by the dense-size limit)."""
+    def to_dense(self) -> np.ndarray:
+        """Read-only dense amplitude vector (guarded by the dense-size limit)."""
         check_dense_size(self.n_qubits, DENSE_STATE_LIMIT, "dense state vector")
-        return DenseTensor(_canonical.vector_from_vidal(self.gammas, self.lambdas))
+        return frozen_array(_canonical.vector_from_vidal(self.gammas, self.lambdas))
 
 
 # ---------------------------------------------------------------- #

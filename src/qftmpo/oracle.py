@@ -1,9 +1,10 @@
 """Dense reference implementations used to validate the tensor-network code.
 
 Everything here materializes full state vectors or matrices, so sizes are
-capped (override with QFTMPO_DENSE_LIMIT). Phases are reduced with exact
-integer arithmetic before exponentiation so reference values stay accurate
-to machine precision at every supported size.
+capped (override with QFTMPO_DENSE_LIMIT); dense results are read-only
+arrays (`tensor.frozen_array`). Phases are reduced with exact integer
+arithmetic before exponentiation so reference values stay accurate to
+machine precision at every supported size.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .tensor import DenseTensor, _svd_matrix, check_dense_size
+from .tensor import _svd_matrix, check_dense_size, frozen_array
 
 DENSE_ORACLE_LIMIT = 14
 PERIODIC_ORACLE_LIMIT = 24
@@ -34,11 +35,11 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
     return rev
 
 
-def dense_qft_matrix(n: int) -> DenseTensor:
+def dense_qft_matrix(n: int) -> np.ndarray:
     """Fourier matrix F[j, k] = exp(2*pi*i*j*k / 2^n) / 2^(n/2).
 
     The compiled nearest-neighbour circuit takes its input bit-reversed:
-    compare it with ``dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]``.
+    compare it with ``dense_qft_matrix(n)[:, bit_reversal_permutation(n)]``.
     """
     _check_qubits(n, DENSE_ORACLE_LIMIT, "dense_qft_matrix")
     size = 2**n
@@ -51,7 +52,7 @@ def dense_qft_matrix(n: int) -> DenseTensor:
         phase = (rows[:, None] * cols[None, :]) % size
         out[start : start + len(rows)] = np.exp((2j * np.pi / size) * phase)
     out /= math.sqrt(size)
-    return DenseTensor(out)
+    return frozen_array(out)
 
 
 def dense_operator_schmidt(matrix, cut: int) -> np.ndarray:
@@ -100,7 +101,7 @@ def _evolve_axes(arr: np.ndarray, circuit) -> np.ndarray:
     return arr
 
 
-def dense_evolve(vector, circuit) -> DenseTensor:
+def dense_evolve(vector, circuit) -> np.ndarray:
     """Evolve a dense state vector under a circuit.
 
     side="output" gates multiply in circuit order. side="both" gates are
@@ -120,17 +121,17 @@ def dense_evolve(vector, circuit) -> DenseTensor:
         raise ValueError(f"state has {n} qubits but circuit has {circuit.n_qubits}")
     _check_qubits(n, DENSE_ORACLE_LIMIT, "dense_evolve")
     arr = _evolve_axes(vec.reshape((2,) * n), circuit)
-    return DenseTensor(arr.reshape(size))
+    return frozen_array(arr.reshape(size))
 
 
-def dense_circuit_matrix(circuit) -> DenseTensor:
+def dense_circuit_matrix(circuit) -> np.ndarray:
     """Full matrix of a circuit, including both-sides conjugation effects."""
     n = circuit.n_qubits
     _check_qubits(n, DENSE_ORACLE_LIMIT, "dense_circuit_matrix")
     size = 2**n
     arr = np.eye(size, dtype=np.complex128).reshape((2,) * n + (size,))
     arr = _evolve_axes(arr, circuit)
-    return DenseTensor(arr.reshape(size, size))
+    return frozen_array(arr.reshape(size, size))
 
 
 # ---------------------------------------------------------------- #

@@ -1,17 +1,15 @@
 """Dense complex tensors, truncation policies and the tensor record format.
 
 `frozen_array` makes the read-only, row-major complex128 copy, refusing
-non-finite entries, that chains store as their sites. `DenseTensor` wraps
-one for the standalone dense values of the public API (a `GateSpec`
-matrix, which keeps the frozen gate hashable, `to_dense()`, the oracle
-outputs and `read_tensor`); `TruncationPolicy` says how a singular-value
-spectrum is cut. Row-major is also the on-disk layout of one tensor record
-(see `write_tensor`); the chain containers of `_canonical` are sequences
-of these records. The SVD driver used by the canonical sweeps lives here
-too, with a scipy fallback for the occasional non-converging SVD; scipy is
-imported by that fallback alone, so loading the package never loads it.
-Dense materializations anywhere in the package go through
-`check_dense_size`.
+non-finite entries, that is the package's one dense value type: chain
+sites, `to_dense()` and the oracle outputs are all such arrays.
+`TruncationPolicy` says how a singular-value spectrum is cut. Row-major is
+also the on-disk layout of one tensor record (see `write_tensor_to`); the
+chain containers of `_canonical` are sequences of these records. The SVD
+driver used by the canonical sweeps lives here too, with a scipy fallback
+for the occasional non-converging SVD; scipy is imported by that fallback
+alone, so loading the package never loads it. Dense materializations
+anywhere in the package go through `check_dense_size`.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -45,6 +42,7 @@ def frozen_array(data) -> np.ndarray:
     return arr
 
 
+# on no package path; kept while perfbench/tracing.py patches it (ROADMAP item 6)
 @dataclass(frozen=True, eq=False)
 class DenseTensor:
     """Immutable complex tensor (see `frozen_array`)."""
@@ -172,7 +170,7 @@ def _bytes_left(f: BinaryIO) -> int:
 
 
 def write_tensor_to(f: BinaryIO, t) -> None:
-    """Write one tensor record; ``t`` is a DenseTensor or any array."""
+    """Write one tensor record; ``t`` is anything `np.asarray` takes."""
     arr = np.asarray(t, dtype="<c16")
     f.write(TENSOR_MAGIC)
     f.write(struct.pack(f"<II{arr.ndim}Q", TENSOR_FORMAT_VERSION, arr.ndim, *arr.shape))
@@ -204,20 +202,3 @@ def read_tensor_from(f: BinaryIO) -> np.ndarray:
     if not np.isfinite(data).all():
         raise ValueError(f"damaged tensor record of shape {shape}: tensor has non-finite entries")
     return data
-
-
-def write_tensor(dest: str | Path | BinaryIO, t) -> None:
-    """Write a tensor to a path or an open binary stream."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "wb") as f:
-            write_tensor_to(f, t)
-    else:
-        write_tensor_to(dest, t)
-
-
-def read_tensor(src: str | Path | BinaryIO) -> DenseTensor:
-    """Read a tensor written by `write_tensor`."""
-    if isinstance(src, (str, Path)):
-        with open(src, "rb") as f:
-            return DenseTensor(read_tensor_from(f))
-    return DenseTensor(read_tensor_from(src))

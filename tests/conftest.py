@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from qftmpo._canonical import _split_bond, canonicalize_train, train_from_vidal,
 from qftmpo.circuits import CircuitSpec, GateSpec, compile_to_mpo
 from qftmpo.errors import NumericalError
 from qftmpo.mpo import _lagrange, _sweep, identity_mpo
-from qftmpo.tensor import DenseTensor, TruncationPolicy
+from qftmpo.tensor import TruncationPolicy
 
 
 @pytest.fixture
@@ -49,9 +50,21 @@ def random_unitary(rng, dim):
 def gate_mpo(n, *gates):
     """The operator of ``gates``, (sites, matrix) or (sites, matrix, side)
     tuples applied in order to n qubits, compiled exactly."""
-    specs = tuple(GateSpec("generic", g[0], matrix=DenseTensor(g[1]),
+    specs = tuple(GateSpec("generic", g[0], matrix=g[1],
                            side=g[2] if len(g) > 2 else "output") for g in gates)
     return compile_to_mpo(CircuitSpec(n, specs), TruncationPolicy(1e-14))
+
+
+def circuit_from_document(text):
+    """The circuit a `circuit_to_json` document describes, one gate object
+    per entry: the document, and so the fingerprint, determines the
+    circuit."""
+    doc = json.loads(text)
+    gates = tuple(GateSpec(
+        e["kind"], tuple(e["sites"]), e.get("angle"),
+        [[complex(re, im) for re, im in row] for row in e["matrix"]] if "matrix" in e else None,
+        e["side"]) for e in doc["gates"])
+    return CircuitSpec(doc["n_qubits"], gates, doc["family"], doc["params"])
 
 
 def einsum_pair_operator(gate, side):

@@ -46,8 +46,8 @@ def test_criterion_1_compiled_operator_matches_dense_transform():
     worst = 0.0
     for n in range(2, 11):
         mpo = compile_to_mpo(nearest_neighbor_qft_circuit(n), policy)
-        ref = dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]
-        err = float(np.max(np.abs(mpo.to_dense().data - ref)))
+        ref = dense_qft_matrix(n)[:, bit_reversal_permutation(n)]
+        err = float(np.max(np.abs(mpo.to_dense() - ref)))
         worst = max(worst, err)
     ok = worst <= 1e-9
     assert _report(1, "dense agreement n=2..10", ok, f"max |diff| = {worst:.2e}")

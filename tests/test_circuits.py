@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 import qftmpo.circuits as circuits
-from conftest import fourier_entry, operator_entry, per_gate_reference, random_unitary
+from conftest import (
+    circuit_from_document,
+    fourier_entry,
+    operator_entry,
+    per_gate_reference,
+    random_unitary,
+)
 from qftmpo.circuits import (
     CircuitSpec,
     GateSpec,
     RotationScheme,
     aqft_circuit,
     circuit_fingerprint,
-    circuit_from_json,
     circuit_to_json,
     compile_to_mpo,
     compile_trace,
@@ -24,7 +29,7 @@ from qftmpo.circuits import (
 from qftmpo.errors import NonAdjacentGateError
 from qftmpo.mpo import CanonicalMpo, hs_inner
 from qftmpo.oracle import bit_reversal_permutation, dense_circuit_matrix, dense_qft_matrix
-from qftmpo.tensor import DenseTensor, TruncationPolicy
+from qftmpo.tensor import TruncationPolicy
 
 EXACT = TruncationPolicy(1e-14)
 
@@ -61,12 +66,42 @@ class TestGateSpec:
 
     def test_generic_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
-            GateSpec("generic", (0, 1), matrix=DenseTensor(2 * np.eye(4)))
+            GateSpec("generic", (0, 1), matrix=2 * np.eye(4))
 
     @pytest.mark.parametrize("dim", [3, 8])
     def test_generic_rejects_wrong_shape(self, dim):
         with pytest.raises(ValueError, match="2x2 or 4x4"):
-            GateSpec("generic", (0, 1), matrix=DenseTensor(np.eye(dim)))
+            GateSpec("generic", (0, 1), matrix=np.eye(dim))
+
+    def test_only_generic_gates_take_a_matrix(self):
+        with pytest.raises(ValueError, match="h gates take no matrix"):
+            GateSpec("h", (0,), matrix=np.eye(2))
+
+    def test_generic_matrix_is_the_validated_copy(self):
+        mat = np.eye(4)
+        gate = GateSpec("generic", (0, 1), matrix=mat)
+        mat[3, 3] = np.nan  # the caller's array, not the gate's
+        assert np.array_equal(gate.dense_matrix(), np.eye(4))
+        assert gate.dense_matrix().dtype == np.complex128
+
+    def test_generic_gates_compare_by_value(self, rng):
+        mat = random_unitary(rng, 4)
+        gate = GateSpec("generic", (0, 1), matrix=mat)
+        twin = GateSpec("generic", (0, 1), matrix=mat.tolist())
+        other = GateSpec("generic", (0, 1), matrix=random_unitary(rng, 4))
+        assert gate == twin and hash(gate) == hash(twin)
+        assert gate != other
+        assert len({gate, twin, other}) == 2
+
+    def test_fingerprint_of_generic_gates(self, rng):
+        def circuit(mat):
+            return CircuitSpec(2, (GateSpec("generic", (0, 1), matrix=mat),
+                                   GateSpec("generic", (1,), matrix=np.eye(2), side="both")))
+        mat = random_unitary(rng, 4)
+        digest = circuit_fingerprint(circuit(mat))
+        assert len(digest) == 64
+        assert circuit_fingerprint(circuit(mat.copy())) == digest
+        assert circuit_fingerprint(circuit(random_unitary(rng, 4))) != digest
 
     def test_unknown_kind_or_side(self):
         with pytest.raises(ValueError):
@@ -279,15 +314,15 @@ class TestCompilation:
     def test_nn_transform_matches_oracle(self, n):
         mpo = compile_to_mpo(nearest_neighbor_qft_circuit(n), EXACT)
         mpo.validate()
-        want = np.array(dense_qft_matrix(n).data[:, bit_reversal_permutation(n)])
-        assert np.max(np.abs(np.array(mpo.to_dense().data) - want)) < 1e-12
+        want = dense_qft_matrix(n)[:, bit_reversal_permutation(n)]
+        assert np.max(np.abs(mpo.to_dense() - want)) < 1e-12
 
     @pytest.mark.parametrize("n,b", [(4, 1), (4, 2), (5, 3), (6, 4)])
     def test_aqft_matches_dense_gate_oracle(self, n, b):
         circ = aqft_circuit(n, b)
         mpo = compile_to_mpo(circ, EXACT)
-        want = np.array(dense_circuit_matrix(circ).data)
-        assert np.max(np.abs(np.array(mpo.to_dense().data) - want)) < 1e-12
+        want = dense_circuit_matrix(circ)
+        assert np.max(np.abs(mpo.to_dense() - want)) < 1e-12
 
     @pytest.mark.parametrize("scheme", [
         RotationScheme("power-law", exponent=2),
@@ -297,12 +332,12 @@ class TestCompilation:
     def test_generalized_matches_dense_gate_oracle(self, scheme):
         circ = generalized_circuit(4, scheme)
         mpo = compile_to_mpo(circ, EXACT)
-        want = np.array(dense_circuit_matrix(circ).data)
-        assert np.max(np.abs(np.array(mpo.to_dense().data) - want)) < 1e-12
+        want = dense_circuit_matrix(circ)
+        assert np.max(np.abs(mpo.to_dense() - want)) < 1e-12
 
     def test_compiled_operator_is_unitary(self):
         mpo = compile_to_mpo(nearest_neighbor_qft_circuit(5), EXACT)
-        mat = np.array(mpo.to_dense().data)
+        mat = mpo.to_dense()
         assert np.allclose(mat.conj().T @ mat, np.eye(32), atol=1e-12)
 
     def test_long_range_gate_rejected(self):
@@ -329,7 +364,7 @@ class TestCompilation:
 
     def test_empty_circuit_is_identity(self):
         mpo = compile_to_mpo(CircuitSpec(3, ()), EXACT)
-        assert np.allclose(np.array(mpo.to_dense().data), np.eye(8), atol=1e-13)
+        assert np.allclose(mpo.to_dense(), np.eye(8), atol=1e-13)
 
 
 def counting(monkeypatch, name):
@@ -377,7 +412,7 @@ class TestFusedSteps:
             assert np.array_equal(a, b)
 
     def test_generic_gate_then_swap_matches_dense(self, rng):
-        gate = DenseTensor(random_unitary(rng, 4))
+        gate = random_unitary(rng, 4)
         circ = CircuitSpec(3, (
             GateSpec("h", (1,)),
             GateSpec("generic", (1, 2), matrix=gate),
@@ -386,8 +421,8 @@ class TestFusedSteps:
             GateSpec("swap", (0, 1)),
         ))
         mpo = compile_to_mpo(circ, EXACT)
-        want = np.array(dense_circuit_matrix(circ).data)
-        assert np.max(np.abs(np.array(mpo.to_dense().data) - want)) < 1e-12
+        want = dense_circuit_matrix(circ)
+        assert np.max(np.abs(mpo.to_dense() - want)) < 1e-12
 
     def test_only_same_pair_neighbours_fuse(self, monkeypatch):
         steps = counting(monkeypatch, "two_site_update")
@@ -406,11 +441,15 @@ class TestFusedSteps:
         compile_trace(nearest_neighbor_qft_circuit(8), EXACT)
         assert len(lifted) == 9  # the Hadamard, seven cphase angles and the swap
 
-    def test_generic_gates_lifted_each_time(self, monkeypatch, rng):
+    def test_equal_generic_gates_share_a_lift(self, monkeypatch, rng):
         lifted = lifted_gates(monkeypatch)
-        gate = GateSpec("generic", (0, 1), matrix=DenseTensor(random_unitary(rng, 4)))
-        compile_trace(CircuitSpec(2, (gate, GateSpec("h", (0,)), gate)), EXACT)
-        assert [g.kind for g in lifted] == ["generic", "h", "generic"]
+        mat = random_unitary(rng, 4)
+        gate, twin = (GateSpec("generic", (0, 1), matrix=mat.copy()) for _ in range(2))
+        other = GateSpec("generic", (0, 1), matrix=random_unitary(rng, 4))
+        h = GateSpec("h", (0,))
+        compile_trace(CircuitSpec(2, (gate, h, twin, h, other)), EXACT)
+        # twin is a separate object with gate's matrix; other gets its own lift
+        assert lifted == [gate, h, other]
 
     def test_ceiling_counts_through_fused_step(self):
         circ = CircuitSpec(2, (
@@ -455,27 +494,18 @@ class TestFusedSteps:
 class TestSerialization:
     def test_json_roundtrip(self):
         circ = aqft_circuit(5, 3)
-        back = circuit_from_json(circuit_to_json(circ))
+        back = circuit_from_document(circuit_to_json(circ))
         assert back.n_qubits == circ.n_qubits
         assert back.family == circ.family
         assert back.params == circ.params
         assert back.gates == circ.gates
 
     def test_json_roundtrip_generic_gate(self, rng):
-        mat = DenseTensor(np.diag([1, 1, 1, 1j]))
+        mat = np.diag([1, 1, 1, 1j])
         circ = CircuitSpec(2, (GateSpec("generic", (0, 1), matrix=mat),))
-        back = circuit_from_json(circuit_to_json(circ))
-        assert np.allclose(back.gates[0].dense_matrix(), mat.data, atol=0)
-
-    @pytest.mark.parametrize("matrix", [2 * np.eye(4), np.eye(8)])
-    def test_json_rejects_invalid_generic_gate(self, matrix):
-        doc = json.loads(circuit_to_json(qft_circuit(2)))
-        doc["gates"] = [{
-            "kind": "generic", "sites": [0, 1], "side": "output",
-            "matrix": [[[float(v), 0.0] for v in row] for row in matrix],
-        }]
-        with pytest.raises(ValueError):
-            circuit_from_json(json.dumps(doc))
+        back = circuit_from_document(circuit_to_json(circ))
+        assert np.array_equal(back.gates[0].dense_matrix(), mat)
+        assert back.gates == circ.gates
 
     def test_fingerprint_stable_and_distinct(self):
         a1 = circuit_fingerprint(nearest_neighbor_qft_circuit(5))
@@ -509,9 +539,7 @@ class TestSerialization:
 
     def test_format_tag_checked(self):
         doc = json.loads(circuit_to_json(qft_circuit(2)))
-        doc["format"] = "qftmpo-circuit/99"
-        with pytest.raises(ValueError):
-            circuit_from_json(json.dumps(doc))
+        assert doc["format"] == circuits.CIRCUIT_FORMAT == "qftmpo-circuit/1"
 
 
 class TestClosedFormEntries:

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import qftmpo
 from conftest import run_python
 from qftmpo import _canonical
 from qftmpo.circuits import (
@@ -337,6 +338,15 @@ class TestBuildApply:
         # uniform output: every amplitude 1/4, low rank
         assert report["output_max_rank"] <= 16
 
+    def test_sidecars_name_their_writer(self, capsys, tmp_path):
+        run(capsys, "build", "--n", "4", "--out", str(tmp_path / "t.mpo"))
+        run(capsys, "apply", "--mpo", str(tmp_path / "t.mpo"), "--bits", "0110",
+            "--save-state", str(tmp_path / "s.mps"))
+        for name in ("t.mpo.json", "s.mps.json"):
+            sidecar = json.loads((tmp_path / name).read_text())
+            assert sidecar["package_version"] == qftmpo.__version__
+            assert sidecar["numpy_version"] == np.__version__
+
     @pytest.mark.parametrize("bits", seeded_bits(20, 2), ids=["seed0", "seed1"])
     def test_apply_bits_feeds_the_input_bit_reversed(self, capsys, tmp_path, bits):
         mpo_path, state_path = tmp_path / "t.mpo", tmp_path / "s.mps"
@@ -434,8 +444,8 @@ class TestBuildApply:
         code, out, _ = run(capsys, "build", "--n", str(n), "--max-rank", "4",
                            "--out", str(tmp_path / "t.mpo"))
         assert code == 0
-        got = load_mpo(tmp_path / "t.mpo").to_dense().data
-        want = dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]
+        got = load_mpo(tmp_path / "t.mpo").to_dense()
+        want = dense_qft_matrix(n)[:, bit_reversal_permutation(n)]
         error = np.linalg.norm(got - want) ** 2 / 2**n
         assert 1e-6 < error <= json.loads(out)["discarded_weight"] * (1 + 1e-9)
 

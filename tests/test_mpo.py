@@ -24,7 +24,7 @@ from qftmpo.mpo import (
 )
 from qftmpo.mps import CanonicalMps
 from qftmpo.oracle import bit_reversal_permutation, dense_operator_schmidt, dense_qft_matrix
-from qftmpo.tensor import NOISE_FLOOR, DenseTensor, TruncationPolicy
+from qftmpo.tensor import NOISE_FLOOR, TruncationPolicy
 
 from conftest import (
     difference_norm,
@@ -49,7 +49,7 @@ class TestIdentityMpo:
     def test_dense_value(self, n):
         op = identity_mpo(n)
         op.validate()
-        assert np.allclose(np.array(op.to_dense().data), np.eye(2**n), atol=1e-13)
+        assert np.allclose(op.to_dense(), np.eye(2**n), atol=1e-13)
 
     def test_worked_example_values(self):
         # hand-derived canonical data for the 3-site identity:
@@ -62,8 +62,7 @@ class TestIdentityMpo:
             assert g[0] == pytest.approx(d, rel=1e-14)
         eye = np.eye(2)
         assert np.allclose(op.site_tensors[0][0, :, :, 0], eye / math.sqrt(2), atol=1e-15)
-        assert np.allclose(op.site_tensors[1][0, :, :, 0],
-                           eye / (math.sqrt(2) * d), atol=1e-15)
+        assert np.allclose(op.site_tensors[1][0, :, :, 0], eye / (math.sqrt(2) * d), atol=1e-15)
         assert np.allclose(op.site_tensors[2][0, :, :, 0], eye / math.sqrt(2), atol=1e-15)
 
     def test_width_limit(self):
@@ -117,7 +116,7 @@ class TestPairOperator:
     @pytest.mark.parametrize("side", ["output", "both"])
     def test_generic_lift_matches_einsum_reference(self, rng, side):
         gate = random_unitary(rng, 4)
-        pair = _lift((GateSpec("generic", (0, 1), matrix=DenseTensor(gate), side=side),), {})
+        pair = _lift((GateSpec("generic", (0, 1), matrix=gate, side=side),), {})
         want = einsum_pair_operator(gate, side).reshape(16, 16)
         # bit for bit on the output side; on both sides kron's complex
         # products g * conj(g') may round differently from einsum's
@@ -126,12 +125,12 @@ class TestPairOperator:
 
     def test_output_side_identity_action(self, rng):
         gate = random_unitary(rng, 4)
-        pair = _lift((GateSpec("generic", (0, 1), matrix=DenseTensor(gate)),), {})
+        pair = _lift((GateSpec("generic", (0, 1), matrix=gate),), {})
         assert np.allclose(self.identity_action(pair), gate, atol=1e-13)
 
     def test_both_sides_identity_invisible(self, rng):
         gate = random_unitary(rng, 4)
-        pair = _lift((GateSpec("generic", (0, 1), matrix=DenseTensor(gate), side="both"),), {})
+        pair = _lift((GateSpec("generic", (0, 1), matrix=gate, side="both"),), {})
         assert np.allclose(self.identity_action(pair), np.eye(4), atol=1e-13)
 
 
@@ -142,31 +141,31 @@ class TestAbsorbGate:
         op = gate_mpo(2, ((0,), HADAMARD))
         op.validate()
         want = np.kron(HADAMARD, np.eye(2))
-        assert np.allclose(np.array(op.to_dense().data), want, atol=1e-13)
+        assert np.allclose(op.to_dense(), want, atol=1e-13)
 
     def test_single_qubit_both_sides(self):
         op = gate_mpo(2, ((1,), HADAMARD, "both"))
         # H I H^dag = I
-        assert np.allclose(np.array(op.to_dense().data), np.eye(4), atol=1e-13)
+        assert np.allclose(op.to_dense(), np.eye(4), atol=1e-13)
 
     def test_two_qubit_output(self, rng):
         gate = random_unitary(rng, 4)
         op = gate_mpo(3, ((1, 2), gate))
         op.validate()
         want = np.kron(np.eye(2), gate)
-        assert np.allclose(np.array(op.to_dense().data), want, atol=1e-12)
+        assert np.allclose(op.to_dense(), want, atol=1e-12)
 
     def test_gate_composition_order(self, rng):
         a = random_unitary(rng, 4)
         b = random_unitary(rng, 4)
         op = gate_mpo(2, ((0, 1), a), ((0, 1), b))
-        assert np.allclose(np.array(op.to_dense().data), b @ a, atol=1e-12)
+        assert np.allclose(op.to_dense(), b @ a, atol=1e-12)
 
     def test_both_sides_two_qubit(self, rng):
         gate = random_unitary(rng, 4)
         op = gate_mpo(2, ((0, 1), CNOT), ((0, 1), gate, "both"))
         want = gate @ CNOT @ gate.conj().T
-        assert np.allclose(np.array(op.to_dense().data), want, atol=1e-12)
+        assert np.allclose(op.to_dense(), want, atol=1e-12)
 
 
 class TestEntanglementMeasures:
@@ -196,14 +195,13 @@ class TestDenseRoundTrip:
         mat = random_unitary(rng, 2**n)
         op = from_dense_operator(mat)
         op.validate()
-        assert np.allclose(np.array(op.to_dense().data), mat, atol=1e-12)
+        assert np.allclose(op.to_dense(), mat, atol=1e-12)
 
     def test_from_dense_matches_gate_absorption(self, rng):
         gate = random_unitary(rng, 4)
         via_absorb = gate_mpo(2, ((0, 1), gate))
         via_dense = from_dense_operator(gate)
-        assert np.allclose(np.array(via_absorb.to_dense().data),
-                           np.array(via_dense.to_dense().data), atol=1e-12)
+        assert np.allclose(via_absorb.to_dense(), via_dense.to_dense(), atol=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -243,9 +241,9 @@ class TestApplyToMps:
         st = CanonicalMps.from_dense(vec)
         out = op.apply_to_mps(st, EXACT)
         out.validate()
-        want = np.array(op.to_dense().data) @ vec
+        want = op.to_dense() @ vec
         want /= np.linalg.norm(want)
-        assert np.allclose(np.array(out.to_dense().data), want, atol=1e-12)
+        assert np.allclose(out.to_dense(), want, atol=1e-12)
 
     def test_product_state_matches_dense_matvec(self, rng):
         gate = random_unitary(rng, 4)
@@ -257,9 +255,9 @@ class TestApplyToMps:
         assert st.bond_ranks == (1, 1, 1)
         out = op.apply_to_mps(st, EXACT)
         out.validate()
-        want = np.array(op.to_dense().data) @ vec
+        want = op.to_dense() @ vec
         want /= np.linalg.norm(want)
-        assert np.allclose(np.array(out.to_dense().data), want, atol=1e-12)
+        assert np.allclose(out.to_dense(), want, atol=1e-12)
 
     def test_product_state_sweeps_plain_sites(self, monkeypatch):
         # a state whose bonds all have dimension 1 is contracted into the
@@ -300,8 +298,7 @@ class TestHsInner:
         b_gate = random_unitary(rng, 4)
         a = gate_mpo(3, ((0, 1), a_gate))
         b = gate_mpo(3, ((1, 2), b_gate))
-        want = np.trace(np.array(a.to_dense().data).conj().T
-                        @ np.array(b.to_dense().data)) / 8
+        want = np.trace(a.to_dense().conj().T @ b.to_dense()) / 8
         assert hs_inner(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_orthogonal_operators(self):
@@ -326,8 +323,7 @@ class TestRecanonicalize:
         gate = random_unitary(rng, 4)
         op = gate_mpo(3, ((1, 2), gate))
         again = op.recanonicalize(EXACT)
-        assert np.allclose(np.array(again.to_dense().data),
-                           np.array(op.to_dense().data), atol=1e-12)
+        assert np.allclose(again.to_dense(), op.to_dense(), atol=1e-12)
 
 
 class TestSerialization:
@@ -339,8 +335,7 @@ class TestSerialization:
         back = load_mpo(path)
         back.validate()
         assert back.bond_ranks == op.bond_ranks
-        assert np.allclose(np.array(back.to_dense().data),
-                           np.array(op.to_dense().data), atol=1e-13)
+        assert np.allclose(back.to_dense(), op.to_dense(), atol=1e-13)
 
     def test_sidecar(self, tmp_path):
         import json
@@ -363,7 +358,7 @@ class TestSerialization:
 
 
 def fourier_dense(n):
-    return dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]
+    return dense_qft_matrix(n)[:, bit_reversal_permutation(n)]
 
 
 class TestFourierMpo:
@@ -391,7 +386,7 @@ class TestFourierMpo:
     def test_dense_value(self, n):
         op = fourier_mpo(n, EXACT)
         op.validate()
-        assert np.max(np.abs(op.to_dense().data - fourier_dense(n))) <= 1e-13
+        assert np.max(np.abs(op.to_dense() - fourier_dense(n))) <= 1e-13
 
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(1e-14, 16),
                                         TruncationPolicy(1e-10), TruncationPolicy(1e-14, 4)])
@@ -412,7 +407,7 @@ class TestFourierMpo:
         n = 8
         full = fourier_mpo(n, EXACT)
         capped = full.recanonicalize(TruncationPolicy(1e-14, 3))
-        want = np.linalg.norm(capped.to_dense().data - full.to_dense().data)
+        want = np.linalg.norm(capped.to_dense() - full.to_dense())
         assert difference_norm(capped, full) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("n", [128, 512, MAX_OPERATOR_QUBITS])

@@ -25,7 +25,7 @@ class TestConstruction:
     def test_basis_state(self, bits):
         st = CanonicalMps.from_basis_state(len(bits), bits)
         st.validate()
-        vec = np.array(st.to_dense().data)
+        vec = st.to_dense()
         index = int("".join(str(b) for b in bits), 2)
         want = np.zeros(2 ** len(bits))
         want[index] = 1.0
@@ -45,7 +45,7 @@ class TestConstruction:
     def test_periodic_state_matches_dense(self, n, r, k0):
         st = CanonicalMps.from_periodic_state(n, r, k0)
         st.validate()
-        assert np.allclose(np.array(st.to_dense().data), dense_periodic(n, r, k0), atol=1e-12)
+        assert np.allclose(st.to_dense(), dense_periodic(n, r, k0), atol=1e-12)
 
     def test_periodic_bond_rank_bounded_by_period(self):
         st = CanonicalMps.from_periodic_state(10, 6, 1)
@@ -78,7 +78,7 @@ class TestConstruction:
         vec = random_state(rng, n)
         st = CanonicalMps.from_dense(vec)
         st.validate()
-        assert np.allclose(np.array(st.to_dense().data), vec, atol=1e-12)
+        assert np.allclose(st.to_dense(), vec, atol=1e-12)
 
     def test_from_dense_rejects_unnormalized(self, rng):
         with pytest.raises(ValueError):
@@ -106,8 +106,6 @@ class TestStructure:
             assert np.all(lam > 0)
 
     def test_structural_validation(self):
-        from qftmpo.tensor import DenseTensor
-
         good = CanonicalMps.from_basis_state(2, (0, 0))
         with pytest.raises(DimensionMismatchError):
             CanonicalMps(gammas=good.gammas, lambdas=(np.array([0.5, 0.5]),))
@@ -142,13 +140,12 @@ class TestReverseQubits:
         rev = st.reverse_qubits()
         rev.validate()
         want = vec.reshape((2,) * n).transpose(*reversed(range(n))).reshape(-1)
-        assert np.allclose(np.array(rev.to_dense().data), want, atol=1e-12)
+        assert np.allclose(rev.to_dense(), want, atol=1e-12)
 
     def test_involution(self, rng):
         st = CanonicalMps.from_dense(random_state(rng, 4))
         back = st.reverse_qubits().reverse_qubits()
-        assert np.allclose(np.array(back.to_dense().data),
-                           np.array(st.to_dense().data), atol=1e-13)
+        assert np.allclose(back.to_dense(), st.to_dense(), atol=1e-13)
 
 
 class TestAmplitude:
@@ -163,7 +160,7 @@ class TestAmplitude:
     def test_first_bit_is_most_significant(self):
         st = CanonicalMps.from_basis_state(3, (1, 0, 0))
         assert abs(st.amplitude((1, 0, 0))) == pytest.approx(1.0, abs=1e-14)
-        vec = np.array(st.to_dense().data)
+        vec = st.to_dense()
         assert abs(vec[4]) == pytest.approx(1.0, abs=1e-14)
 
     def test_bad_bits(self, rng):
@@ -184,7 +181,7 @@ class TestGateApplication:
         out = gate_mpo(n, ((site, site + 1), gate)).apply_to_mps(st, EXACT)
         out.validate()
         big = np.kron(np.kron(np.eye(2**site), gate), np.eye(2 ** (n - site - 2)))
-        assert np.allclose(np.array(out.to_dense().data), big @ vec, atol=1e-12)
+        assert np.allclose(out.to_dense(), big @ vec, atol=1e-12)
 
     def test_norm_preserved_under_truncation(self, rng):
         st = CanonicalMps.from_dense(random_state(rng, 6))
@@ -203,8 +200,7 @@ class TestSerialization:
         back = load_mps(path)
         back.validate()
         assert back.bond_ranks == st.bond_ranks
-        assert np.allclose(np.array(back.to_dense().data),
-                           np.array(st.to_dense().data), atol=1e-14)
+        assert np.allclose(back.to_dense(), st.to_dense(), atol=1e-14)
 
     def test_sidecar_metadata(self, tmp_path):
         import json

@@ -43,23 +43,23 @@ class TestBitReversal:
 class TestDenseQftMatrix:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_unitary(self, n):
-        f = np.array(dense_qft_matrix(n).data)
+        f = dense_qft_matrix(n)
         assert np.allclose(f.conj().T @ f, np.eye(2**n), atol=1e-13)
 
     def test_one_qubit_is_hadamard(self):
-        f = np.array(dense_qft_matrix(1).data)
+        f = dense_qft_matrix(1)
         h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         assert np.allclose(f, h, atol=1e-15)
 
     def test_two_qubit_entries(self):
         # F[j,k] = i^(j*k) / 2 for N = 4
-        f = np.array(dense_qft_matrix(2).data)
+        f = dense_qft_matrix(2)
         want = np.array([[1j ** (j * k % 4) for k in range(4)] for j in range(4)]) / 2
         assert np.allclose(f, want, atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_fourth_power_is_identity(self, n):
-        f = np.array(dense_qft_matrix(n).data)
+        f = dense_qft_matrix(n)
         assert np.allclose(np.linalg.matrix_power(f, 4), np.eye(2**n), atol=1e-12)
 
     def test_size_cap(self, monkeypatch):
@@ -119,15 +119,14 @@ class TestDenseEvolution:
     def test_output_gates_multiply_in_order(self, rng):
         # two non-commuting gates fix the order convention
         from qftmpo.circuits import CircuitSpec, GateSpec
-        from qftmpo.tensor import DenseTensor
 
         cz = np.diag([1, 1, 1, -1]).astype(complex)
         circ = CircuitSpec(2, (
             GateSpec("h", (0,)),
-            GateSpec("generic", (0, 1), matrix=DenseTensor(cz)),
+            GateSpec("generic", (0, 1), matrix=cz),
         ))
         vec = random_state(rng, 2)
-        got = np.array(dense_evolve(vec, circ).data)
+        got = dense_evolve(vec, circ)
         h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         want = cz @ np.kron(h, np.eye(2)) @ vec
         assert np.allclose(got, want, atol=1e-14)
@@ -136,7 +135,7 @@ class TestDenseEvolution:
         from qftmpo.circuits import CircuitSpec, GateSpec
 
         circ = CircuitSpec(2, (GateSpec("swap", (0, 1), side="both"),))
-        mat = np.array(dense_circuit_matrix(circ).data)
+        mat = dense_circuit_matrix(circ)
         # S I S^dag = I: a lone conjugation is invisible
         assert np.allclose(mat, np.eye(4), atol=1e-15)
 
@@ -144,9 +143,9 @@ class TestDenseEvolution:
         from qftmpo.circuits import nearest_neighbor_qft_circuit
 
         circ = nearest_neighbor_qft_circuit(3)
-        mat = np.array(dense_circuit_matrix(circ).data)
+        mat = dense_circuit_matrix(circ)
         vec = random_state(rng, 3)
-        assert np.allclose(mat @ vec, np.array(dense_evolve(vec, circ).data), atol=1e-13)
+        assert np.allclose(mat @ vec, dense_evolve(vec, circ), atol=1e-13)
 
     def test_textbook_cascade_gives_reversed_output(self):
         # the cascade without swaps produces the transform with
@@ -154,8 +153,8 @@ class TestDenseEvolution:
         from qftmpo.circuits import qft_circuit
 
         for n in (2, 3, 4):
-            mat = np.array(dense_circuit_matrix(qft_circuit(n)).data)
-            f = np.array(dense_qft_matrix(n).data)
+            mat = dense_circuit_matrix(qft_circuit(n))
+            f = dense_qft_matrix(n)
             rev = bit_reversal_permutation(n)
             assert np.allclose(mat, f[rev, :], atol=1e-13), n
 
@@ -163,8 +162,8 @@ class TestDenseEvolution:
         from qftmpo.circuits import nearest_neighbor_qft_circuit
 
         for n in (2, 3, 4, 5):
-            mat = np.array(dense_circuit_matrix(nearest_neighbor_qft_circuit(n)).data)
-            want = dense_qft_matrix(n).data[:, bit_reversal_permutation(n)]
+            mat = dense_circuit_matrix(nearest_neighbor_qft_circuit(n))
+            want = dense_qft_matrix(n)[:, bit_reversal_permutation(n)]
             assert np.allclose(mat, want, atol=1e-13), n
 
     def test_rejects_wrong_length(self):
@@ -235,7 +234,7 @@ class TestPeriodicReferences:
         count = periodic_support_count(L, r, k0)
         psi = np.zeros(2**L, dtype=complex)
         psi[k0::r] = 1 / math.sqrt(count)
-        out = np.array(dense_qft_matrix(L).data) @ psi
+        out = dense_qft_matrix(L) @ psi
         probs = periodic_peak_probabilities(L, r, k0)
         for m, p in probs.items():
             assert p == pytest.approx(abs(out[m]) ** 2, abs=1e-13)

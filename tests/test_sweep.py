@@ -112,7 +112,7 @@ class TestApplyMatchesReference:
         op = identity_mpo(1)
         st = CanonicalMps.from_basis_state(1, "1")
         out = op.apply_to_mps(st, EXACT)
-        assert np.allclose(np.array(out.to_dense().data), [0, 1], atol=1e-15)
+        assert np.allclose(out.to_dense(), [0, 1], atol=1e-15)
 
 
 class TestRecanonicalizeMatchesReference:

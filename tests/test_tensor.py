@@ -5,17 +5,19 @@ import pytest
 
 from conftest import run_python
 from qftmpo._canonical import _split_bond
-from qftmpo.circuits import GateSpec
+from qftmpo.circuits import GateSpec, qft_circuit
 from qftmpo.errors import NumericalError
+from qftmpo.mpo import identity_mpo
+from qftmpo.mps import CanonicalMps
+from qftmpo.oracle import dense_circuit_matrix, dense_evolve, dense_qft_matrix
 from qftmpo.tensor import (
     DenseTensor,
     TruncationPolicy,
     _svd_matrix,
     check_unitary,
-    read_tensor,
+    frozen_array,
     read_tensor_from,
     retained_count,
-    write_tensor,
     write_tensor_to,
 )
 
@@ -64,6 +66,25 @@ class TestDenseTensor:
         t = DenseTensor([1.0, 2.0])
         assert np.shares_memory(t.__array__(), t.data)
         assert t.__array__(np.complex64).dtype == np.complex64
+
+
+DENSE_VALUES = {
+    "CanonicalMpo.to_dense": lambda: identity_mpo(2).to_dense(),
+    "CanonicalMps.to_dense": lambda: CanonicalMps.from_basis_state(2, "01").to_dense(),
+    "dense_qft_matrix": lambda: dense_qft_matrix(2),
+    "dense_evolve": lambda: dense_evolve(np.eye(4)[1], qft_circuit(2)),
+    "dense_circuit_matrix": lambda: dense_circuit_matrix(qft_circuit(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_VALUES))
+def test_dense_values_are_read_only_arrays(name):
+    """Every dense value the package returns is a `frozen_array`."""
+    arr = DENSE_VALUES[name]()
+    assert type(arr) is np.ndarray and arr.dtype == np.complex128
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr[(0,) * arr.ndim] = 1.0
 
 
 class TestTruncationPolicy:
@@ -197,19 +218,14 @@ class TestSvdFallback:
 
 class TestSerialization:
     def test_stream_roundtrip(self, rng):
-        t = DenseTensor(rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4)))
+        t = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
         buf = io.BytesIO()
         write_tensor_to(buf, t)
         buf.seek(0)
         back = read_tensor_from(buf)
         assert back.shape == t.shape
-        assert np.array_equal(back, t.data)
-
-    def test_path_roundtrip(self, tmp_path, rng):
-        t = DenseTensor(rng.normal(size=(4, 4)))
-        path = tmp_path / "t.bin"
-        write_tensor(path, t)
-        assert np.array_equal(read_tensor(path).data, t.data)
+        assert np.array_equal(back, t)
+        assert not back.flags.writeable
 
     def test_bad_magic(self):
         buf = io.BytesIO(b"NOPE" + b"\x00" * 32)
@@ -217,7 +233,7 @@ class TestSerialization:
             read_tensor_from(buf)
 
     def test_scalar_tensor(self):
-        t = DenseTensor(np.array(3.0 + 1j))
+        t = np.array(3.0 + 1j)
         buf = io.BytesIO()
         write_tensor_to(buf, t)
         buf.seek(0)
@@ -227,7 +243,7 @@ class TestSerialization:
         vals = rng.random(5)
         direct, wrapped = io.BytesIO(), io.BytesIO()
         write_tensor_to(direct, vals)
-        write_tensor_to(wrapped, DenseTensor(vals.astype(np.complex128)))
+        write_tensor_to(wrapped, frozen_array(vals))
         assert direct.getvalue() == wrapped.getvalue()
 
 
