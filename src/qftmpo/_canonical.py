@@ -24,13 +24,13 @@ bond is much wider than that, the left-to-right pass of
 `canonicalize_train` replaces the exact triangular factor by the range
 found with a seeded Gaussian sketch of the right block (a randomized range
 finder, Halko, Martinsson & Tropp 2011), and checks the sketch's tail.
-The sweep makes one decision: if every sketch held, the left pass keeps
-the range basis Q_j of every bond (a reduced QR supplies it on the bonds
-too narrow to sketch), and the right-to-left pass truncates the
-compressed train, through one small product Q_j C per bond, in place of
-contracting the state and operator factors again over the product bond;
-if any sketch may have missed part of the range, the whole sweep is the
-exact one. Plain trains are never sketched, and their sweeps are exact.
+The sweep makes one decision: if every sketch held, the left pass hands
+over a compressed plain train of the range bases Q_j of every bond (a
+reduced QR supplies Q_j on the bonds too narrow to sketch), so the right
+pass never contracts the state and operator factors again over the
+product bond; if any sketch may have missed part of the range, the whole
+sweep is the exact one. Plain trains are never sketched. One
+right-to-left pass truncates a plain, pair or compressed train alike.
 
 The chain invariants (structure, bond norms, canonical defect) and the
 binary container live here once for both chain kinds; the ``normalize``
@@ -128,8 +128,8 @@ def _right_multiply(site, carry):
 
 
 def _sketched_left_pass(sites):
-    """The left pass by a randomized range finder: (Q_j of every bond, the
-    last left factor F_{n-2}), or None where the exact pass runs instead.
+    """The left pass by a randomized range finder: the compressed train,
+    or None where the exact pass runs instead.
 
     Only trains of factor pairs are sketched, and only where some left
     factor of the exact pass, whose row counts bound those of a sketched
@@ -148,6 +148,11 @@ def _sketched_left_pass(sites):
     sketch keeps the Q of a reduced QR. The first range test
     (`_sketch_holds`) runs at bond ``first``, and the first that fails
     returns None.
+
+    The compressed train is plain: site j < n-1 is the range basis Q_j of
+    bond j reshaped to (k_{j-1}, d, k_j), so every site but the last is
+    left-isometric, and the last site is F_{n-2} * site_{n-1}. To the
+    sketch's tail it encodes the vector of the factor pairs.
     """
     if not isinstance(sites[0], tuple):
         return None
@@ -161,14 +166,14 @@ def _sketched_left_pass(sites):
         return None
     rng = np.random.default_rng(SKETCH_SEED)
     sketches = [None] * (len(sites) - 1)
-    e = np.ones((1, 1), dtype=np.complex128)
+    e = ones = np.ones((1, 1), dtype=np.complex128)
     for j in range(len(sites) - 1, first, -1):
         t = _right_multiply(sites[j], e)  # (chi_{j-1}, d * k)
         e = t @ rng.standard_normal((t.shape[1], 2 * width)).view(np.complex128)
         e /= np.linalg.norm(e) or 1.0
         sketches[j - 1] = e
-    ranges = []
-    factor = np.ones((1, 1), dtype=np.complex128)
+    d = sites[0][1].shape[1]
+    train, factor = [], ones
     for site, sketch in zip(sites, sketches):
         m = _left_multiply(factor, site)
         if sketch is not None and min(m.shape) > SKETCH_SLACK * width:
@@ -178,8 +183,8 @@ def _sketched_left_pass(sites):
             factor = q.conj().T @ m
         else:
             q, factor = np.linalg.qr(m)
-        ranges.append(q)
-    return ranges, factor
+        train.append(q.reshape(-1, d, q.shape[1]))
+    return train + [(factor @ _right_multiply(sites[-1], ones)).reshape(-1, d, 1)]
 
 
 def canonicalize_train(tensors, policy, *, normalize):
@@ -194,24 +199,18 @@ def canonicalize_train(tensors, policy, *, normalize):
     right can produce, with Q_j an isometry. In the exact sweep F_j is the
     triangular QR factor of M = F_{j-1} * site_j. For factor pairs whose
     product bonds are much wider than the output rank, a randomized range
-    finder shrinks it instead (`_sketched_left_pass`): with E_j a Gaussian
-    sketch of the block right of bond j, Q R = qr(M E_j); if R's smallest
-    singular value is at most SKETCH_TAIL of its largest, the range of
-    M E_j holds that of M times the right block to that tail, and
-    F_j = Q^dag M has as many rows as E_j has columns, in place of chi_j.
-    That pass keeps Q_j of every bond. If any of its sketches saturates,
-    the whole sweep is the exact one, from the first bond, bit for bit.
-    Plain trains are never sketched.
+    finder (`_sketched_left_pass`) keeps the Q_j instead, as the sites of
+    a compressed plain train whose left blocks are isometric, so that
+    train needs no factor. If any of its sketches saturates, the whole
+    sweep is the exact one, from the first bond, bit for bit. Plain trains
+    are never sketched.
 
-    The right-to-left sweep carries a matrix C instead of the left blocks:
-    with X = site_j * C, the SVD of F_{j-1} X = U S Vh truncates bond j-1
-    and gives the right-isometric site Vh. In the exact sweep the next
-    carry is X Vh^dag, because F_{j-1} X Vh^dag = U S. After a sketched
-    left pass only the last bond takes F_{n-2} X; from there on the carry
-    is the compressed C' = U S (k_{j-1}, k'), and F_{j-1} * site_j * (the
-    product carry) is Q_j C' reshaped to (k_{j-1}, d k'): one small product
-    in place of the two contractions over the chi_S chi_O-wide product
-    bond. The singular values are the Schmidt coefficients across each
+    One right-to-left sweep serves every train. It carries a matrix C
+    instead of the left blocks: with X = site_j * C, the SVD of
+    F_{j-1} X = U S Vh (of X itself where there is no factor) truncates
+    bond j-1 and gives the right-isometric site Vh. The next carry is
+    X Vh^dag, because F_{j-1} X Vh^dag = U S, or U S where there is no
+    factor. The singular values are the Schmidt coefficients across each
     bond, as if every left block had been made isometric. With
     ``normalize`` the bond vectors are rescaled to unit 2-norm and the
     encoded vector to norm 1.
@@ -223,54 +222,37 @@ def canonicalize_train(tensors, policy, *, normalize):
         t if isinstance(t, tuple) else np.asarray(t, dtype=np.complex128) for t in tensors
     ]
     ones = np.ones((1, 1), dtype=np.complex128)
-    if n == 1:
-        g = _right_multiply(sites[0], ones).reshape(1, -1, 1)
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            raise NumericalError("chain encodes the zero vector")
-        return [g / norm if normalize else g], [], 0.0
-
-    sketched = _sketched_left_pass(sites)
-    if sketched:
-        ranges, factor = sketched
-        factors = [factor]  # the right pass reads F_{n-2} alone
-    else:  # the exact left pass: triangular factors only
-        factors, factor = [], ones
-        for site in sites[:-1]:
-            factor = np.linalg.qr(_left_multiply(factor, site), mode="r")
-            factors.append(factor)
+    factors = [None] * (n - 1)  # None: the left block is isometric already
+    train = _sketched_left_pass(sites)
+    if train is None:  # the exact left pass: triangular factors only
+        train, factor = sites, ones
+        for j, site in enumerate(sites[:-1]):
+            factor = factors[j] = np.linalg.qr(_left_multiply(factor, site), mode="r")
 
     work = [None] * n
     bond_vectors = [None] * (n - 1)
     discarded = 0.0
     carry = ones
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
-        if sketched and j < n - 1:  # compressed carry C' = U S: Q_j C' = F_{j-1} * site_j * (X Vh^dag)
-            y = (ranges[j] @ carry).reshape(ranges[j - 1].shape[1], -1)
-        else:
-            x = _right_multiply(sites[j], carry)
-            y = factors.pop() @ x  # F_{j-1}
-        u, s, vh, dropped = _split_bond(y, policy)
+        x = _right_multiply(train[j], carry)
+        factor = factors[j - 1]
+        u, s, vh, dropped = _split_bond(x if factor is None else factor @ x, policy)
         discarded += dropped
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(len(s), -1, carry.shape[1])
-        carry = u * s if sketched else x @ vh.conj().T
-    last = ranges[0] @ carry if sketched else _right_multiply(sites[0], carry)
-    work[0] = last.reshape(1, -1, carry.shape[1])
+        carry = u * s if factor is None else x @ vh.conj().T
+    work[0] = _right_multiply(train[0], carry).reshape(1, -1, carry.shape[1])
 
     # work[0] now carries the full norm; work[1:] are right-isometric with
     # bond_vectors holding the raw Schmidt coefficients.
+    norm = float(np.linalg.norm(bond_vectors[0] if bond_vectors else work[0]))
+    if norm == 0.0:
+        raise NumericalError("chain encodes the zero vector")
     stored = bond_vectors
     if normalize:
-        norm = float(np.linalg.norm(bond_vectors[0]))
         work[0] = work[0] / norm
         stored = [lam / np.linalg.norm(lam) for lam in bond_vectors]
-
-    gammas = [None] * n
-    gammas[0] = work[0] / stored[0][None, None, :]
-    for j in range(1, n - 1):
-        gammas[j] = work[j] / stored[j][None, None, :]
-    gammas[n - 1] = work[n - 1]
+    gammas = [w / lam for w, lam in zip(work, stored)] + [work[-1]]
     return gammas, stored, discarded
 
 

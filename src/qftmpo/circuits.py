@@ -75,8 +75,11 @@ class GateSpec:
             raise ValueError(f"{self.kind} gate takes {expected} site(s), got {self.sites}")
         if len(self.sites) == 2 and self.sites[0] == self.sites[1]:
             raise ValueError(f"two-qubit gate needs distinct sites, got {self.sites}")
-        if self.kind == "cphase" and self.angle is None:
-            raise ValueError("cphase gates need an angle")
+        if self.kind == "cphase":
+            if self.angle is None or not math.isfinite(self.angle):
+                raise ValueError(f"cphase gates need a finite angle, got {self.angle}")
+        elif self.angle is not None:
+            raise ValueError(f"{self.kind} gates take no angle")
 
     def dense_matrix(self) -> np.ndarray:
         if self.kind == "h":

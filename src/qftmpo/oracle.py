@@ -1,7 +1,8 @@
 """Dense reference implementations used to validate the tensor-network code.
 
-Everything here materializes full state vectors or matrices, so sizes are
-capped (override with QFTMPO_DENSE_LIMIT); dense results are read-only
+Everything here but the periodic peak probabilities, which are a closed
+form at any width, materializes full state vectors or matrices, so sizes
+are capped (override with QFTMPO_DENSE_LIMIT); dense results are read-only
 arrays (`tensor.frozen_array`). Phases are reduced with exact integer
 arithmetic before exponentiation so reference values stay accurate to
 machine precision at every supported size.
@@ -165,35 +166,43 @@ def periodic_peak_locations(n_qubits: int, period: int) -> list[int]:
 
 def periodic_peak_probabilities(n_qubits: int, period: int, offset: int = 0) -> dict[int, float]:
     """Exact output probabilities at the peak locations after a Fourier
-    transform of the uniform periodic state.
+    transform of the uniform periodic state, at any width.
 
-    Amplitudes are summed directly over the support with integer phase
-    reduction, so the values are reliable references down to 1e-15.
+    The amplitude at m is a geometric series over the c support points,
+    so with S = 2^n and q = m * period mod S,
+    p = (sin(pi (c q mod S) / S) / (S sin(pi q / S)))^2 * S / c, and
+    p = c / S where q = 0. Both sine arguments are reduced in integers to
+    at most pi/2, and S scales the small sine before anything is squared,
+    so the values stay reliable references down to 1e-15 where S itself
+    is near the float range (n = 1023).
     """
-    _check_qubits(n_qubits, PERIODIC_ORACLE_LIMIT, "periodic_peak_probabilities")
+    if n_qubits < 1:
+        raise ValueError(f"need at least one qubit, got {n_qubits}")
     if period >= 2**n_qubits:
         raise ValueError(f"period {period} needs at least one support point below 2^{n_qubits}")
     count = periodic_support_count(n_qubits, period, offset)
     size = 2**n_qubits
-    norm = math.sqrt(count * size)
+
+    def sin_pi(a: int) -> float:  # |sin(pi a / size)|
+        return math.sin(math.pi * (min(a, size - a) / size))
+
     probs: dict[int, float] = {}
-    chunk = 1 << 20
     for m in periodic_peak_locations(n_qubits, period):
-        total = 0.0 + 0.0j
-        for start in range(0, count, chunk):
-            idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-            x = offset + idx * period
-            phase = (m * x) % size
-            total += np.exp((2j * np.pi / size) * phase).sum()
-        probs[m] = abs(total / norm) ** 2
+        q = (m * period) % size
+        if q == 0:
+            probs[m] = count / size
+        else:
+            ratio = sin_pi((count * q) % size) / math.ldexp(sin_pi(q), n_qubits)
+            probs[m] = ratio * ratio * (size / count)
     return probs
 
 
 def periodic_output_distribution(n_qubits: int, period: int, offset: int = 0) -> np.ndarray:
     """Full output distribution of the transformed periodic state, via FFT.
 
-    Independent cross-check for `periodic_peak_probabilities`; costs a dense
-    2^n vector.
+    Independent cross-check for the closed form of
+    `periodic_peak_probabilities`; costs a dense 2^n vector, so it alone
+    keeps PERIODIC_ORACLE_LIMIT.
     """
     _check_qubits(n_qubits, PERIODIC_ORACLE_LIMIT, "periodic_output_distribution")
     if period >= 2**n_qubits:

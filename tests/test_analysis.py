@@ -232,6 +232,14 @@ class TestPeriodicStudy:
         assert len(res.rows) == 4
         assert built == [(8, 3, 0), (8, 5, 0)]
 
+    def test_past_the_dense_caps(self):
+        # the closed-form reference has no width cap: 64 qubits, where the
+        # support has 2^64 / period points
+        res = periodic_study([64], [3, 7, 31], rank_list=[16])
+        assert [row["period"] for row in res.rows] == [3, 7, 31]
+        for row in res.rows:
+            assert row["max_peak_error"] <= 2e-15
+
 
 class TestAqftStudy:
     def test_growth_regime_passes_checks(self):

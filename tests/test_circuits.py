@@ -52,6 +52,20 @@ class TestGateSpec:
         with pytest.raises(ValueError):
             GateSpec("cphase", (0, 1))
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_cphase_angle_must_be_finite(self, angle):
+        # refused as bad input when the gate is made, not as a failed SVD
+        # when it is compiled
+        with pytest.raises(ValueError, match="finite angle"):
+            GateSpec("cphase", (0, 1), angle=angle)
+
+    @pytest.mark.parametrize("kind,sites,matrix", [
+        ("h", (0,), None), ("swap", (0, 1), None), ("generic", (0, 1), np.eye(4)),
+    ])
+    def test_only_cphase_gates_take_an_angle(self, kind, sites, matrix):
+        with pytest.raises(ValueError, match=f"{kind} gates take no angle"):
+            GateSpec(kind, sites, angle=0.5, matrix=matrix)
+
     def test_site_count_checked(self):
         with pytest.raises(ValueError):
             GateSpec("h", (0, 1))

@@ -196,13 +196,14 @@ class TestNumericalFailures:
         assert "numerical failure" in err
 
     def test_dense_cap_is_a_resource_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("QFTMPO_DENSE_LIMIT", "6")
-        code, out, err = run(capsys, "periodic", "--L", "8", "--r", "3", "--rank-list", "4")
+        # the ordering scan permutes the dense transform
+        monkeypatch.setenv("QFTMPO_DENSE_LIMIT", "4")
+        code, out, err = run(capsys, "ordering-scan", "--n", "5")
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("qftmpo: resource limit: ")
-        assert "dense cap of 6 qubits" in err
+        assert "dense cap of 4 qubits" in err
 
     def test_no_check_escapes(self, capsys):
         code, out, _ = run(capsys, "aqft-scan", "--n-list", "8",

@@ -204,7 +204,9 @@ class TestPeriodicReferences:
             assert m % 8 == 0
             assert p == pytest.approx(1 / 8, abs=1e-13)
 
-    @pytest.mark.parametrize("L,r,k0", [(6, 3, 0), (8, 5, 2), (10, 6, 1), (10, 7, 0)])
+    @pytest.mark.parametrize(
+        "L,r,k0", [(6, 3, 0), (8, 5, 2), (10, 6, 1), (10, 7, 0), (16, 7, 3), (20, 31, 0)]
+    )
     def test_direct_sum_matches_fft(self, L, r, k0):
         probs = periodic_peak_probabilities(L, r, k0)
         dist = periodic_output_distribution(L, r, k0)
@@ -239,9 +241,20 @@ class TestPeriodicReferences:
         for m, p in probs.items():
             assert p == pytest.approx(abs(out[m]) ** 2, abs=1e-13)
 
+    def test_closed_form_at_the_widest_chain(self):
+        # n = 1023: 2^n is near the float range, where the naive
+        # num^2 / (c 2^n den^2) overflows to a probability of 0
+        probs = periodic_peak_probabilities(1023, 31)
+        assert len(probs) == 31
+        assert all(math.isfinite(p) and p > 0 for p in probs.values())
+        assert probs[0] == pytest.approx(1 / 31, rel=1e-15)
+        assert 0.7 < sum(probs.values()) <= 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             periodic_peak_probabilities(4, 16)
+        with pytest.raises(ValueError):
+            periodic_peak_probabilities(0, 1)
         with pytest.raises(ValueError):
             periodic_support_count(4, 3, 5)
         with pytest.raises(ValueError):

@@ -110,6 +110,24 @@ def test_peaks_at_n64(op64, period):
         assert abs(got - peak_probability(n, period, y)) <= 1e-12
 
 
+def test_compressed_train_is_a_plain_train(op20, monkeypatch):
+    # the held sketch hands over range bases that are left-isometric, and
+    # the exact sweep of that plain train gives the pair train's bonds
+    state = periodic_input(20, 31)
+    pairs = list(zip(_canonical.train_from_vidal(state.gammas, state.lambdas),
+                     _canonical.train_from_vidal(op20.site_tensors, op20.gamma_vectors)))
+    train = _canonical._sketched_left_pass(pairs)
+    assert train is not None and len(train) == 20
+    for site in train[:-1]:
+        q = site.reshape(-1, site.shape[2])
+        assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) <= 1e-12
+    _, got, _ = _canonical.canonicalize_train(train, EXACT, normalize=True)
+    with monkeypatch.context() as m:
+        m.setattr(_canonical, "_sketched_left_pass", lambda sites: None)
+        _, want, _ = _canonical.canonicalize_train(pairs, EXACT, normalize=True)
+    assert_same_bonds(got, want)
+
+
 def test_range_test_traffic(monkeypatch):
     # every range test holds on the periodic applies of the apply-n20
     # benchmark (reversed input, rank-16 operator), and natural order
@@ -175,7 +193,7 @@ def test_no_sketch_holds_is_the_exact_sweep(op20, monkeypatch):
     assert_bitwise_equal(out, exact_sweep(op20, state, EXACT, monkeypatch))
 
 
-@pytest.mark.parametrize("n_sites", [2, 3])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_short_pair_trains(monkeypatch, n_sites):
     # operator factors with 40 output values per site and a rank-5 inner
     # structure on 20-wide bonds: every bond is sketched, its sketch
