@@ -22,7 +22,7 @@ import numpy as np
 
 from ._canonical import train_from_vidal, two_site_update
 from .errors import NonAdjacentGateError
-from .mpo import CanonicalMpo, _sweep, identity_mpo
+from .mpo import CanonicalMpo, _sweep, check_bandwidth, identity_mpo
 from .tensor import TruncationPolicy, check_unitary
 
 GATE_KINDS = ("h", "cphase", "swap", "generic")
@@ -323,8 +323,7 @@ def aqft_circuit(n: int, bandwidth: int) -> CircuitSpec:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 1 <= bandwidth <= n:
-        raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
+    check_bandwidth(n, bandwidth)
     gates = _nn_cascade(
         n, _AngleSource(RotationScheme("standard"), bandwidth), lambda k: k <= bandwidth
     )
@@ -395,6 +394,12 @@ def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
     return op
 
 
+def check_rank_ceiling(rank_ceiling: int) -> None:
+    """Refuse a rank ceiling below 1."""
+    if rank_ceiling < 1:
+        raise ValueError(f"rank_ceiling must be >= 1, got {rank_ceiling}")
+
+
 def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
                   rank_ceiling: int | None = None) -> CompileTrace:
     """Absorb the circuit's gates in order into the raw train of an
@@ -416,8 +421,7 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
     bonds = list(start.gamma_vectors)
     eff_policy = policy
     if rank_ceiling is not None:
-        if rank_ceiling < 1:
-            raise ValueError(f"rank_ceiling must be >= 1, got {rank_ceiling}")
+        check_rank_ceiling(rank_ceiling)
         cap = rank_ceiling + 1 if policy.max_rank is None else min(policy.max_rank, rank_ceiling + 1)
         eff_policy = TruncationPolicy(policy.rel_cutoff, cap)
 

@@ -34,7 +34,7 @@ from .circuits import (
     nearest_neighbor_qft_circuit,
 )
 from .errors import QftmpoError, ResourceLimitError
-from .mpo import FOURIER_NODES, _fourier_sweep, check_width, load_mpo, save_mpo
+from .mpo import _fourier_sweep, _node_count, check_width, load_mpo, save_mpo
 from .mps import CanonicalMps, _parse_bits, save_mps
 from .oracle import periodic_peak_locations
 from .tensor import TruncationPolicy
@@ -105,21 +105,27 @@ def _cmd_build(args) -> None:
     check_width(args.n)
     if args.bandwidth is not None and args.scheme:
         raise ValueError("--bandwidth and --scheme are mutually exclusive")
-    # full: the options spell the gates of nearest_neighbor_qft_circuit(n)
+    # base: the options spell a cascade of the base-B rotation law, which the
+    # bulk tensor builds (B = 2 is the full transform)
+    base = None
     if args.bandwidth is not None:
         circuit = aqft_circuit(args.n, args.bandwidth)
-        full = args.bandwidth == args.n
+        if args.bandwidth == args.n:
+            base = 2
     elif args.scheme:
         scheme = RotationScheme.parse(args.scheme)
         circuit = generalized_circuit(args.n, scheme)
-        full = scheme.kind == "standard" or (scheme.kind == "base-n" and scheme.base == 2)
+        if scheme.kind in ("standard", "base-n"):
+            base = scheme.base or 2
     else:
         circuit = nearest_neighbor_qft_circuit(args.n)
-        full = True
-    if full:  # the full transform: no gate is absorbed
+        base = 2
+    if base is not None:  # no gate is absorbed
         _progress(f"building {circuit.family} on {args.n} qubits from its bulk tensor")
-        mpo, weight = _fourier_sweep(args.n, policy)
-        construction = {"kind": "bulk-tensor", "nodes": FOURIER_NODES}
+        mpo, weight = _fourier_sweep(args.n, policy, base)
+        # the transform's record predates the base and does not name it
+        construction = {"kind": "bulk-tensor", **({"base": base} if base != 2 else {}),
+                        "nodes": _node_count(base)}
     else:
         _progress(f"compiling {circuit.family} on {args.n} qubits ({len(circuit.gates)} gates)")
         trace = compile_trace(circuit, policy)

@@ -12,6 +12,12 @@ decomposition across that bond.
 Internally an operator chain is just a state chain with physical dimension
 4 (output and input legs fused, output slower), so all canonical-form
 machinery is shared with `CanonicalMps`.
+
+Three circuit families also have direct trains, built in O(n) sites and
+brought to canonical form by one `_sweep` instead of compiled from O(n^2)
+gates: the Fourier transform and every cascade of the base-B rotation law
+from their bulk tensor (`fourier_mpo`), and the bandwidth-b approximate
+transform from a carry of its last b - 1 input bits (`aqft_mpo`).
 """
 
 from __future__ import annotations
@@ -168,14 +174,32 @@ class CanonicalMpo:
         return _sweep(train, policy)[0]
 
     def to_dense(self) -> np.ndarray:
-        """Read-only dense matrix of the operator (guarded by the dense-size limit)."""
+        """Read-only dense matrix of the operator (guarded by the dense-size limit).
+
+        Each half of the chain is contracted with its output and input legs
+        kept apart, the halves are joined by one matmul, and one permuted
+        copy puts the outputs before the inputs."""
         n = self.n_qubits
         check_dense_size(n, DENSE_OPERATOR_LIMIT, "dense operator matrix")
-        vec = _canonical.vector_from_vidal(self._fused_sites(), self.gamma_vectors)
-        arr = vec.reshape((2,) * (2 * n))  # (i_0, j_0, i_1, j_1, ...)
-        perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        mat = np.transpose(arr, perm).reshape(2**n, 2**n)
-        return frozen_array(mat)
+        train = _canonical.train_from_vidal(self.site_tensors, self.gamma_vectors)
+        cut = (n + 1) // 2
+        left = _contract(np.ones((1, 1, 1, 1)), train[:cut])
+        bond = left.shape[3]
+        right = _contract(np.eye(bond).reshape(bond, 1, 1, bond), train[cut:])
+        dim_l, dim_r = left.shape[1], right.shape[1]
+        joined = left.reshape(dim_l * dim_l, bond) @ right.reshape(bond, dim_r * dim_r)
+        mat = frozen_array(joined.reshape(dim_l, dim_l, dim_r, dim_r).transpose(0, 2, 1, 3))
+        return mat.reshape(2**n, 2**n)
+
+
+def _contract(block: np.ndarray, sites) -> np.ndarray:
+    """``block`` (l, outputs, inputs, r) with the (r, 2, 2, r') ``sites``
+    contracted on in order, outputs and inputs kept apart."""
+    for site in sites:
+        l, o, i, r = block.shape
+        grown = (block.reshape(-1, r) @ site.reshape(r, -1)).reshape(l, o, i, 2, 2, -1)
+        block = grown.transpose(0, 1, 3, 2, 4, 5).reshape(l, 2 * o, 2 * i, -1)
+    return block
 
 
 def _sweep(train, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
@@ -186,17 +210,21 @@ def _sweep(train, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
 
 
 # ---------------------------------------------------------------- #
-# the Fourier transform from its bulk tensor
+# the Fourier transform and its base-B kin from the bulk tensor
 # ---------------------------------------------------------------- #
 
-def _chebyshev_bound(k: int) -> float:
+def _chebyshev_bound(k: int, base: int = 2) -> float:
     """Bound on the K-node Chebyshev interpolation error of e^{i w s},
-    |w| <= pi, over s in [0, 1] (see `fourier_mpo`)."""
-    return 2.0 * math.sqrt(2.0) * (math.pi / 4.0) ** k / math.factorial(k)
+    |w| <= pi / (base - 1)^2, over s in [0, 1] (see `fourier_mpo`)."""
+    return 2.0 * math.sqrt(2.0) * (math.pi / (4.0 * (base - 1) ** 2)) ** k / math.factorial(k)
 
 
-# the fewest nodes whose bound is within the noise floor the sweeps cut at
-FOURIER_NODES = next(k for k in range(1, 64) if _chebyshev_bound(k) <= NOISE_FLOOR)
+def _node_count(base: int) -> int:
+    """The fewest nodes whose bound is within the noise floor the sweeps cut at."""
+    return next(k for k in range(1, 64) if _chebyshev_bound(k, base) <= NOISE_FLOOR)
+
+
+FOURIER_NODES = _node_count(2)
 
 
 def _lagrange(s: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -208,77 +236,141 @@ def _lagrange(s: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _fourier_site(left: np.ndarray, nodes: np.ndarray | None) -> np.ndarray:
-    """Fused site e^{i pi [(t + x)(y + 1/2) - t]} P_m((t + x)/2) / sqrt(2)
-    over the left bond's points t, output bit y, input bit x and right node
-    m; without ``nodes`` (the last site) the right bond has dimension 1,
-    P_m = 1 and no e^{i pi u} is carried, so the phase is
-    e^{i pi [(t + x) y - t]}. The first site is the row t = 0."""
-    u = left[:, None] + np.arange(2.0)  # (t, x): twice the next cut's u
-    y = np.arange(2.0)[:, None] + (0.0 if nodes is None else 0.5)
-    site = np.exp(1j * math.pi * (u[:, None, :] * y - left[:, None, None]))  # (t, y, x)
-    site = site[..., None] / math.sqrt(2.0)
+def _fourier_site(left: np.ndarray, nodes: np.ndarray | None, base: int = 2) -> np.ndarray:
+    """Fused site e^{i pi [a (2y/B + 1/(B(B-1))) + x y (1 - 2/B) - t/(B-1)]}
+    P_m(a/B) / sqrt(2), a = t + x, over the left bond's points t, output
+    bit y, input bit x and right node m, for the base B = ``base``; without
+    ``nodes`` (the last site) the right bond has dimension 1, P_m = 1 and
+    no e^{i pi a / (B(B-1))} is carried. The first site is the row t = 0.
+    At B = 2 the phase is e^{i pi [(t + x)(y + 1/2) - t]}."""
+    a = left[:, None] + np.arange(2.0)  # (t, x): B times the next cut's u
+    y = np.arange(2.0)[:, None] * (2.0 / base) + (
+        0.0 if nodes is None else 1.0 / (base * (base - 1)))
+    # the Hadamard's e^{i pi x y} past the rotation law's 2 pi x y / B; zero at B = 2
+    own = np.outer(np.arange(2.0), np.arange(2.0)) * (1.0 - 2.0 / base)  # (y, x)
+    phase = a[:, None, :] * y - left[:, None, None] / (base - 1) + own
+    site = np.exp(1j * math.pi * phase)[..., None] / math.sqrt(2.0)  # (t, y, x, m)
     if nodes is not None:
-        site = site * _lagrange((u / 2).ravel(), nodes).reshape(len(left), 1, 2, -1)
+        site = site * _lagrange((a / base).ravel(), nodes).reshape(len(left), 1, 2, -1)
     return site.reshape(len(left), 4, -1)
 
 
-def fourier_mpo(n: int, policy: TruncationPolicy) -> CanonicalMpo:
+def fourier_mpo(n: int, policy: TruncationPolicy, base: int = 2) -> CanonicalMpo:
     """The n-qubit Fourier transform as `compile_to_mpo(
     nearest_neighbor_qft_circuit(n), policy)` returns it (bit-reversed
     input, norm-carrying bond vectors, the same bond ranks), built from its
-    bulk tensor in O(n) instead of from O(n^2) gates.
+    bulk tensor in O(n) instead of from O(n^2) gates; with ``base`` B, the
+    same for the cascade whose controlled phase of order k turns by
+    2 pi / B^k (`generalized_circuit(n, RotationScheme("base-n", base=B))`).
 
     Site j holds output bit y_j and input bit x_j, site 0 the most
-    significant. Entry (y, x) is 2^{-n/2} exp(2 pi i sum_{k <= j} y_j x_k
-    2^{k-j-1}), and across the cut after site c the two halves couple
-    through exp(2 pi i u v), with u = sum_{k <= c} x_k 2^{k-c-1} and
-    v = sum_{j > c} y_j 2^{c-j}, both in [0, 1). Write the coupling as
-    e^{i pi u} exp(2 pi i u (v - 1/2)). The left sites carry e^{i pi u}
-    exactly, and the right block, a function of u through
-    exp(2 pi i u (v - 1/2)) times factors free of u, is interpolated in u
-    at the K Chebyshev nodes t_m = (1 - cos((2m + 1) pi / 2K)) / 2 of
-    [0, 1], with Lagrange basis P_m. From one cut to the next u -> u' =
-    (u + x_{c+1}) / 2, and a site multiplies by e^{i pi (u' - t)}, t the
-    node of its left cut. That gives the same tensor at every bulk site and
-    every n,
+    significant. Entry (y, x) is 2^{-n/2} exp(i sum_j y_j (pi x_j +
+    2 pi sum_{k < j} x_k B^{k-j-1})), and across the cut after site c the
+    two halves couple through exp(2 pi i u v), with u = sum_{k <= c} x_k
+    B^{k-c-1} and v = sum_{j > c} y_j B^{c-j}, both in [0, 1/(B-1)). Write
+    the coupling as e^{i pi u/(B-1)} exp(2 pi i u (v - 1/(2(B-1)))). The
+    left sites carry e^{i pi u/(B-1)} exactly, and the right block, a
+    function of u through exp(2 pi i u (v - 1/(2(B-1)))) times factors free
+    of u, is interpolated in u at the K Chebyshev nodes t_m = (1 -
+    cos((2m + 1) pi / 2K)) / (2(B-1)) of [0, 1/(B-1)], with Lagrange basis
+    P_m. From one cut to the next u -> u' = (u + x_{c+1}) / B; the site
+    couples its output bit to the left cut through e^{2 pi i t y / B},
+    takes its own input bit through the Hadamard's e^{i pi x y}, and
+    multiplies by e^{i pi (u' - t)/(B-1)}, t the node of its left cut. That
+    gives the same tensor at every bulk site and every n; at B = 2,
 
         T[m', y, x, m] = e^{i pi [(t_{m'} + x)(y + 1/2) - t_{m'}]}
                          P_m((t_{m'} + x) / 2) / sqrt(2),
 
     the interpolative construction of Chen & Lindsey (2024) on the centred
-    coupling. The first site is the row t = 0, e^{i pi x (y + 1/2)}
-    P_m(x / 2) / sqrt(2), and the last site, which interpolates nothing, is
-    e^{i pi [(t_{m'} + x) y - t_{m'}]} / sqrt(2). One
-    `_canonical.canonicalize_train` sweep (a left QR pass, then a right
-    pass that truncates each bond under ``policy``) gives the canonical
-    chain. The raw train is left-orthogonalized before any bond is cut, so
-    the squared Frobenius distance between the train and the result is at
-    most the discarded weight of that sweep.
+    coupling (`_fourier_site` has the phase at any B). The first site is
+    the row t = 0, and the last site, which interpolates nothing, carries
+    no e^{i pi u'/(B-1)}. One `_canonical.canonicalize_train` sweep (a left
+    QR pass, then a right pass that truncates each bond under ``policy``)
+    gives the canonical chain. The raw train is left-orthogonalized before
+    any bond is cut, so the squared Frobenius distance between the train
+    and the result is at most the discarded weight of that sweep.
 
     K: the error of the K-node Chebyshev interpolant of g(s) = e^{i w s}
     on [0, 1] is at most max|g^(K)| / K! * max_s |prod_m (s - t_m)|, that
     is |w|^K / K! * 2 * 4^{-K} for each of the real and imaginary parts.
-    With w = 2 pi (v - 1/2), |w| <= pi, so |g - p| <= 2 sqrt(2) (pi / 4)^K
-    / K!, which is 5.7e-14 at K = 15 and 2.8e-15 at K = 16 (the uncentred
-    coupling, |w| <= 2 pi, needs K = 20). FOURIER_NODES is the smallest K
-    with the bound at most NOISE_FLOOR: 16. The bound holds per cut; the
-    worst of 200 sampled entries (times 2^{n/2}) is 4.1e-13 off the closed
-    form at n = 1023.
+    In s = (B-1) u, w = 2 pi (v - 1/(2(B-1))) / (B-1), so |w| <= pi /
+    (B-1)^2 and |g - p| <= 2 sqrt(2) (pi / (4 (B-1)^2))^K / K!. At B = 2
+    that is 5.7e-14 at K = 15 and 2.8e-15 at K = 16 (the uncentred
+    coupling, |w| <= 2 pi, needs K = 20). K is the smallest count with the
+    bound at most NOISE_FLOOR: FOURIER_NODES = 16 at B = 2, 11 at B = 3, 8
+    at B = 5. The bound holds per cut; the worst of 200 sampled entries
+    (times 2^{n/2}) of the transform is 4.1e-13 off the closed form at
+    n = 1023.
     """
-    return _fourier_sweep(n, policy)[0]
+    return _fourier_sweep(n, policy, base)[0]
 
 
-def _fourier_sweep(n: int, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
+def _fourier_sweep(n: int, policy: TruncationPolicy,
+                   base: int = 2) -> tuple[CanonicalMpo, float]:
     """`fourier_mpo` and the discarded weight of its sweep."""
     check_width(n)
+    if base < 2:
+        raise ValueError(f"the rotation base must be an integer >= 2, got {base}")
     if n == 1:
-        return _sweep([_fourier_site(np.zeros(1), None)], policy)
-    k = np.arange(FOURIER_NODES)
-    nodes = (1.0 - np.cos((2 * k + 1) * math.pi / (2 * FOURIER_NODES))) / 2.0
-    bulk = _fourier_site(nodes, nodes)
-    train = [_fourier_site(np.zeros(1), nodes)] + [bulk] * (n - 2)
-    return _sweep(train + [_fourier_site(nodes, None)], policy)
+        return _sweep([_fourier_site(np.zeros(1), None, base)], policy)
+    count = _node_count(base)
+    k = np.arange(count)
+    nodes = (1.0 - np.cos((2 * k + 1) * math.pi / (2 * count))) / (2.0 * (base - 1))
+    bulk = _fourier_site(nodes, nodes, base)
+    train = [_fourier_site(np.zeros(1), nodes, base)] + [bulk] * (n - 2)
+    return _sweep(train + [_fourier_site(nodes, None, base)], policy)
+
+
+# ---------------------------------------------------------------- #
+# the approximate transform from its carry
+# ---------------------------------------------------------------- #
+
+def check_bandwidth(n: int, bandwidth: int) -> None:
+    """Refuse an approximate-transform bandwidth outside 1..n."""
+    if not 1 <= bandwidth <= n:
+        raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
+
+
+def _aqft_site(carried: int, kept: int) -> np.ndarray:
+    """Fused site of `aqft_mpo` whose left bond carries the ``carried``
+    latest input bits before its own (the latest least significant) and
+    whose right bond keeps the ``kept`` latest, its own included: the
+    delta of that carry update times exp(2 pi i y (x / 2 + sum_i x_{j-i}
+    2^{-i-1})) / sqrt(2)."""
+    carry = np.arange(2**carried)
+    frac = np.zeros(len(carry))
+    for i in range(1, carried + 1):
+        frac += ((carry >> (i - 1)) & 1) * 2.0 ** (-i - 1)
+    bit = np.arange(2)
+    turn = frac[:, None] + 0.5 * bit  # (c, x)
+    phase = np.exp(2j * math.pi * turn[:, None, :] * bit[:, None])  # (c, y, x)
+    nxt = ((carry[:, None] << 1) | bit) & (2**kept - 1)  # (c, x)
+    site = np.zeros((len(carry), 2, 2, 2**kept), dtype=np.complex128)
+    site[carry[:, None, None], bit[:, None], bit, nxt[:, None, :]] = phase / math.sqrt(2.0)
+    return site.reshape(len(carry), 4, -1)
+
+
+def aqft_mpo(n: int, bandwidth: int, policy: TruncationPolicy) -> CanonicalMpo:
+    """The bandwidth-b approximate transform as `compile_to_mpo(
+    aqft_circuit(n, b), policy)` returns it (bit-reversed input,
+    norm-carrying bond vectors), from a carry train in O(n) instead of
+    from O(n^2) gates.
+
+    Entry (y, x) is 2^{-n/2} exp(2 pi i sum_j y_j sum_{0 <= j-k < b} x_k
+    2^{k-j-1}): output bit y_j sees only the input bits x_{j-b+1..j}. So
+    bond j carries the last min(b - 1, j + 1) input bits, and site j is
+    the delta of the carry update times exp(2 pi i y_j sum_{0 <= j-k < b}
+    x_k 2^{k-j-1}) / sqrt(2); the last site keeps no carry. Bonds are
+    2^{b-1} wide in the bulk, whatever the operator's rank; one
+    `_canonical.canonicalize_train` sweep cuts them under ``policy``.
+    """
+    check_width(n)
+    check_bandwidth(n, bandwidth)
+    shapes = [(min(bandwidth - 1, j), min(bandwidth - 1, j + 1) if j < n - 1 else 0)
+              for j in range(n)]
+    sites = {shape: _aqft_site(*shape) for shape in set(shapes)}
+    return _sweep([sites[shape] for shape in shapes], policy)[0]
 
 
 def identity_mpo(n: int) -> CanonicalMpo:

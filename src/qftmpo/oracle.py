@@ -73,8 +73,7 @@ def dense_operator_schmidt(matrix, cut: int) -> np.ndarray:
     left, right = 2**cut, 2 ** (n - cut)
     work = mat.reshape(left, right, left, right).transpose(0, 2, 1, 3)
     work = work.reshape(left * left, right * right)
-    _, s, _ = _svd_matrix(work)
-    return s
+    return _svd_matrix(work, compute_uv=False)
 
 
 def _apply_gate_dense(arr: np.ndarray, mat: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:

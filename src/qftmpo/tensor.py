@@ -118,10 +118,11 @@ def check_unitary(mat: np.ndarray, dim: int) -> None:
         raise ValueError(f"gate is not unitary (defect {defect:.2e} > 1e-10)")
 
 
-def _svd_matrix(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD with a fallback driver; raises NumericalError on a hard failure."""
+def _svd_matrix(mat: np.ndarray, compute_uv: bool = True):
+    """SVD (U, s, Vh) with a fallback driver, or the singular values alone
+    when not ``compute_uv``; raises NumericalError on a hard failure."""
     try:
-        return np.linalg.svd(mat, full_matrices=False)
+        return np.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         pass
     # scipy.linalg takes longer to import than a small command takes to run,
@@ -130,7 +131,8 @@ def _svd_matrix(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     try:
         # gesvd is slower but converges on matrices where gesdd gives up
-        return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
+        return scipy.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv,
+                                lapack_driver="gesvd")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"SVD did not converge for shape {mat.shape}") from exc
 

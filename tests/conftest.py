@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,19 @@ def fourier_entry(y, x, n):
     size = 1 << n
     rev = int(format(x, f"0{n}b")[::-1], 2)
     return cmath.exp(2j * math.pi * (((y * rev) % size) / size))
+
+
+def cascade_entry(y, x, n, turns):
+    """exp(2 pi i sum_{k <= j} y_j x_k turns(j, k)), the closed form of
+    entry (y, x) times 2^(n/2) of an operator whose output bit y_j picks up
+    the phase turns(j, k) (a Fraction of a turn) from each input bit x_k;
+    site 0 holds the most significant bit of y and of x. The sum is reduced
+    mod 1 in exact fractions, so any n works."""
+    ybits = [(y >> (n - 1 - j)) & 1 for j in range(n)]
+    xbits = [(x >> (n - 1 - k)) & 1 for k in range(n)]
+    total = sum((turns(j, k) for j in range(n) if ybits[j] for k in range(j + 1) if xbits[k]),
+                Fraction(0))
+    return cmath.exp(2j * math.pi * float(total % 1))
 
 
 def operator_entry(op, y, x):

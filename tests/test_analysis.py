@@ -27,7 +27,12 @@ from qftmpo.analysis import (
     tensor_convergence_study,
 )
 from qftmpo._canonical import bonds_around
-from qftmpo.circuits import RotationScheme, compile_to_mpo, nearest_neighbor_qft_circuit
+from qftmpo.circuits import (
+    RotationScheme,
+    compile_to_mpo,
+    compile_trace,
+    nearest_neighbor_qft_circuit,
+)
 from qftmpo.errors import NumericalError
 from qftmpo.mpo import fourier_mpo, from_dense_operator
 from qftmpo.tensor import TruncationPolicy
@@ -274,10 +279,37 @@ class TestAqftStudy:
         assert not any(row["saturated"] for row in res.rows)
         assert res.metadata["full_qft_ranks"] == {"12": 10}
 
+    @pytest.mark.parametrize("ceiling,gated", [(64, [8, 9, 10, 11]), (16, [6, 7, 8, 9, 10, 11])])
+    def test_carry_trains_below_the_ceiling(self, monkeypatch, ceiling, gated):
+        compiled = []
+
+        def recording(circuit, *args, **kwargs):
+            compiled.append(circuit.params["bandwidth"])
+            return compile_trace(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "compile_trace", recording)
+        aqft_rank_study([12], range(1, 12), TruncationPolicy(1e-10), rank_ceiling=ceiling,
+                        check=False)
+        assert compiled == gated
+
+    @pytest.mark.parametrize("bandwidths", [[0], [9], [3, 13]])
+    def test_bandwidth_outside_the_register(self, bandwidths):
+        with pytest.raises(ValueError, match=r"bandwidth must lie in \[1, 8\]"):
+            aqft_rank_study([8], bandwidths, rank_ceiling=1024, check=False)
+
+    @pytest.mark.parametrize("bandwidth", [1, 4])
+    def test_rank_ceiling_below_one(self, bandwidth):
+        with pytest.raises(ValueError, match="rank_ceiling must be >= 1, got 0"):
+            aqft_rank_study([8], [bandwidth], rank_ceiling=0, check=False)
+
     def test_doubling_window(self):
         per_b = {2: (4, False), 3: (8, False), 4: (16, False),
                  5: (18, False), 6: (12, False)}
         assert doubling_window(per_b) == [2, 3, 4]
+
+
+# minus the standard row's middle-bond slope at n = 14, cutoff 1e-10
+STANDARD_SLOPE = 2.0616144164
 
 
 class TestRotationStudy:
@@ -302,8 +334,45 @@ class TestRotationStudy:
         assert {s: row["max_bond_rank"] for s, row in by_scheme.items()} == {
             "standard": 10, "base-n:3": 7, "power-law:2": 65}
         assert [row["saturated"] for row in res.rows] == [False, False, True]
-        assert abs(by_scheme["standard"]["tail_slope"] + 2.0616145174) <= 1e-8
+        # the bulk tensor cut once at 1e-10; the gate compile's per-step cuts
+        # read -2.0616145174 (see test_gate_compile_near_the_standard_pin)
+        assert abs(by_scheme["standard"]["tail_slope"] + STANDARD_SLOPE) <= 1e-8
         assert abs(by_scheme["base-n:3"]["tail_slope"] + 3.0161970116) <= 1e-8
+
+    def test_gate_compile_near_the_standard_pin(self):
+        mpo = compile_to_mpo(nearest_neighbor_qft_circuit(14), TruncationPolicy(1e-10))
+        slope = spectrum_tail_slope(mpo.bond_probability_distribution(middle_bond(14)))
+        assert abs(slope + STANDARD_SLOPE) <= 2e-7
+
+    def test_trained_schemes_skip_the_gate_compile(self, monkeypatch):
+        compiled = []
+
+        def recording(circuit, *args, **kwargs):
+            compiled.append(circuit.params["scheme"])
+            return compile_trace(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "compile_trace", recording)
+        schemes = ["standard", "base-n:3", "base-n:5", "power-law:2",
+                   "perturbed-exponent:0.1:7", "perturbed-base:0.1:7"]
+        rotation_scheme_study([10], schemes, rank_ceiling=64)
+        assert compiled == ["power-law:2", "perturbed-exponent:0.1:7", "perturbed-base:0.1:7"]
+
+    @pytest.mark.parametrize("scheme", ["standard", "base-n:3"])
+    def test_trained_rows_saturate_on_the_final_rank(self, scheme):
+        # ranks 10 and 7 at n = 14, both over a ceiling of 4
+        res = rotation_scheme_study([14], [scheme], rank_ceiling=4)
+        assert res.rows[0]["saturated"] is True
+        assert res.rows[0]["max_bond_rank"] == 5
+        assert res.rows[0]["tail_slope"] is None
+
+    @pytest.mark.parametrize("scheme", ["standard", "base-n:3", "power-law:2"])
+    def test_rank_ceiling_below_one(self, scheme):
+        with pytest.raises(ValueError, match="rank_ceiling must be >= 1, got 0"):
+            rotation_scheme_study([6], [scheme], rank_ceiling=0)
+
+    def test_overflowing_base_fails_as_on_gates(self):
+        with pytest.raises(ValueError, match="angle at order 16 is not a finite number"):
+            rotation_scheme_study([40], ["base-n:99999999999999999999"])
 
     def test_accepts_scheme_strings(self):
         res = rotation_scheme_study([6], ["standard", "base-n:4"])

@@ -468,18 +468,29 @@ class TestBuildApply:
         assert sidecar["circuit_fingerprint"] == circuit_fingerprint(
             nearest_neighbor_qft_circuit(32))
 
-    @pytest.mark.parametrize("option,construction", [
-        ([], {"kind": "bulk-tensor", "nodes": 16}),
-        (["--bandwidth", "4"], {"kind": "gate-compile"}),
-        (["--scheme", "power-law:2"], {"kind": "gate-compile"}),
-    ], ids=["bulk-tensor", "aqft", "scheme"])
-    def test_build_records_its_construction(self, capsys, tmp_path, option, construction):
+    @pytest.mark.parametrize("n,option,construction", [
+        (8, [], {"kind": "bulk-tensor", "nodes": 16}),
+        (8, ["--bandwidth", "4"], {"kind": "gate-compile"}),
+        (8, ["--scheme", "power-law:2"], {"kind": "gate-compile"}),
+        (16, ["--scheme", "base-n:3"], {"kind": "bulk-tensor", "base": 3, "nodes": 11}),
+    ], ids=["bulk-tensor", "aqft", "scheme", "base-n-3"])
+    def test_build_records_its_construction(self, capsys, tmp_path, n, option, construction):
         path = tmp_path / "t.mpo"
-        code, out, _ = run(capsys, "build", "--n", "8", *option, "--out", str(path))
+        code, out, _ = run(capsys, "build", "--n", str(n), *option, "--out", str(path))
         assert code == 0
         assert json.loads(out)["construction"] == construction
         sidecar = json.loads((tmp_path / "t.mpo.json").read_text())
         assert sidecar["construction"] == construction
+
+    def test_base_scheme_has_the_gate_compile_ranks(self, capsys, tmp_path):
+        code, out, err = run(capsys, "build", "--n", "16", "--scheme", "base-n:3",
+                             "--out", str(tmp_path / "t.mpo"))
+        assert code == 0
+        assert "bulk tensor" in err and "gates" not in err
+        circuit = generalized_circuit(16, RotationScheme("base-n", base=3))
+        ref = compile_to_mpo(circuit, TruncationPolicy(1e-14))
+        assert json.loads(out)["bond_ranks"] == list(ref.bond_ranks)
+        assert json.loads(out)["fingerprint"] == circuit_fingerprint(circuit)
 
     @pytest.mark.parametrize("option,circuit", [
         (["--scheme", "standard"], generalized_circuit(64, RotationScheme("standard"))),

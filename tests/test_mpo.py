@@ -1,11 +1,20 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qftmpo import _canonical
-from qftmpo.circuits import GateSpec, _lift, compile_to_mpo, nearest_neighbor_qft_circuit
+from qftmpo.circuits import (
+    GateSpec,
+    RotationScheme,
+    _lift,
+    aqft_circuit,
+    compile_to_mpo,
+    generalized_circuit,
+    nearest_neighbor_qft_circuit,
+)
 from qftmpo.errors import DimensionMismatchError, NumericalError
 from qftmpo.mpo import (
     FOURIER_NODES,
@@ -14,7 +23,9 @@ from qftmpo.mpo import (
     _chebyshev_bound,
     _fourier_site,
     _lagrange,
+    _node_count,
     _sweep,
+    aqft_mpo,
     fourier_mpo,
     from_dense_operator,
     hs_inner,
@@ -27,6 +38,7 @@ from qftmpo.oracle import bit_reversal_permutation, dense_operator_schmidt, dens
 from qftmpo.tensor import NOISE_FLOOR, TruncationPolicy
 
 from conftest import (
+    cascade_entry,
     difference_norm,
     einsum_pair_operator,
     fourier_entry,
@@ -196,6 +208,18 @@ class TestDenseRoundTrip:
         op = from_dense_operator(mat)
         op.validate()
         assert np.allclose(op.to_dense(), mat, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_to_dense_matches_the_contracted_sites(self, rng, n):
+        # site by site, outputs before inputs: an independent contraction
+        op = from_dense_operator(random_unitary(rng, 2**n))
+        acc = np.ones((1, 1, 1))  # (outputs, inputs, bond)
+        for site in _canonical.train_from_vidal(op.site_tensors, op.gamma_vectors):
+            grown = np.einsum("oil,lyxr->oyixr", acc, site)
+            acc = grown.reshape(2 * acc.shape[0], 2 * acc.shape[1], -1)
+        dense = op.to_dense()
+        assert dense.shape == (2**n, 2**n) and not dense.flags.writeable
+        assert np.max(np.abs(dense - acc.reshape(2**n, 2**n))) <= 1e-14
 
     def test_from_dense_matches_gate_absorption(self, rng):
         gate = random_unitary(rng, 4)
@@ -381,6 +405,18 @@ class TestFourierMpo:
         w = 2 * np.pi * (np.arange(1024) / 1024 - 0.5)
         err = np.abs(basis @ np.exp(1j * np.outer(nodes, w)) - np.exp(1j * np.outer(s, w)))
         assert err.max() <= _chebyshev_bound(FOURIER_NODES) + rounding
+        # base B: v over [0, 1/(B-1)), so in s = (B-1) u every frequency
+        # from -pi/(B-1)^2 to pi/(B-1)^2
+        for base, count in ((3, 11), (5, 8)):
+            assert _node_count(base) == count
+            assert _chebyshev_bound(count, base) <= NOISE_FLOOR < _chebyshev_bound(count - 1, base)
+            k = np.arange(count)
+            unit = (1 - np.cos((2 * k + 1) * np.pi / (2 * count))) / 2
+            basis = _lagrange(s, unit)
+            rounding = np.abs(basis.sum(axis=1) - 1).max()
+            w = 2 * np.pi * (np.arange(1024) / 1024 - 0.5) / (base - 1) ** 2
+            err = np.abs(basis @ np.exp(1j * np.outer(unit, w)) - np.exp(1j * np.outer(s, w)))
+            assert err.max() <= _chebyshev_bound(count, base) + rounding
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_dense_value(self, n):
@@ -435,3 +471,108 @@ class TestFourierMpo:
     def test_width_limit(self, n):
         with pytest.raises(ValueError, match="operator chains need"):
             fourier_mpo(n, EXACT)
+
+
+def _base_circuit(n, base):
+    return generalized_circuit(n, RotationScheme("base-n", base=base))
+
+
+def _base_turns(base):
+    """Turns of the base-B cascade: the Hadamard's 1/2 on a site's own
+    bit, 1/B^{j-k+1} from an earlier one."""
+    return lambda j, k: Fraction(1, 2) if k == j else Fraction(1, base ** (j - k + 1))
+
+
+def _aqft_turns(bandwidth):
+    return lambda j, k: Fraction(1, 2 ** (j - k + 1)) if j - k < bandwidth else Fraction(0)
+
+
+TRAIN_POLICY = TruncationPolicy(1e-10)
+
+
+def _assert_matches_compile(op, ref):
+    assert op.bond_ranks == ref.bond_ranks
+    assert difference_norm(op, ref) <= 1e-10 * float(np.linalg.norm(ref.gamma_vectors[0]))
+
+
+def _worst_entry_error(op, turns, samples, seed):
+    n = op.n_qubits
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(samples):
+        y, x = rng.getrandbits(n), rng.getrandbits(n)
+        worst = max(worst, abs(operator_entry(op, y, x) - cascade_entry(y, x, n, turns)))
+    return worst
+
+
+class TestBaseTrain:
+    """The base-B cascade from its bulk tensor (`fourier_mpo` with a base),
+    against the gate compile and the closed form."""
+
+    @pytest.mark.parametrize("base", [3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_dense_value(self, base, n):
+        op = fourier_mpo(n, EXACT, base)
+        op.validate()
+        ref = compile_to_mpo(_base_circuit(n, base), EXACT).to_dense()
+        assert np.max(np.abs(op.to_dense() - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("base", [3, 5])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_gate_compile(self, base, n):
+        op = fourier_mpo(n, TRAIN_POLICY, base)
+        _assert_matches_compile(op, compile_to_mpo(_base_circuit(n, base), TRAIN_POLICY))
+
+    @pytest.mark.parametrize("base", [3, 5])
+    def test_closed_form_entries(self, base):
+        op = fourier_mpo(64, EXACT, base)
+        op.validate()
+        assert _worst_entry_error(op, _base_turns(base), 100, 64 + base) <= 1e-12
+
+    def test_base_two_is_the_transform(self):
+        for policy in (EXACT, TruncationPolicy(1e-14, 4)):
+            op, ref = fourier_mpo(20, policy, 2), fourier_mpo(20, policy)
+            assert all(np.array_equal(a, b) for a, b in zip(op.site_tensors, ref.site_tensors))
+            assert all(np.array_equal(a, b) for a, b in zip(op.gamma_vectors, ref.gamma_vectors))
+
+    @pytest.mark.parametrize("base", [1, 0])
+    def test_base_below_two(self, base):
+        with pytest.raises(ValueError, match=f"rotation base must be an integer >= 2, got {base}"):
+            fourier_mpo(4, EXACT, base)
+
+
+class TestAqftTrain:
+    """The approximate transform from its carry (`aqft_mpo`), against the
+    gate compile and the closed form."""
+
+    @pytest.mark.parametrize("bandwidth", range(1, 8))
+    def test_dense_value(self, bandwidth):
+        n = max(6, bandwidth)
+        op = aqft_mpo(n, bandwidth, EXACT)
+        op.validate()
+        ref = compile_to_mpo(aqft_circuit(n, bandwidth), EXACT).to_dense()
+        assert np.max(np.abs(op.to_dense() - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("bandwidth", range(1, 8))
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_matches_gate_compile(self, n, bandwidth):
+        op = aqft_mpo(n, bandwidth, TRAIN_POLICY)
+        _assert_matches_compile(op, compile_to_mpo(aqft_circuit(n, bandwidth), TRAIN_POLICY))
+
+    @pytest.mark.parametrize("bandwidth", [1, 5, 7])
+    def test_closed_form_entries(self, bandwidth):
+        # no gate compile at this width: b = 7 alone takes half a minute
+        op = aqft_mpo(64, bandwidth, EXACT)
+        op.validate()
+        assert op.max_bond_rank <= 2 ** (bandwidth - 1)
+        assert _worst_entry_error(op, _aqft_turns(bandwidth), 100, 640 + bandwidth) <= 1e-12
+
+    def test_full_bandwidth_is_the_transform(self):
+        op, ref = aqft_mpo(8, 8, EXACT), fourier_mpo(8, EXACT)
+        assert op.bond_ranks == ref.bond_ranks
+        assert difference_norm(op, ref) <= 1e-12 * float(np.linalg.norm(ref.gamma_vectors[0]))
+
+    @pytest.mark.parametrize("n,bandwidth", [(8, 0), (8, 9), (1, 2)])
+    def test_bandwidth_outside_the_register(self, n, bandwidth):
+        with pytest.raises(ValueError, match=rf"bandwidth must lie in \[1, {n}\], got {bandwidth}"):
+            aqft_mpo(n, bandwidth, EXACT)

@@ -202,6 +202,14 @@ class TestSvdFallback:
         assert np.max(np.abs((u * s) @ vh - mat)) <= 1e-12
         assert np.all(np.diff(s) <= 0)
 
+    def test_values_only_on_the_fallback(self, monkeypatch, rng):
+        mat = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        want = np.linalg.svd(mat, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+        s = _svd_matrix(mat, compute_uv=False)
+        assert s.shape == (4,)
+        assert np.max(np.abs(s - want)) <= 1e-12
+
     def test_scipy_loads_only_on_the_fallback(self):
         proc = run_python("-c", _FALLBACK_IMPORT_SCRIPT)
         assert proc.returncode == 0, proc.stderr
