@@ -12,7 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from itertools import permutations
@@ -67,9 +69,18 @@ def _git_describe() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+# the BLAS thread settings a study's timings and bits may depend on
+_BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _base_metadata(policy: TruncationPolicy, **extra) -> dict:
+    """What every study records: the code, numpy and Python versions, the
+    BLAS thread variables (None when unset), precision and policy."""
     meta = {
         "code_version": _git_describe(),
+        "numpy_version": np.__version__,
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
+        **{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
         "precision": "float64",
         "rel_cutoff": policy.rel_cutoff,
         "max_rank": policy.max_rank,

@@ -8,6 +8,13 @@ every interaction is between adjacent sites; the swaps are flagged
 side="both" so compilation tracks the input ordering along with the output
 ordering, and the compiled operator equals the Fourier matrix with
 bit-reversed input ordering.
+
+A circuit is held by stage (`CircuitSpec.stages`): the cascade builders
+describe their n^2 gates as n prefixes of one O(n) run, and the gate tuple
+is built only for the paths that walk it, compilation and the dense
+oracle. The JSON document and its fingerprint are streamed stage by stage
+from the run's encoded bytes, so at the paper's scale only the hash grows
+with the gate count.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -91,32 +99,50 @@ class GateSpec:
         return np.array(self.matrix, dtype=np.complex128)
 
 
-@dataclass(frozen=True, eq=False)
 class CircuitSpec:
-    """An ordered gate list on a fixed-width qubit register.
+    """An ordered gate list on a fixed-width qubit register, held by stage.
 
-    A gate object may stand at several places of ``gates`` (the cascade
-    builders share one object per distinct gate); its sites are checked
-    once, not once per occurrence.
+    ``stages`` holds ``(run, m)`` pairs: the gates are the first m entries
+    of each run in turn, a run being a tuple of gate fields (kind, sites,
+    angle, matrix, side) in `GateSpec`'s argument order. Stages may share
+    a run and runs may share field tuples, so the cascade builders describe
+    n^2 gates in O(n). ``CircuitSpec(n, gates, family, params)`` is one
+    stage of the given gates. ``gates`` builds the gate tuple on first use,
+    one `GateSpec` per distinct field tuple; the given gates are kept.
     """
 
-    n_qubits: int
-    gates: tuple[GateSpec, ...]
-    family: str = "custom"
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"need n_qubits >= 1, got {self.n_qubits}")
-        gates = tuple(self.gates)
-        for g in {id(g): g for g in gates}.values():
+    def __init__(self, n_qubits: int, gates, family: str = "custom", params: dict | None = None):
+        if n_qubits < 1:
+            raise ValueError(f"need n_qubits >= 1, got {n_qubits}")
+        gates = tuple(gates)
+        for g in gates:
             for s in g.sites:
-                if not 0 <= s < self.n_qubits:
-                    raise ValueError(
-                        f"gate {g.kind} touches site {s}, outside 0..{self.n_qubits - 1}"
-                    )
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "params", dict(self.params))
+                if not 0 <= s < n_qubits:
+                    raise ValueError(f"gate {g.kind} touches site {s}, outside 0..{n_qubits - 1}")
+        fields = {id(g): (g.kind, g.sites, g.angle, g.matrix, g.side) for g in gates}
+        run = tuple(fields[id(g)] for g in gates)
+        self.n_qubits, self.family, self.params = n_qubits, family, dict(params or {})
+        self.stages, self._gates = ((run, len(run)),), gates
+
+    @classmethod
+    def from_stages(cls, n_qubits: int, stages, family: str, params: dict) -> "CircuitSpec":
+        """A circuit from its stages, whose sites the caller guarantees."""
+        circuit = cls(n_qubits, (), family, params)
+        circuit.stages, circuit._gates = tuple(stages), None
+        return circuit
+
+    @property
+    def gates(self) -> tuple[GateSpec, ...]:
+        if self._gates is None:
+            gates, made = [], {}
+            for run, m in self.stages:
+                for f in run[:m]:
+                    g = made.get(id(f))
+                    if g is None:
+                        g = made[id(f)] = GateSpec(*f)
+                    gates.append(g)
+            self._gates = tuple(gates)
+        return self._gates
 
 
 # ---------------------------------------------------------------- #
@@ -214,6 +240,7 @@ class _AngleSource:
 
     def __init__(self, scheme: RotationScheme, max_order: int):
         self._scheme = scheme
+        self.per_gate = scheme.per_gate
         self._rng = None
         if scheme.kind.startswith("perturbed"):
             self._rng = np.random.default_rng(scheme.seed)
@@ -222,7 +249,7 @@ class _AngleSource:
             self._per_order = {k: self._draw(k) for k in range(2, max_order + 1)}
 
     def angle(self, k: int) -> float:
-        if self._scheme.per_gate:
+        if self.per_gate:
             return self._draw(k)
         return self._per_order[k]
 
@@ -272,36 +299,34 @@ def qft_circuit(n: int) -> CircuitSpec:
 
 
 def _nn_cascade(n: int, angle_source: _AngleSource,
-                keep: Callable[[int], bool]) -> tuple[GateSpec, ...]:
-    """Nearest-neighbour cascade. Each stage puts the active qubit on wire
-    0, applies its Hadamard, then walks it rightward: a controlled phase of
-    order d+2 with the wire-d neighbour (when kept), followed by a
-    bookkeeping swap. After stage s the finished qubit is parked at wire
-    n-1-s, so the register ends in reversed order.
+                keep: Callable[[int], bool]) -> tuple:
+    """Nearest-neighbour cascade, as the stages of `CircuitSpec`. Stage s
+    puts the active qubit on wire 0, applies its Hadamard, then walks it
+    rightward over d < n-1-s: a controlled phase of order d+2 with the
+    wire-d neighbour (when kept), then a bookkeeping swap. The finished
+    qubit is parked at wire n-1-s, so the register ends reversed.
 
-    The stages repeat the same gates, so each distinct (kind, sites, angle,
-    side) is one `GateSpec` object, placed at every occurrence: the
-    standard cascade holds 2n - 1 objects among its n^2 gates. Angles are
-    still drawn once per occurrence, in order, so a per-gate perturbed
-    scheme gets one object per draw."""
-    memo: dict = {}
+    With one angle per order, stage s is a prefix of one run: the Hadamard,
+    then for d = 0..n-2 the kept controlled phase and the side-"both" swap
+    on (d, d+1). A per-gate scheme draws angles afresh in gate order, one
+    run per stage, sharing the Hadamard and swap field tuples."""
+    hadamard = ("h", (0,), None, None, "output")
+    swaps = [("swap", (d, d + 1), None, None, "both") for d in range(n - 1)]
 
-    def shared(kind, sites, angle=None, side="output"):
-        key = (kind, sites, angle, side)
-        gate = memo.get(key)
-        if gate is None:
-            gate = memo[key] = GateSpec(kind, sites, angle=angle, side=side)
-        return gate
+    def run(length: int):
+        """The run of wire pairs d < length, and its length after each d."""
+        gates, ends = [hadamard], [1]
+        for d in range(length):
+            if keep(d + 2):
+                gates.append(("cphase", (d, d + 1), angle_source.angle(d + 2), None, "output"))
+            gates.append(swaps[d])
+            ends.append(len(gates))
+        return tuple(gates), ends
 
-    gates = []
-    for stage in range(n):
-        gates.append(shared("h", (0,)))
-        for d in range(n - 1 - stage):
-            k, sites = d + 2, (d, d + 1)
-            if keep(k):
-                gates.append(shared("cphase", sites, angle_source.angle(k)))
-            gates.append(shared("swap", sites, side="both"))
-    return tuple(gates)
+    if angle_source.per_gate:
+        return tuple((gates, len(gates)) for gates, _ in (run(n - 1 - s) for s in range(n)))
+    whole, ends = run(n - 1)
+    return tuple((whole, ends[n - 1 - s]) for s in range(n))
 
 
 def nearest_neighbor_qft_circuit(n: int) -> CircuitSpec:
@@ -309,8 +334,8 @@ def nearest_neighbor_qft_circuit(n: int) -> CircuitSpec:
     Fourier matrix in bit-reversed input ordering."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    gates = _nn_cascade(n, _AngleSource(RotationScheme("standard"), n), lambda k: True)
-    return CircuitSpec(n, gates, family="nn-qft", params={"n": n})
+    stages = _nn_cascade(n, _AngleSource(RotationScheme("standard"), n), lambda k: True)
+    return CircuitSpec.from_stages(n, stages, "nn-qft", {"n": n})
 
 
 def aqft_circuit(n: int, bandwidth: int) -> CircuitSpec:
@@ -324,12 +349,10 @@ def aqft_circuit(n: int, bandwidth: int) -> CircuitSpec:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     check_bandwidth(n, bandwidth)
-    gates = _nn_cascade(
+    stages = _nn_cascade(
         n, _AngleSource(RotationScheme("standard"), bandwidth), lambda k: k <= bandwidth
     )
-    return CircuitSpec(
-        n, gates, family="aqft", params={"n": n, "bandwidth": bandwidth}
-    )
+    return CircuitSpec.from_stages(n, stages, "aqft", {"n": n, "bandwidth": bandwidth})
 
 
 def generalized_circuit(n: int, scheme: RotationScheme) -> CircuitSpec:
@@ -338,10 +361,9 @@ def generalized_circuit(n: int, scheme: RotationScheme) -> CircuitSpec:
     `nearest_neighbor_qft_circuit` exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    gates = _nn_cascade(n, _AngleSource(scheme, n), lambda k: True)
-    return CircuitSpec(
-        n, gates, family="generalized", params={"n": n, "scheme": scheme.label()}
-    )
+    stages = _nn_cascade(n, _AngleSource(scheme, n), lambda k: True)
+    return CircuitSpec.from_stages(
+        n, stages, "generalized", {"n": n, "scheme": scheme.label()})
 
 
 # ---------------------------------------------------------------- #
@@ -472,44 +494,60 @@ CIRCUIT_FORMAT = "qftmpo-circuit/1"
 _SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
-def _gate_to_dict(g: GateSpec) -> dict:
-    entry: dict = {"kind": g.kind, "sites": list(g.sites), "side": g.side}
-    if g.angle is not None:
-        entry["angle"] = g.angle
-    if g.matrix is not None:
-        entry["matrix"] = [[[v.real, v.imag] for v in row] for row in g.matrix]
-    return entry
+def _gate_text(kind, sites, angle, matrix, side) -> str:
+    """The gate's dict as `_SORTED_JSON` encodes it, written from its
+    fields: the keys in sorted order (angle, kind, matrix, side, sites),
+    with an angle or a matrix only when the gate has one."""
+    text = f'"kind": "{kind}", '
+    if angle is not None:  # json writes every float by float.__repr__
+        angle = float.__repr__(angle) if isinstance(angle, float) else _SORTED_JSON.encode(angle)
+        text = f'"angle": {angle}, {text}'
+    if matrix is not None:
+        entries = [[[v.real, v.imag] for v in row] for row in matrix]
+        text += f'"matrix": {_SORTED_JSON.encode(entries)}, '
+    return f'{{{text}"side": "{side}", "sites": {list(sites)}}}'
 
 
-def _json_pieces(circuit: CircuitSpec):
-    """The text of `circuit_to_json` in pieces, in order: the keys before
-    the gate list, the gates in runs of n_qubits (about one cascade stage)
-    and the keys after it. Each distinct gate object is encoded once and
-    its text repeated at every occurrence."""
-    distinct = {id(g): g for g in circuit.gates}
-    encoded = {key: _SORTED_JSON.encode(_gate_to_dict(g)) for key, g in distinct.items()}
+def _json_chunks(circuit: CircuitSpec):
+    """The UTF-8 text of `circuit_to_json` in chunks, in order: the keys
+    before the gate list, one chunk per stage and the keys after it. Each
+    distinct field tuple is written once, each distinct run is encoded once
+    as its gates' texts each led by ", ", and a stage is a memoryview prefix
+    of its run's bytes."""
     # sorted keys: family, format | gates | n_qubits, params
     head = _SORTED_JSON.encode({"family": circuit.family, "format": CIRCUIT_FORMAT})
-    yield f'{head[:-1]}, "gates": ['
-    gates, step = circuit.gates, circuit.n_qubits
-    for start in range(0, len(gates), step):
-        run = ", ".join([encoded[id(g)] for g in gates[start:start + step]])
-        yield f", {run}" if start else run
+    yield f'{head[:-1]}, "gates": ['.encode()
+    texts: dict = {}
+    runs: dict = {}
+    lead = 2  # the ", " before the first gate is dropped
+    for run, m in circuit.stages:
+        if id(run) not in runs:
+            for f in run:
+                if id(f) not in texts:
+                    texts[id(f)] = f", {_gate_text(*f)}".encode()
+            chunks = [texts[id(f)] for f in run]
+            runs[id(run)] = (memoryview(b"".join(chunks)),
+                             list(accumulate(map(len, chunks), initial=0)))
+        view, ends = runs[id(run)]
+        if m:
+            yield view[lead:ends[m]]
+            lead = 0
     tail = _SORTED_JSON.encode({"n_qubits": circuit.n_qubits, "params": circuit.params})
-    yield f"], {tail[1:]}"
+    yield f"], {tail[1:]}".encode()
 
 
 def circuit_to_json(circuit: CircuitSpec) -> str:
     """The circuit as ``json.dumps(doc, sort_keys=True)`` of the document
     {format, n_qubits, family, params, gates: [one dict per gate]}, byte
-    for byte."""
-    return "".join(_json_pieces(circuit))
+    for byte, assembled stage by stage from `_json_chunks`."""
+    return b"".join(_json_chunks(circuit)).decode()
 
 
 def circuit_fingerprint(circuit: CircuitSpec) -> str:
-    """Stable content hash of the serialized circuit, fed to the hash piece
-    by piece, so the whole document is never held."""
+    """SHA-256 of `circuit_to_json`, fed stage by stage from
+    `_json_chunks`, so the whole document is never held: the hash is the
+    only work that grows with the gate count."""
     digest = hashlib.sha256()
-    for piece in _json_pieces(circuit):
-        digest.update(piece.encode())
+    for chunk in _json_chunks(circuit):
+        digest.update(chunk)
     return digest.hexdigest()

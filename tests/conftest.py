@@ -56,6 +56,16 @@ def gate_mpo(n, *gates):
     return compile_to_mpo(CircuitSpec(n, specs), TruncationPolicy(1e-14))
 
 
+def gate_to_dict(g):
+    """One gate's entry in a circuit document, built from the gate object."""
+    entry = {"kind": g.kind, "sites": list(g.sites), "side": g.side}
+    if g.angle is not None:
+        entry["angle"] = g.angle
+    if g.matrix is not None:
+        entry["matrix"] = [[[v.real, v.imag] for v in row] for row in g.matrix]
+    return entry
+
+
 def circuit_from_document(text):
     """The circuit a `circuit_to_json` document describes, one gate object
     per entry: the document, and so the fingerprint, determines the

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,28 @@ class TestStudyResult:
         second = spectrum_study([6]).metadata["code_version"]
         assert first == second
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("study", [
+        lambda: spectrum_study([4]),
+        lambda: spectrum_convergence_study([4], 6),
+        lambda: tensor_convergence_study([4], 6),
+        lambda: hs_error_study([6], [2, 4]),
+        lambda: periodic_study([6], [3], rank_list=[8]),
+        lambda: aqft_rank_study([6], bandwidth_list=[2, 3], check=False),
+        lambda: rotation_scheme_study([6], [RotationScheme("power-law", exponent=2)]),
+        lambda: ordering_study(3),
+        lambda: scaling_benchmark([8], repeats=1),
+    ], ids=["spectrum", "converge-spectrum", "converge-tensor", "hs-error", "periodic",
+            "aqft-scan", "rotation-scan", "ordering-scan", "bench-scaling"])
+    def test_metadata_names_versions_and_blas_threads(self, monkeypatch, study):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        meta = study().metadata
+        assert meta["numpy_version"] == np.__version__
+        assert meta["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+        assert (meta["OMP_NUM_THREADS"], meta["OPENBLAS_NUM_THREADS"]) == ("1", "2")
+        assert "MKL_NUM_THREADS" in meta and meta["MKL_NUM_THREADS"] is None
 
     def test_file_output(self, tmp_path):
         res = self.make()

@@ -9,6 +9,7 @@ import qftmpo.circuits as circuits
 from conftest import (
     circuit_from_document,
     fourier_entry,
+    gate_to_dict,
     operator_entry,
     per_gate_reference,
     random_unitary,
@@ -32,6 +33,29 @@ from qftmpo.oracle import bit_reversal_permutation, dense_circuit_matrix, dense_
 from qftmpo.tensor import TruncationPolicy
 
 EXACT = TruncationPolicy(1e-14)
+
+# digests of the bulk spellings of `qftmpo build` at the largest width
+PINNED = {
+    "nn256": "c595eb932f9304db988762712e3502d8b85471e89d69493eace08db9b33a518b",
+    "nn1023": "225179b02c38fdc1473ad0b163acd1e57e1af557f8d33fa667c5b584d5701922",
+    "aqft64-7": "39f3d6efe1a9050e53e0f62b74f6600226bf08422781ff8844085ed22f241219",
+    "aqft1023-1023": "ce10fccc205b517a0430bea9aca564f20b1763ed83999c1d9746f25a349422a1",
+}
+
+
+def per_order_draws(n, angle):
+    """Angle rule of a perturbed scheme, seed 7, scale 0.1: one delta per
+    order, drawn for orders 2..n in turn."""
+    rng = np.random.default_rng(7)
+    deltas = {k: rng.uniform(-0.1, 0.1) for k in range(2, n + 1)}
+    return lambda k: angle(k, deltas[k])
+
+
+def per_gate_draws(angle):
+    """Angle rule of a per-gate perturbed scheme, seed 7, scale 0.1: a
+    fresh delta at each call."""
+    rng = np.random.default_rng(7)
+    return lambda k: angle(k, rng.uniform(-0.1, 0.1))
 
 
 def count(circ, kind):
@@ -540,9 +564,67 @@ class TestSerialization:
          "97e5c6c8566f8acc7e0f423acb1ee068f9e1b9e902da1d6779ee28ef2956cb1e"),
         (lambda: aqft_circuit(12, 5),
          "9f1984d21bd7d2bd70ad8420f4cabbc780eb93b0697756705a8920cf8f617d99"),
-    ], ids=["nn1", "nn5", "nn32", "aqft12-5"])
+        (lambda: nearest_neighbor_qft_circuit(256), PINNED["nn256"]),
+        (lambda: nearest_neighbor_qft_circuit(1023), PINNED["nn1023"]),
+        (lambda: aqft_circuit(64, 7), PINNED["aqft64-7"]),
+        (lambda: aqft_circuit(1023, 1023), PINNED["aqft1023-1023"]),
+        # 2 pi / k^2 and 2 pi / 3^k divide by exactly representable numbers
+        (lambda: generalized_circuit(14, RotationScheme.parse("power-law:2")),
+         "f6fddf3986830957bf33b1740a6313026e1b574cf9d504f800312ce8b7622f8a"),
+        (lambda: generalized_circuit(14, RotationScheme.parse("base-n:3")),
+         "01048361d3553902f56a022943c7e8363ebac8adf608d331705f95fbbe9698a3"),
+    ], ids=["nn1", "nn5", "nn32", "aqft12-5", "nn256", "nn1023", "aqft64-7", "aqft1023-1023",
+            "power-law-2", "base-n-3"])
     def test_fingerprint_pinned(self, make, digest):
         assert circuit_fingerprint(make()) == digest
+
+    @pytest.mark.parametrize("make,family,params,angle,keep", [
+        (lambda: nearest_neighbor_qft_circuit(9), "nn-qft", {"n": 9},
+         lambda: lambda k: 2.0 * math.pi / 2.0**k, None),
+        (lambda: aqft_circuit(9, 4), "aqft", {"n": 9, "bandwidth": 4},
+         lambda: lambda k: 2.0 * math.pi / 2.0**k, lambda k: k <= 4),
+        (lambda: generalized_circuit(9, RotationScheme.parse("power-law:2")), "generalized",
+         {"n": 9, "scheme": "power-law:2"}, lambda: lambda k: 2.0 * math.pi / float(k) ** 2, None),
+        (lambda: generalized_circuit(9, RotationScheme.parse("base-n:3")), "generalized",
+         {"n": 9, "scheme": "base-n:3"}, lambda: lambda k: 2.0 * math.pi / 3.0**k, None),
+        (lambda: generalized_circuit(9, RotationScheme.parse("perturbed-exponent:0.1:7")),
+         "generalized", {"n": 9, "scheme": "perturbed-exponent:0.1:7"},
+         lambda: per_order_draws(9, lambda k, delta: 2.0 * math.pi / 2.0 ** (k + delta)), None),
+        (lambda: generalized_circuit(9, RotationScheme.parse("perturbed-base:0.1:7")),
+         "generalized", {"n": 9, "scheme": "perturbed-base:0.1:7"},
+         lambda: per_order_draws(9, lambda k, delta: 2.0 * math.pi / (2.0 + delta) ** k), None),
+        (lambda: generalized_circuit(
+            9, RotationScheme.parse("perturbed-exponent:0.1:7:per-gate")),
+         "generalized", {"n": 9, "scheme": "perturbed-exponent:0.1:7:per-gate"},
+         lambda: per_gate_draws(lambda k, delta: 2.0 * math.pi / 2.0 ** (k + delta)), None),
+    ], ids=["nn", "aqft", "power-law", "base-n", "perturbed-exponent", "perturbed-base",
+            "per-gate"])
+    def test_json_is_the_stage_loop_document(self, make, family, params, angle, keep):
+        # angle() is called once per kept controlled phase, in gate order
+        n, angle, keep = params["n"], angle(), keep or (lambda k: True)
+        gates = []
+        for stage in range(n):
+            gates.append({"kind": "h", "sites": [0], "side": "output"})
+            for d in range(n - 1 - stage):
+                if keep(d + 2):
+                    gates.append({"kind": "cphase", "sites": [d, d + 1], "side": "output",
+                                  "angle": angle(d + 2)})
+                gates.append({"kind": "swap", "sites": [d, d + 1], "side": "both"})
+        doc = {"format": "qftmpo-circuit/1", "n_qubits": n, "family": family,
+               "params": params, "gates": gates}
+        assert circuit_to_json(make()) == json.dumps(doc, sort_keys=True)
+
+    def test_json_of_generic_gates_is_the_gate_list_document(self):
+        c = math.sqrt(0.99)
+        tiny = GateSpec("generic", (1,), matrix=[[complex(1.0, -0.0), 5e-324], [-0.0, 1.0]])
+        turn = GateSpec("generic", (0, 1), matrix=np.kron([[c, 0.1], [-0.1, c]], np.eye(2)),
+                        side="both")
+        circ = CircuitSpec(2, (tiny, turn, tiny), params={"note": "generic"})
+        doc = {"format": "qftmpo-circuit/1", "n_qubits": 2, "family": "custom",
+               "params": {"note": "generic"}, "gates": [gate_to_dict(g) for g in circ.gates]}
+        text = circuit_to_json(circ)
+        assert text == json.dumps(doc, sort_keys=True)
+        assert "-0.0" in text and "5e-324" in text and "0.1" in text
 
     def test_cascade_shares_its_distinct_gates(self):
         # one Hadamard plus a cphase and a swap per wire pair: 2n - 1

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import struct
 import time
 
@@ -11,6 +12,8 @@ import qftmpo
 from conftest import run_python
 from qftmpo import _canonical
 from qftmpo.circuits import (
+    CircuitSpec,
+    GateSpec,
     RotationScheme,
     aqft_circuit,
     circuit_fingerprint,
@@ -24,6 +27,7 @@ from qftmpo.mpo import _fourier_sweep, fourier_mpo, identity_mpo, load_mpo, save
 from qftmpo.mps import CanonicalMps, load_mps
 from qftmpo.oracle import bit_reversal_permutation, dense_qft_matrix, periodic_peak_probabilities
 from qftmpo.tensor import TruncationPolicy
+from test_circuits import PINNED
 from test_sweep import assert_same_bonds, peak_probability, seeded_bits, train_overlap
 
 
@@ -513,6 +517,55 @@ class TestBuildApply:
         assert sidecar["circuit_fingerprint"] != circuit_fingerprint(
             nearest_neighbor_qft_circuit(64))
 
+    @pytest.mark.parametrize("n,option,digest", [
+        (1023, [], PINNED["nn1023"]),
+        (1023, ["--scheme", "standard"], None),
+        (1023, ["--bandwidth", "1023"], PINNED["aqft1023-1023"]),
+        (256, ["--scheme", "base-n:3"], None),
+    ], ids=["plain", "standard", "full-bandwidth", "base-n-3"])
+    def test_bulk_spellings_build_no_gate_list(self, capsys, tmp_path, monkeypatch,
+                                               n, option, digest):
+        made = []
+        post_init = GateSpec.__post_init__
+
+        def counting(self):
+            made.append(self.kind)
+            post_init(self)
+
+        def refused(self):
+            raise AssertionError("the gate tuple was built")
+
+        monkeypatch.setattr(GateSpec, "__post_init__", counting)
+        monkeypatch.setattr(CircuitSpec, "gates", property(refused))
+        code, out, _ = run(capsys, "build", "--n", str(n), *option,
+                           "--out", str(tmp_path / "t.mpo"))
+        assert code == 0
+        assert len(made) <= 4 * n
+        assert json.loads(out)["construction"]["kind"] == "bulk-tensor"
+        if digest is not None:
+            assert json.loads(out)["fingerprint"] == digest
+
+    def test_gate_compile_matches_an_explicit_gate_list(self, capsys, tmp_path):
+        n, bandwidth = 16, 5
+        gates = []
+        for stage in range(n):
+            gates.append(GateSpec("h", (0,)))
+            for d in range(n - 1 - stage):
+                if d + 2 <= bandwidth:
+                    angle = 2.0 * math.pi / 2.0 ** (d + 2)
+                    gates.append(GateSpec("cphase", (d, d + 1), angle=angle))
+                gates.append(GateSpec("swap", (d, d + 1), side="both"))
+        ref = compile_trace(CircuitSpec(n, gates), TruncationPolicy(1e-14)).mpo
+        path = tmp_path / "a.mpo"
+        code, out, _ = run(capsys, "build", "--n", str(n), "--bandwidth", str(bandwidth),
+                           "--out", str(path))
+        assert code == 0
+        assert json.loads(out)["construction"] == {"kind": "gate-compile"}
+        got = load_mpo(path)
+        for a, b in zip((*ref.site_tensors, *ref.gamma_vectors),
+                        (*got.site_tensors, *got.gamma_vectors), strict=True):
+            assert np.array_equal(a, b)
+
     def test_apply_periodic_on_64_qubits(self, tmp_path):
         # peak indices reach 2^64, past int64
         n, period = 64, 29
@@ -540,6 +593,9 @@ class TestBuildApply:
         ("3", "perturbed-base:inf:3", "finite non-negative scale, got inf"),
         ("4", "power-law:99999999999", "angle at order 2 is not a finite number"),
         ("40", "base-n:99999999999999999999", "angle at order 16 is not a finite number"),
+        # 3^647 overflows a double, 3^646 does not
+        ("647", "base-n:3", "angle at order 647 is not a finite number"),
+        ("1023", "base-n:3", "angle at order 647 is not a finite number"),
         # a draw near -2 sends (2 + delta)^k to zero
         ("300", "perturbed-base:1.99:3", "is not a finite number"),
     ])

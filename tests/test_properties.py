@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circuit_from_document
+from conftest import circuit_from_document, gate_to_dict
 from qftmpo.circuits import (
     CircuitSpec,
     GateSpec,
@@ -17,7 +17,6 @@ from qftmpo.circuits import (
     circuit_to_json,
     generalized_circuit,
     nearest_neighbor_qft_circuit,
-    _gate_to_dict,
 )
 from qftmpo.mpo import identity_mpo, load_mpo, save_mpo
 from qftmpo.mps import CanonicalMps, load_mps, save_mps
@@ -128,7 +127,7 @@ def per_gate_json(circuit):
         "n_qubits": circuit.n_qubits,
         "family": circuit.family,
         "params": circuit.params,
-        "gates": [_gate_to_dict(g) for g in circuit.gates],
+        "gates": [gate_to_dict(g) for g in circuit.gates],
     }, sort_keys=True)
 
 
