@@ -23,16 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from ._canonical import bonds_around
-from .circuits import (
-    RotationScheme,
-    _AngleSource,
-    aqft_circuit,
-    check_rank_ceiling,
-    compile_trace,
-    generalized_circuit,
-)
+from .circuits import RotationScheme, cascade_operator, check_rank_ceiling
 from .errors import NumericalError
-from .mpo import aqft_mpo, check_bandwidth, fourier_mpo, hs_inner
+from .mpo import fourier_mpo, hs_inner
 from .mps import CanonicalMps
 from .oracle import (
     dense_operator_schmidt,
@@ -404,18 +397,14 @@ def aqft_rank_study(n_list, bandwidth_list,
                     check: bool = True) -> StudyResult:
     """Maximum bond rank of approximate transforms.
 
-    Bandwidth is the highest retained rotation order. A bandwidth b whose
-    carry fits under the ceiling, 2^{b-1} <= ``rank_ceiling``, is built as
-    the carry train (`aqft_mpo`), whose bonds never exceed 2^{b-1}; a wider
-    one is compiled from its gates, and that compilation aborts once a bond
-    exceeds ``rank_ceiling``. A compiled row is saturated when any step of
-    the compile leaves a bond over the ceiling; a carry-train row, when the
-    final operator's widest bond is over it, which its 2^{b-1}-wide carry
-    rules out. Saturated rows report ceiling + 1 as a lower bound with
-    saturated=true. Metadata records the full transform's rank per size
-    (`fourier_mpo`). With check=True the growth-regime trends are asserted:
-    every studied bandwidth below n exceeds the full transform's rank, and
-    the rank roughly doubles per unit bandwidth before leveling off.
+    Bandwidth is the highest retained rotation order. Each row's operator
+    and saturation come from `circuits.cascade_operator` under
+    ``rank_ceiling``; saturated rows report ceiling + 1 as a lower bound
+    with saturated=true. Metadata records the full transform's rank per
+    size (`fourier_mpo`). With check=True the growth-regime trends are
+    asserted: every studied bandwidth below n exceeds the full transform's
+    rank, and the rank roughly doubles per unit bandwidth before leveling
+    off.
     """
     policy = policy or TruncationPolicy(1e-10)
     check_rank_ceiling(rank_ceiling)
@@ -426,16 +415,11 @@ def aqft_rank_study(n_list, bandwidth_list,
         full_ranks[str(n)] = full.max_bond_rank
         per_b = {}
         for b in map(int, bandwidth_list):
-            check_bandwidth(n, b)
-            if 2 ** (b - 1) <= rank_ceiling:
-                mpo = aqft_mpo(n, b, policy)
-                saturated = mpo.max_bond_rank > rank_ceiling
-            else:
-                trace = compile_trace(aqft_circuit(n, b), policy, rank_ceiling=rank_ceiling)
-                mpo, saturated = trace.mpo, trace.saturated
-            rank = rank_ceiling + 1 if saturated else mpo.max_bond_rank
-            per_b[b] = (rank, saturated)
-            rows.append({"n": n, "bandwidth": b, "max_bond_rank": rank, "saturated": saturated})
+            _, trace = cascade_operator(n, policy, bandwidth=b, rank_ceiling=rank_ceiling)
+            rank = rank_ceiling + 1 if trace.saturated else trace.mpo.max_bond_rank
+            per_b[b] = (rank, trace.saturated)
+            rows.append({"n": n, "bandwidth": b, "max_bond_rank": rank,
+                         "saturated": trace.saturated})
         if check:
             _check_aqft_trends(n, per_b, full.max_bond_rank)
     meta = _base_metadata(policy, rank_ceiling=rank_ceiling, full_qft_ranks=full_ranks)
@@ -486,15 +470,9 @@ def rotation_scheme_study(n_list, schemes,
     """Bond ranks and middle-bond decay rates for modified rotation rules.
 
     Each scheme replaces the controlled-phase angle law of the cascade.
-    The standard and base-n schemes couple the halves of every cut through
-    a product u v, so they are built from their bulk tensor
-    (`fourier_mpo` with the scheme's base); the other schemes are compiled
-    from their gates, and that compilation aborts once a bond exceeds
-    ``rank_ceiling``. A compiled row is saturated when any step of the
-    compile leaves a bond over the ceiling; a bulk-tensor row, when the
-    final operator's widest bond is over it (a compile step may exceed
-    the ceiling where the final operator does not). Saturated rows report
-    rank_ceiling + 1 as a lower bound and no tail slope.
+    Each row's operator and saturation come from
+    `circuits.cascade_operator` under ``rank_ceiling``; saturated rows
+    report rank_ceiling + 1 as a lower bound and no tail slope.
     """
     policy = policy or TruncationPolicy(1e-10)
     check_rank_ceiling(rank_ceiling)
@@ -504,28 +482,14 @@ def rotation_scheme_study(n_list, schemes,
     rows = []
     for n in n_list:
         for scheme in schemes:
-            if scheme.kind in ("standard", "base-n"):
-                _AngleSource(scheme, n)  # an angle past the float range fails as on gates
-                mpo = fourier_mpo(n, policy, scheme.base or 2)
-                saturated = mpo.max_bond_rank > rank_ceiling
-            else:
-                trace = compile_trace(
-                    generalized_circuit(n, scheme), policy, rank_ceiling=rank_ceiling
-                )
-                mpo, saturated = trace.mpo, trace.saturated
-            if saturated:
-                rows.append({
-                    "n": n, "scheme": scheme.label(),
-                    "max_bond_rank": rank_ceiling + 1,
-                    "saturated": True, "tail_slope": None,
-                })
-                continue
-            p = mpo.bond_probability_distribution(middle_bond(n))
+            _, trace = cascade_operator(n, policy, scheme=scheme, rank_ceiling=rank_ceiling)
+            mpo = trace.mpo
             rows.append({
                 "n": n, "scheme": scheme.label(),
-                "max_bond_rank": mpo.max_bond_rank,
-                "saturated": False,
-                "tail_slope": spectrum_tail_slope(p),
+                "max_bond_rank": rank_ceiling + 1 if mpo is None else mpo.max_bond_rank,
+                "saturated": trace.saturated,
+                "tail_slope": None if mpo is None else spectrum_tail_slope(
+                    mpo.bond_probability_distribution(middle_bond(n))),
             })
     meta = _base_metadata(policy, rank_ceiling=rank_ceiling,
                           schemes=[s.label() for s in schemes])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
 
@@ -30,7 +30,16 @@ import numpy as np
 
 from ._canonical import train_from_vidal, two_site_update
 from .errors import NonAdjacentGateError
-from .mpo import CanonicalMpo, _sweep, check_bandwidth, identity_mpo
+from .mpo import (
+    CanonicalMpo,
+    _aqft_sweep,
+    _fourier_sweep,
+    _node_count,
+    _sweep,
+    check_bandwidth,
+    check_width,
+    identity_mpo,
+)
 from .tensor import TruncationPolicy, check_unitary
 
 GATE_KINDS = ("h", "cphase", "swap", "generic")
@@ -372,23 +381,25 @@ def generalized_circuit(n: int, scheme: RotationScheme) -> CircuitSpec:
 
 @dataclass(eq=False)
 class CompileTrace:
-    """Compilation record.
+    """How a circuit became an operator.
 
-    ``mpo`` is the operator, or None when the rank ceiling was hit.
-    ``gates_applied`` counts the gates through the last step taken, and
-    ``saturated`` says whether that step crossed the ceiling.
-    ``discarded_weight`` sums the squared singular values the steps
-    truncated away, in the operator's norm-carrying convention (squared
-    bond vectors sum to ||O||^2 = 2^n for an n-qubit unitary); ``qftmpo
-    build`` reports it divided by 2^n. Each step splits its bond with one
-    exact SVD, so the sum counts all of a step's cut weight. The final
-    sweep is not included.
+    ``mpo`` is the operator, None once ``saturated``. ``construction`` is
+    the record `qftmpo build` writes: {"kind": "gate-compile"} unless
+    `cascade_operator` took a train. ``gates_applied`` counts the gates
+    absorbed through the last step taken, none on a train.
+    ``discarded_weight`` sums the squared singular values cut, in the
+    norm-carrying convention (||O||^2 = 2^n for an n-qubit unitary; ``qftmpo
+    build`` reports it over 2^n). On a train it is the cut of its one
+    sweep, which bounds the squared Frobenius distance to the untruncated
+    train. On the gate compile it is the steps' cut (one exact SVD per
+    step), without the final sweep.
     """
 
     mpo: CanonicalMpo | None
     saturated: bool
     gates_applied: int
     discarded_weight: float = 0.0
+    construction: dict = field(default_factory=lambda: {"kind": "gate-compile"})
 
 
 def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
@@ -483,6 +494,51 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
 def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy) -> CanonicalMpo:
     """Compile a nearest-neighbour circuit into a canonical operator chain."""
     return compile_trace(circuit, policy).mpo
+
+
+def cascade_operator(n: int, policy: TruncationPolicy, *, bandwidth: int | None = None,
+                     scheme: RotationScheme | str | None = None,
+                     rank_ceiling: int | None = None) -> tuple[CircuitSpec, CompileTrace]:
+    """The nearest-neighbour cascade on ``n`` qubits as the user spells it,
+    the transform, a ``bandwidth`` (`aqft_circuit`) or a ``scheme``
+    (`generalized_circuit`; a string is parsed), and its operator from the
+    cheapest exact construction. That is decided from these arguments,
+    never from the circuit's family label: every spelling of a base-B
+    rotation law (the transform, bandwidth n, standard, base-n:B) takes its
+    bulk tensor (`fourier_mpo`); a bandwidth b < n with 2^{b-1} <=
+    ``rank_ceiling`` its carry train (`aqft_mpo`); anything else the gate
+    compile (`compile_trace`). A gate compile is saturated once a step
+    leaves a bond over ``rank_ceiling``, a train when its final operator
+    does; a saturated trace holds no operator.
+    """
+    check_width(n)
+    if bandwidth is not None and scheme is not None:
+        raise ValueError("bandwidth and scheme are mutually exclusive")
+    if rank_ceiling is not None:
+        check_rank_ceiling(rank_ceiling)
+    # base: of the cascade's rotation law, None when it has none
+    if bandwidth is not None:
+        circuit = aqft_circuit(n, bandwidth)
+        base = 2 if bandwidth == n else None
+    elif scheme is not None:
+        if isinstance(scheme, str):
+            scheme = RotationScheme.parse(scheme)
+        circuit = generalized_circuit(n, scheme)
+        base = (scheme.base or 2) if scheme.kind in ("standard", "base-n") else None
+    else:
+        circuit, base = nearest_neighbor_qft_circuit(n), 2
+    if base is not None:
+        mpo, weight = _fourier_sweep(n, policy, base)
+        # the transform's record predates the base and does not name it
+        construction = {"kind": "bulk-tensor", **({"base": base} if base != 2 else {}),
+                        "nodes": _node_count(base)}
+    elif bandwidth is not None and 2 ** (bandwidth - 1) <= (rank_ceiling or 0):
+        mpo, weight = _aqft_sweep(n, bandwidth, policy)
+        construction = {"kind": "carry-train"}
+    else:
+        return circuit, compile_trace(circuit, policy, rank_ceiling=rank_ceiling)
+    saturated = rank_ceiling is not None and mpo.max_bond_rank > rank_ceiling
+    return circuit, CompileTrace(None if saturated else mpo, saturated, 0, weight, construction)
 
 
 # ---------------------------------------------------------------- #

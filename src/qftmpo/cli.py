@@ -25,17 +25,11 @@ from .analysis import (
     spectrum_study,
     tensor_convergence_study,
 )
-from .circuits import (
-    RotationScheme,
-    aqft_circuit,
-    circuit_fingerprint,
-    compile_trace,
-    generalized_circuit,
-    nearest_neighbor_qft_circuit,
-)
+# perfbench/selftest.py reads nearest_neighbor_qft_circuit from this module
+from .circuits import cascade_operator, circuit_fingerprint, nearest_neighbor_qft_circuit
 from .errors import QftmpoError, ResourceLimitError
-from .mpo import _fourier_sweep, _node_count, check_width, load_mpo, save_mpo
-from .mps import CanonicalMps, _parse_bits, save_mps
+from .mpo import load_mpo, save_mpo
+from .mps import CanonicalMps, parse_bits, save_mps
 from .oracle import periodic_peak_locations
 from .tensor import TruncationPolicy
 
@@ -102,40 +96,16 @@ _RANK_CEILING = _arg("--rank-ceiling", type=int, default=64)
 
 def _cmd_build(args) -> None:
     policy = TruncationPolicy(args.cutoff, args.max_rank)
-    check_width(args.n)
-    if args.bandwidth is not None and args.scheme:
-        raise ValueError("--bandwidth and --scheme are mutually exclusive")
-    # base: the options spell a cascade of the base-B rotation law, which the
-    # bulk tensor builds (B = 2 is the full transform)
-    base = None
-    if args.bandwidth is not None:
-        circuit = aqft_circuit(args.n, args.bandwidth)
-        if args.bandwidth == args.n:
-            base = 2
-    elif args.scheme:
-        scheme = RotationScheme.parse(args.scheme)
-        circuit = generalized_circuit(args.n, scheme)
-        if scheme.kind in ("standard", "base-n"):
-            base = scheme.base or 2
-    else:
-        circuit = nearest_neighbor_qft_circuit(args.n)
-        base = 2
-    if base is not None:  # no gate is absorbed
-        _progress(f"building {circuit.family} on {args.n} qubits from its bulk tensor")
-        mpo, weight = _fourier_sweep(args.n, policy, base)
-        # the transform's record predates the base and does not name it
-        construction = {"kind": "bulk-tensor", **({"base": base} if base != 2 else {}),
-                        "nodes": _node_count(base)}
-    else:
-        _progress(f"compiling {circuit.family} on {args.n} qubits ({len(circuit.gates)} gates)")
-        trace = compile_trace(circuit, policy)
-        mpo, weight = trace.mpo, trace.discarded_weight
-        construction = {"kind": "gate-compile"}
+    circuit, trace = cascade_operator(args.n, policy, bandwidth=args.bandwidth,
+                                      scheme=args.scheme)
+    mpo, construction = trace.mpo, trace.construction
     out = args.out or f"{circuit.family}-{args.n}.mpo"
     fingerprint = circuit_fingerprint(circuit)
     save_mpo(mpo, out, policy=policy, circuit_fingerprint=fingerprint,
              construction=construction)
-    _progress(f"wrote {out} (max bond rank {mpo.max_bond_rank})")
+    how = construction["kind"].replace("-", " ")
+    _progress(f"wrote {out}: {circuit.family} on {args.n} qubits by {how}, "
+              f"max bond rank {mpo.max_bond_rank}")
     print(json.dumps({
         "file": out,
         "n_qubits": mpo.n_qubits,
@@ -143,7 +113,7 @@ def _cmd_build(args) -> None:
         "bond_ranks": list(mpo.bond_ranks),
         "fingerprint": fingerprint,
         "construction": construction,
-        "discarded_weight": math.ldexp(weight, -mpo.n_qubits),  # over 2^n
+        "discarded_weight": math.ldexp(trace.discarded_weight, -mpo.n_qubits),  # over 2^n
     }))
 
 
@@ -155,7 +125,7 @@ def _cmd_apply(args) -> None:
     policy = TruncationPolicy(args.cutoff)
     # operator convention: input register enters bit-reversed
     if args.bits is not None:
-        state = CanonicalMps.from_basis_state(n, _parse_bits(args.bits, n)[::-1])
+        state = CanonicalMps.from_basis_state(n, parse_bits(args.bits, n)[::-1])
     else:
         state = CanonicalMps.from_periodic_state(n, args.r, args.k0).reverse_qubits()
     out = mpo.apply_to_mps(state, policy)
@@ -173,15 +143,6 @@ def _cmd_apply(args) -> None:
         save_mps(out, args.save_state, policy=policy)
         report["state_file"] = args.save_state
     print(json.dumps(report))
-
-
-def _cmd_rotation_scan(args) -> StudyResult:
-    schemes = []
-    for entry in args.scheme:
-        schemes.extend(RotationScheme.parse(part) for part in entry.split(","))
-    return rotation_scheme_study(
-        args.n_list, schemes, TruncationPolicy(max(args.cutoff, 1e-10)),
-        rank_ceiling=args.rank_ceiling)
 
 
 # name -> (help line, argument specs, runner)
@@ -237,7 +198,9 @@ COMMANDS = {
         _arg("--scheme", action="append", required=True,
              help="repeatable; e.g. standard, base-n:3, perturbed-exponent:0.1:7"),
         _RANK_CEILING,
-    ), _cmd_rotation_scan),
+    ), lambda a: rotation_scheme_study(
+        a.n_list, [part for entry in a.scheme for part in entry.split(",")],
+        TruncationPolicy(max(a.cutoff, 1e-10)), rank_ceiling=a.rank_ceiling)),
     "ordering-scan": ("exhaustive qubit-ordering Schmidt-rank scan", (
         *_EMITTED, _arg("--n", type=int, required=True),
     ), lambda a: ordering_study(a.n)),

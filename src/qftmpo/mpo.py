@@ -17,7 +17,8 @@ Three circuit families also have direct trains, built in O(n) sites and
 brought to canonical form by one `_sweep` instead of compiled from O(n^2)
 gates: the Fourier transform and every cascade of the base-B rotation law
 from their bulk tensor (`fourier_mpo`), and the bandwidth-b approximate
-transform from a carry of its last b - 1 input bits (`aqft_mpo`).
+transform from a carry of its last b - 1 input bits (`aqft_mpo`);
+`circuits.cascade_operator` decides which construction a cascade takes.
 """
 
 from __future__ import annotations
@@ -365,12 +366,18 @@ def aqft_mpo(n: int, bandwidth: int, policy: TruncationPolicy) -> CanonicalMpo:
     2^{b-1} wide in the bulk, whatever the operator's rank; one
     `_canonical.canonicalize_train` sweep cuts them under ``policy``.
     """
+    return _aqft_sweep(n, bandwidth, policy)[0]
+
+
+def _aqft_sweep(n: int, bandwidth: int,
+                policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
+    """`aqft_mpo` and the discarded weight of its sweep."""
     check_width(n)
     check_bandwidth(n, bandwidth)
     shapes = [(min(bandwidth - 1, j), min(bandwidth - 1, j + 1) if j < n - 1 else 0)
               for j in range(n)]
     sites = {shape: _aqft_site(*shape) for shape in set(shapes)}
-    return _sweep([sites[shape] for shape in shapes], policy)[0]
+    return _sweep([sites[shape] for shape in shapes], policy)
 
 
 def identity_mpo(n: int) -> CanonicalMpo:

@@ -24,7 +24,7 @@ from .tensor import TruncationPolicy, check_dense_size, frozen_array
 DENSE_STATE_LIMIT = 20  # qubits; override with QFTMPO_DENSE_LIMIT
 
 
-def _parse_bits(bits, n: int) -> tuple[int, ...]:
+def parse_bits(bits, n: int) -> tuple[int, ...]:
     """n bits from a string of ASCII "0" and "1" characters or a sequence
     of 0/1 integers; a wrong length or any other value is a ValueError
     quoting ``bits``."""
@@ -59,7 +59,7 @@ class CanonicalMps:
         """Product state |b_0 b_1 ... b_{n-1}>, site 0 most significant."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        gammas = tuple(np.eye(2)[b].reshape(1, 2, 1) for b in _parse_bits(bits, n))
+        gammas = tuple(np.eye(2)[b].reshape(1, 2, 1) for b in parse_bits(bits, n))
         return cls(gammas, (np.ones(1),) * (n - 1))
 
     @classmethod
@@ -141,7 +141,7 @@ class CanonicalMps:
 
     def amplitude(self, bits) -> complex:
         """Amplitude of one computational basis state; cost O(n * rank^2)."""
-        vals = _parse_bits(bits, self.n_qubits)
+        vals = parse_bits(bits, self.n_qubits)
         v = self.gammas[0][0, vals[0], :]
         for j in range(1, self.n_qubits):
             v = (v * self.lambdas[j - 1]) @ self.gammas[j][:, vals[j], :]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import per_gate_reference
-from qftmpo import analysis
+from qftmpo import analysis, circuits
 from qftmpo.analysis import (
     StudyResult,
     aqft_rank_study,
@@ -30,6 +30,7 @@ from qftmpo.analysis import (
 from qftmpo._canonical import bonds_around
 from qftmpo.circuits import (
     RotationScheme,
+    aqft_circuit,
     compile_to_mpo,
     compile_trace,
     nearest_neighbor_qft_circuit,
@@ -310,10 +311,21 @@ class TestAqftStudy:
             compiled.append(circuit.params["bandwidth"])
             return compile_trace(circuit, *args, **kwargs)
 
-        monkeypatch.setattr(analysis, "compile_trace", recording)
+        monkeypatch.setattr(circuits, "compile_trace", recording)
         aqft_rank_study([12], range(1, 12), TruncationPolicy(1e-10), rank_ceiling=ceiling,
                         check=False)
         assert compiled == gated
+
+    @pytest.mark.parametrize("n,ceiling,rank", [
+        (6, 10, 8), (7, 11, 8), (8, 12, 10), (10, 16, 10), (12, 64, 10)])
+    def test_full_bandwidth_rows_are_the_transforms(self, n, ceiling, rank):
+        # 2^{n-1} is over each ceiling: the gate compile these rows once
+        # took gives the bulk tensor's row
+        res = aqft_rank_study([n], [n], rank_ceiling=ceiling, check=False)
+        assert res.rows == [{"n": n, "bandwidth": n, "max_bond_rank": rank, "saturated": False}]
+        assert res.metadata["full_qft_ranks"] == {str(n): rank}
+        trace = compile_trace(aqft_circuit(n, n), TruncationPolicy(1e-10), rank_ceiling=ceiling)
+        assert not trace.saturated and trace.mpo.max_bond_rank == rank
 
     @pytest.mark.parametrize("bandwidths", [[0], [9], [3, 13]])
     def test_bandwidth_outside_the_register(self, bandwidths):
@@ -374,7 +386,7 @@ class TestRotationStudy:
             compiled.append(circuit.params["scheme"])
             return compile_trace(circuit, *args, **kwargs)
 
-        monkeypatch.setattr(analysis, "compile_trace", recording)
+        monkeypatch.setattr(circuits, "compile_trace", recording)
         schemes = ["standard", "base-n:3", "base-n:5", "power-law:2",
                    "perturbed-exponent:0.1:7", "perturbed-base:0.1:7"]
         rotation_scheme_study([10], schemes, rank_ceiling=64)

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qftmpo.circuits import (
     GateSpec,
     RotationScheme,
     aqft_circuit,
+    cascade_operator,
     circuit_fingerprint,
     circuit_to_json,
     compile_to_mpo,
@@ -527,6 +530,72 @@ class TestFusedSteps:
         # (norm 2^n) operator, measured here as 2^n |1 - hs_inner|
         exact = compile_to_mpo(circ, EXACT)
         assert 2**12 * abs(1 - hs_inner(exact, capped.mpo)) < 2 * capped.discarded_weight
+
+
+STUDY = TruncationPolicy(1e-10)
+
+
+class TestCascadeOperator:
+    """`cascade_operator`: one spelling of the cascade, one construction."""
+
+    @pytest.mark.parametrize("options,kind,saturated", [
+        ({}, "bulk-tensor", False),
+        ({"rank_ceiling": 4}, "bulk-tensor", True),  # rank 10 at n = 8
+        ({"bandwidth": 8}, "bulk-tensor", False),
+        ({"bandwidth": 4}, "gate-compile", False),  # no ceiling, no train
+        ({"bandwidth": 4, "rank_ceiling": 8}, "carry-train", False),  # 2^3 at the ceiling
+        ({"bandwidth": 4, "rank_ceiling": 7}, "gate-compile", True),  # just past it
+        ({"bandwidth": 6, "rank_ceiling": 32}, "carry-train", False),
+        ({"bandwidth": 6, "rank_ceiling": 31}, "gate-compile", False),
+        ({"bandwidth": 5, "rank_ceiling": 15}, "gate-compile", True),  # a step over 15
+        ({"scheme": "standard"}, "bulk-tensor", False),
+        ({"scheme": "base-n:3"}, "bulk-tensor", False),
+        ({"scheme": RotationScheme("base-n", base=2), "rank_ceiling": 10}, "bulk-tensor", False),
+        ({"scheme": "power-law:2"}, "gate-compile", False),
+        ({"scheme": "power-law:2", "rank_ceiling": 8}, "gate-compile", True),
+        ({"scheme": "perturbed-exponent:0.1:7"}, "gate-compile", False),
+    ], ids=["plain", "plain-ceiling-4", "bandwidth-n", "bandwidth-4", "bandwidth-4-ceiling-8",
+            "bandwidth-4-ceiling-7", "bandwidth-6-ceiling-32", "bandwidth-6-ceiling-31",
+            "bandwidth-5-ceiling-15", "standard", "base-n-3", "base-n-2-ceiling-10",
+            "power-law-2", "power-law-2-ceiling-8", "perturbed-exponent"])
+    def test_dispatch_table(self, options, kind, saturated):
+        circuit, trace = cascade_operator(8, STUDY, **options)
+        assert trace.construction["kind"] == kind
+        assert trace.saturated is saturated
+        assert (trace.mpo is None) is saturated
+        if kind != "gate-compile":
+            assert trace.gates_applied == 0
+        if not saturated:  # every construction has the gate compile's ranks
+            assert trace.mpo.bond_ranks == compile_to_mpo(circuit, STUDY).bond_ranks
+
+    @pytest.mark.parametrize("options,says", [
+        ({"bandwidth": 3, "scheme": "standard"}, "bandwidth and scheme are mutually exclusive"),
+        ({"bandwidth": 3, "scheme": ""}, "bandwidth and scheme are mutually exclusive"),
+        ({"scheme": ""}, "unknown rotation scheme ''"),
+    ])
+    def test_refused_spellings(self, options, says):
+        with pytest.raises(ValueError, match=says):
+            cascade_operator(8, EXACT, **options)
+
+    def test_carry_train_weight_is_its_sweeps(self):
+        # the sweep cuts the exact carry train, so its weight bounds the error
+        n, policy = 10, TruncationPolicy(1e-14, 4)
+        _, trace = cascade_operator(n, policy, bandwidth=6, rank_ceiling=32)
+        assert trace.construction == {"kind": "carry-train"}
+        exact = compile_to_mpo(aqft_circuit(n, 6), EXACT).to_dense()
+        error = np.linalg.norm(trace.mpo.to_dense() - exact) ** 2
+        assert 1e-6 < error <= trace.discarded_weight * (1 + 1e-9)
+
+    def test_front_ends_leave_the_choice_here(self):
+        # the command line and the studies import no private name of another
+        # module, and neither compiles gates nor builds a train itself
+        package = Path(circuits.__file__).parent
+        for name in ("cli.py", "analysis.py"):
+            tree = ast.parse((package / name).read_text())
+            imported = [alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names]
+            assert not [i for i in imported if i.startswith("_")], name
+            assert not {"compile_trace", "aqft_mpo"} & set(imported), name
 
 
 class TestSerialization:

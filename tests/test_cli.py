@@ -587,6 +587,31 @@ class TestBuildApply:
                            "--scheme", "standard", "--out", str(tmp_path / "x.mpo"))
         assert code == 1
 
+    @pytest.mark.parametrize("option", [["--scheme", "standard"], ["--scheme", ""]])
+    def test_bandwidth_and_scheme_are_one_error_line(self, capsys, tmp_path, option):
+        path = tmp_path / "x.mpo"
+        code, out, err = run(capsys, "build", "--n", "8", "--bandwidth", "3", *option,
+                             "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "qftmpo: error: bandwidth and scheme are mutually exclusive\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_scheme_is_an_input_error(self, capsys, tmp_path, source):
+        path = tmp_path / "x.mpo"
+        if source == "flag":
+            argv = ["--scheme", ""]
+        else:
+            cfg = tmp_path / "build.cfg"
+            cfg.write_text("scheme =\n")
+            argv = ["--config", str(cfg)]
+        code, out, err = run(capsys, "build", "--n", "8", *argv, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "qftmpo: error: unknown rotation scheme ''\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize("n,scheme,says", [
         ("4", "perturbed-exponent:inf:1", "finite non-negative scale, got inf"),
         ("4", "perturbed-exponent:1e308:1", "finite non-negative scale, got 1e+308"),
