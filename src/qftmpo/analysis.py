@@ -401,7 +401,8 @@ def aqft_rank_study(n_list, bandwidth_list,
     and saturation come from `circuits.cascade_operator` under
     ``rank_ceiling``; saturated rows report ceiling + 1 as a lower bound
     with saturated=true. Metadata records the full transform's rank per
-    size (`fourier_mpo`). With check=True the growth-regime trends are
+    size (`fourier_mpo`), read off the row of bandwidth n when there is an
+    unsaturated one. With check=True the growth-regime trends are
     asserted: every studied bandwidth below n exceeds the full transform's
     rank, and the rank roughly doubles per unit bandwidth before leveling
     off.
@@ -411,17 +412,20 @@ def aqft_rank_study(n_list, bandwidth_list,
     rows = []
     full_ranks = {}
     for n in n_list:
-        full = fourier_mpo(n, policy)
-        full_ranks[str(n)] = full.max_bond_rank
+        full = None
         per_b = {}
         for b in map(int, bandwidth_list):
             _, trace = cascade_operator(n, policy, bandwidth=b, rank_ceiling=rank_ceiling)
+            if b == n:  # the transform's bulk tensor
+                full = trace.mpo
             rank = rank_ceiling + 1 if trace.saturated else trace.mpo.max_bond_rank
             per_b[b] = (rank, trace.saturated)
             rows.append({"n": n, "bandwidth": b, "max_bond_rank": rank,
                          "saturated": trace.saturated})
+        full_rank = (full or fourier_mpo(n, policy)).max_bond_rank
+        full_ranks[str(n)] = full_rank
         if check:
-            _check_aqft_trends(n, per_b, full.max_bond_rank)
+            _check_aqft_trends(n, per_b, full_rank)
     meta = _base_metadata(policy, rank_ceiling=rank_ceiling, full_qft_ranks=full_ranks)
     return StudyResult("aqft-rank", meta, rows)
 

@@ -32,7 +32,8 @@ from ._canonical import train_from_vidal, two_site_update
 from .errors import NonAdjacentGateError
 from .mpo import (
     CanonicalMpo,
-    _aqft_sweep,
+    _carry_rank,
+    _carry_sweep,
     _fourier_sweep,
     _node_count,
     _sweep,
@@ -391,8 +392,9 @@ class CompileTrace:
     norm-carrying convention (||O||^2 = 2^n for an n-qubit unitary; ``qftmpo
     build`` reports it over 2^n). On a train it is the cut of its one
     sweep, which bounds the squared Frobenius distance to the untruncated
-    train. On the gate compile it is the steps' cut (one exact SVD per
-    step), without the final sweep.
+    train; zero when its coupling saturates it unbuilt. On the gate
+    compile it is the steps' cut (one exact SVD per step), without the
+    final sweep.
     """
 
     mpo: CanonicalMpo | None
@@ -496,6 +498,15 @@ def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy) -> CanonicalM
     return compile_trace(circuit, policy).mpo
 
 
+# the widest phase-carry train taken whatever the rank ceiling: past it, a
+# gate compile that a ceiling of 16 stops early is the cheaper; and the
+# widest a ceiling can allow: at 2^10 the gate compile is the cheaper even
+# unstopped, and the W x 4 x W junction grows past 64 MB (README has the
+# measured crossover)
+_TRAIN_MAX_BOND = 128
+_CEILING_MAX_BOND = 512
+
+
 def cascade_operator(n: int, policy: TruncationPolicy, *, bandwidth: int | None = None,
                      scheme: RotationScheme | str | None = None,
                      rank_ceiling: int | None = None) -> tuple[CircuitSpec, CompileTrace]:
@@ -505,36 +516,49 @@ def cascade_operator(n: int, policy: TruncationPolicy, *, bandwidth: int | None 
     cheapest exact construction. That is decided from these arguments,
     never from the circuit's family label: every spelling of a base-B
     rotation law (the transform, bandwidth n, standard, base-n:B) takes its
-    bulk tensor (`fourier_mpo`); a bandwidth b < n with 2^{b-1} <=
-    ``rank_ceiling`` its carry train (`aqft_mpo`); anything else the gate
-    compile (`compile_trace`). A gate compile is saturated once a step
-    leaves a bond over ``rank_ceiling``, a train when its final operator
-    does; a saturated trace holds no operator.
+    bulk tensor (`fourier_mpo`); any other cascade with one angle per
+    rotation order (a bandwidth b < n, power-law, a perturbed scheme but
+    per-gate) its phase-carry train (`aqft_mpo`) when the train's widest
+    bond W = 2^{min(b-1, n // 2)} (b = n for a scheme) is at most
+    _TRAIN_MAX_BOND, or at most both ``rank_ceiling`` and
+    _CEILING_MAX_BOND; anything else the gate compile (`compile_trace`).
+    A gate compile is saturated once a step leaves a bond over
+    ``rank_ceiling``, a train when its final operator does. A ceiling
+    under both W and the policy's rank cap is first checked against the
+    widest cut's rank from the coupling alone (`_carry_rank`), and a
+    train over it is saturated before it is built. A saturated trace
+    holds no operator.
     """
     check_width(n)
     if bandwidth is not None and scheme is not None:
         raise ValueError("bandwidth and scheme are mutually exclusive")
     if rank_ceiling is not None:
         check_rank_ceiling(rank_ceiling)
-    # base: of the cascade's rotation law, None when it has none
+    # the cascade's rotation law, and the highest order it keeps
     if bandwidth is not None:
-        circuit = aqft_circuit(n, bandwidth)
-        base = 2 if bandwidth == n else None
+        circuit, law, width = aqft_circuit(n, bandwidth), RotationScheme("standard"), bandwidth
     elif scheme is not None:
         if isinstance(scheme, str):
             scheme = RotationScheme.parse(scheme)
-        circuit = generalized_circuit(n, scheme)
-        base = (scheme.base or 2) if scheme.kind in ("standard", "base-n") else None
+        circuit, law, width = generalized_circuit(n, scheme), scheme, n
     else:
-        circuit, base = nearest_neighbor_qft_circuit(n), 2
-    if base is not None:
+        circuit, law, width = nearest_neighbor_qft_circuit(n), RotationScheme("standard"), n
+    widest = 2 ** min(width - 1, n // 2)
+    if law.kind in ("standard", "base-n") and width == n:
+        base = law.base or 2
         mpo, weight = _fourier_sweep(n, policy, base)
         # the transform's record predates the base and does not name it
         construction = {"kind": "bulk-tensor", **({"base": base} if base != 2 else {}),
                         "nodes": _node_count(base)}
-    elif bandwidth is not None and 2 ** (bandwidth - 1) <= (rank_ceiling or 0):
-        mpo, weight = _aqft_sweep(n, bandwidth, policy)
+    elif not law.per_gate and widest <= max(min(rank_ceiling or 0, _CEILING_MAX_BOND),
+                                            _TRAIN_MAX_BOND):
+        source = _AngleSource(law, width)
+        turns = [math.pi] + [source.angle(k) for k in range(2, width + 1)]
         construction = {"kind": "carry-train"}
+        if (rank_ceiling is not None and rank_ceiling < min(widest, policy.max_rank or widest)
+                and _carry_rank(n, turns, policy) > rank_ceiling):
+            return circuit, CompileTrace(None, True, 0, 0.0, construction)
+        mpo, weight = _carry_sweep(n, turns, policy)
     else:
         return circuit, compile_trace(circuit, policy, rank_ceiling=rank_ceiling)
     saturated = rank_ceiling is not None and mpo.max_bond_rank > rank_ceiling

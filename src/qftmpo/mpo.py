@@ -13,12 +13,15 @@ Internally an operator chain is just a state chain with physical dimension
 4 (output and input legs fused, output slower), so all canonical-form
 machinery is shared with `CanonicalMps`.
 
-Three circuit families also have direct trains, built in O(n) sites and
+Two kinds of cascade also have direct trains, built in O(n) sites and
 brought to canonical form by one `_sweep` instead of compiled from O(n^2)
 gates: the Fourier transform and every cascade of the base-B rotation law
-from their bulk tensor (`fourier_mpo`), and the bandwidth-b approximate
-transform from a carry of its last b - 1 input bits (`aqft_mpo`);
-`circuits.cascade_operator` decides which construction a cascade takes.
+from their bulk tensor (`fourier_mpo`), and every cascade whose angle
+depends on the rotation order alone (the bandwidth-b approximate
+transform, the power-law and per-order perturbed laws) from a phase carry
+of at most b - 1 input bits left of a junction site and b - 1 output bits
+right of it (`aqft_mpo`); `circuits.cascade_operator` decides which
+construction a cascade takes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ import numpy as np
 from . import _canonical
 from .errors import DimensionMismatchError
 from .mps import CanonicalMps
-from .tensor import NOISE_FLOOR, TruncationPolicy, check_dense_size, frozen_array
+from .tensor import (
+    NOISE_FLOOR,
+    TruncationPolicy,
+    _svd_matrix,
+    check_dense_size,
+    frozen_array,
+    retained_count,
+)
 
 DENSE_OPERATOR_LIMIT = 12  # qubits; override with QFTMPO_DENSE_LIMIT
 MAX_OPERATOR_QUBITS = 1023  # the squared norm 2^n of a unitary is still a finite double
@@ -324,7 +334,7 @@ def _fourier_sweep(n: int, policy: TruncationPolicy,
 
 
 # ---------------------------------------------------------------- #
-# the approximate transform from its carry
+# per-order cascades from their phase carry
 # ---------------------------------------------------------------- #
 
 def check_bandwidth(n: int, bandwidth: int) -> None:
@@ -333,51 +343,109 @@ def check_bandwidth(n: int, bandwidth: int) -> None:
         raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
 
 
-def _aqft_site(carried: int, kept: int) -> np.ndarray:
-    """Fused site of `aqft_mpo` whose left bond carries the ``carried``
-    latest input bits before its own (the latest least significant) and
-    whose right bond keeps the ``kept`` latest, its own included: the
-    delta of that carry update times exp(2 pi i y (x / 2 + sum_i x_{j-i}
-    2^{-i-1})) / sqrt(2)."""
+def _coupling(m_left: int, m_right: int, turns) -> np.ndarray:
+    """exp(i sum_{a, a'} l_a r_{a'} turns[a + a']) over the indices l of
+    ``m_left`` bits l_a and r of ``m_right`` bits r_{a'}, bit 0 least
+    significant; a sum a + a' past the last turn adds no term."""
+    padded = np.append(turns, np.zeros(m_left + m_right))
+    theta = padded[np.add.outer(np.arange(m_left), np.arange(m_right))]
+    bits_l = (np.arange(2**m_left)[:, None] >> np.arange(m_left)) & 1
+    bits_r = (np.arange(2**m_right)[:, None] >> np.arange(m_right)) & 1
+    return np.exp(1j * (bits_l @ theta @ bits_r.T))
+
+
+def _carry_site(carried: int, kept: int, turns) -> np.ndarray:
+    """Unfused (c, y, x, c') site left of the junction whose left bond
+    carries the ``carried`` latest input bits before its own (the latest
+    least significant) and whose right bond keeps the ``kept`` latest, its
+    own included: the delta of that carry update times exp(i y_j sum_a
+    x_{j-a} turns[a]) / sqrt(2)."""
     carry = np.arange(2**carried)
-    frac = np.zeros(len(carry))
-    for i in range(1, carried + 1):
-        frac += ((carry >> (i - 1)) & 1) * 2.0 ** (-i - 1)
     bit = np.arange(2)
-    turn = frac[:, None] + 0.5 * bit  # (c, x)
-    phase = np.exp(2j * math.pi * turn[:, None, :] * bit[:, None])  # (c, y, x)
-    nxt = ((carry[:, None] << 1) | bit) & (2**kept - 1)  # (c, x)
+    grown = (carry[:, None] << 1) | bit  # (c, x): x_j as bit 0
+    phase = _coupling(carried + 1, 1, turns)[grown].transpose(0, 2, 1)  # (c, y, x)
+    nxt = grown & (2**kept - 1)
     site = np.zeros((len(carry), 2, 2, 2**kept), dtype=np.complex128)
     site[carry[:, None, None], bit[:, None], bit, nxt[:, None, :]] = phase / math.sqrt(2.0)
-    return site.reshape(len(carry), 4, -1)
+    return site
+
+
+def _junction_site(m_left: int, m_right: int, turns) -> np.ndarray:
+    """Unfused (l, y, x, r) site s between the input carry on its left (the
+    ``m_left`` latest input bits x_{s-1}, x_{s-2}, ...) and the output carry
+    on its right (the ``m_right`` next output bits y_{s+1}, y_{s+2}, ...):
+    every term that couples y_s or a later output bit to x_s or an earlier
+    input bit, densely, divided by sqrt(2)."""
+    joined = _coupling(m_left + 1, m_right + 1, turns)  # bit 0 of each side: x_s, y_s
+    return joined.reshape(2**m_left, 2, 2**m_right, 2).transpose(0, 3, 1, 2) / math.sqrt(2.0)
+
+
+def _carry_train(n: int, turns) -> list[np.ndarray]:
+    """Fused raw train of the cascade with per-order ``turns``: carry sites
+    left of the junction at n // 2, and right of it the carry site of the
+    mirrored position with y and x swapped and its bonds reversed."""
+    span, s = len(turns) - 1, n // 2
+    made: dict = {}
+
+    def carry(j):
+        shape = (min(span, j), min(span, j + 1))
+        if shape not in made:
+            made[shape] = _carry_site(*shape, turns)
+        return made[shape]
+
+    sites = ([carry(j) for j in range(s)]
+             + [_junction_site(min(span, s), min(span, n - 1 - s), turns)]
+             + [carry(n - 1 - j).transpose(3, 2, 1, 0) for j in range(s + 1, n)])
+    return [_fused(site) for site in sites]
+
+
+def _carry_rank(n: int, turns, policy: TruncationPolicy) -> int:
+    """Bond rank under ``policy`` of the cascade with per-order ``turns``
+    across its widest cut, after site n // 2 - 1, from its coupling matrix
+    (see `aqft_mpo`) without building the train."""
+    span, cut = len(turns) - 1, n // 2
+    coupling = _coupling(min(span, cut), min(span, n - cut), turns[1:])
+    return retained_count(_svd_matrix(coupling, compute_uv=False), policy)
 
 
 def aqft_mpo(n: int, bandwidth: int, policy: TruncationPolicy) -> CanonicalMpo:
     """The bandwidth-b approximate transform as `compile_to_mpo(
     aqft_circuit(n, b), policy)` returns it (bit-reversed input,
-    norm-carrying bond vectors), from a carry train in O(n) instead of
-    from O(n^2) gates.
+    norm-carrying bond vectors), from a phase-carry train in O(n) instead
+    of from O(n^2) gates.
 
-    Entry (y, x) is 2^{-n/2} exp(2 pi i sum_j y_j sum_{0 <= j-k < b} x_k
-    2^{k-j-1}): output bit y_j sees only the input bits x_{j-b+1..j}. So
-    bond j carries the last min(b - 1, j + 1) input bits, and site j is
-    the delta of the carry update times exp(2 pi i y_j sum_{0 <= j-k < b}
-    x_k 2^{k-j-1}) / sqrt(2); the last site keeps no carry. Bonds are
-    2^{b-1} wide in the bulk, whatever the operator's rank; one
-    `_canonical.canonicalize_train` sweep cuts them under ``policy``.
+    The train covers every nearest-neighbour cascade whose angle depends
+    on the rotation order alone, with the turns theta(1) = pi (the
+    Hadamard's), theta(2), ..., theta(b): entry (y, x) is 2^{-n/2} exp(i
+    sum_{0 <= j-k < b} y_j x_k theta(j-k+1)); here theta(k) = 2 pi / 2^k.
+    Left of the junction site s = n // 2, bond j carries the last min(b -
+    1, j + 1) input bits, and site j is the delta of that carry update
+    times exp(i y_j sum_{0 <= j-k < b} x_k theta(j-k+1)) / sqrt(2). Right
+    of it the roles swap: bond j - 1 carries the next min(b - 1, n - j)
+    output bits leftward, and site j, the carry site of position n-1-j
+    with y and x swapped and its bonds reversed, holds the terms of x_j
+    with y_j and the later output bits. The junction holds the terms that
+    cross it, densely. Bond c is 2^{min(b-1, c+1, n-c-1)} wide, so the
+    widest, after site s - 1, is W = 2^{min(b-1, n // 2)}. One
+    `_canonical.canonicalize_train` sweep cuts the bonds under ``policy``.
+
+    Across a cut the operator couples its left input bits to its right
+    output bits only through the 2^{mL} x 2^{mR} matrix exp(i L Theta
+    R^T) over the crossing bit windows, so its Schmidt values are those
+    of that matrix times one constant: `_carry_rank` reads the widest
+    bond's rank from it alone.
     """
-    return _aqft_sweep(n, bandwidth, policy)[0]
-
-
-def _aqft_sweep(n: int, bandwidth: int,
-                policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
-    """`aqft_mpo` and the discarded weight of its sweep."""
     check_width(n)
     check_bandwidth(n, bandwidth)
-    shapes = [(min(bandwidth - 1, j), min(bandwidth - 1, j + 1) if j < n - 1 else 0)
-              for j in range(n)]
-    sites = {shape: _aqft_site(*shape) for shape in set(shapes)}
-    return _sweep([sites[shape] for shape in shapes], policy)
+    turns = [math.pi] + [2.0 * math.pi / 2.0**k for k in range(2, bandwidth + 1)]
+    return _carry_sweep(n, turns, policy)[0]
+
+
+def _carry_sweep(n: int, turns, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
+    """The cascade with per-order ``turns`` (see `aqft_mpo`) and the
+    discarded weight of its sweep."""
+    check_width(n)
+    return _sweep(_carry_train(n, turns), policy)
 
 
 def identity_mpo(n: int) -> CanonicalMpo:

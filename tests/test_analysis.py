@@ -9,6 +9,7 @@ import pytest
 
 from conftest import per_gate_reference
 from qftmpo import analysis, circuits
+from qftmpo import mpo as mpo_module
 from qftmpo.analysis import (
     StudyResult,
     aqft_rank_study,
@@ -303,18 +304,39 @@ class TestAqftStudy:
         assert not any(row["saturated"] for row in res.rows)
         assert res.metadata["full_qft_ranks"] == {"12": 10}
 
-    @pytest.mark.parametrize("ceiling,gated", [(64, [8, 9, 10, 11]), (16, [6, 7, 8, 9, 10, 11])])
+    # the trains at n = 12 are at most 2^6 wide; at n = 16 from b = 9 they
+    # are 2^8 wide, over both the ceiling and _TRAIN_MAX_BOND
+    @pytest.mark.parametrize("ceiling,gated", [(64, [(16, 9), (16, 10), (16, 11)]),
+                                               (16, [(16, 9), (16, 10), (16, 11)])])
     def test_carry_trains_below_the_ceiling(self, monkeypatch, ceiling, gated):
         compiled = []
 
         def recording(circuit, *args, **kwargs):
-            compiled.append(circuit.params["bandwidth"])
+            compiled.append((circuit.n_qubits, circuit.params["bandwidth"]))
             return compile_trace(circuit, *args, **kwargs)
 
         monkeypatch.setattr(circuits, "compile_trace", recording)
-        aqft_rank_study([12], range(1, 12), TruncationPolicy(1e-10), rank_ceiling=ceiling,
+        aqft_rank_study([12, 16], range(1, 12), TruncationPolicy(1e-10), rank_ceiling=ceiling,
                         check=False)
         assert compiled == gated
+
+    @pytest.mark.parametrize("bandwidths,ceiling,builds", [
+        ([5, 12], 64, 1), ([12], 64, 1), ([5], 64, 1), ([5, 12], 9, 2)])
+    def test_full_transform_built_once(self, monkeypatch, bandwidths, ceiling, builds):
+        # the row of bandwidth n is the transform's bulk tensor; only a
+        # saturated one leaves the metadata to build it again
+        built, sweep = [], mpo_module._fourier_sweep
+
+        def recording(n, *args):
+            built.append(n)
+            return sweep(n, *args)
+
+        monkeypatch.setattr(circuits, "_fourier_sweep", recording)
+        monkeypatch.setattr(mpo_module, "_fourier_sweep", recording)
+        res = aqft_rank_study([12], bandwidths, TruncationPolicy(1e-10), rank_ceiling=ceiling,
+                              check=False)
+        assert built == [12] * builds
+        assert res.metadata["full_qft_ranks"] == {"12": 10}
 
     @pytest.mark.parametrize("n,ceiling,rank", [
         (6, 10, 8), (7, 11, 8), (8, 12, 10), (10, 16, 10), (12, 64, 10)])
@@ -388,9 +410,25 @@ class TestRotationStudy:
 
         monkeypatch.setattr(circuits, "compile_trace", recording)
         schemes = ["standard", "base-n:3", "base-n:5", "power-law:2",
-                   "perturbed-exponent:0.1:7", "perturbed-base:0.1:7"]
+                   "perturbed-exponent:0.1:7", "perturbed-base:0.1:7",
+                   "perturbed-exponent:0.1:7:per-gate"]
         rotation_scheme_study([10], schemes, rank_ceiling=64)
-        assert compiled == ["power-law:2", "perturbed-exponent:0.1:7", "perturbed-base:0.1:7"]
+        # one angle per order but for the per-gate draws
+        assert compiled == ["perturbed-exponent:0.1:7:per-gate"]
+
+    def test_benchmark_scans_compile_no_gates(self, monkeypatch):
+        # acceptance criteria 5 and 8 at the arguments the study suite runs
+        compiled = []
+        monkeypatch.setattr(circuits, "compile_trace",
+                            lambda *args, **kwargs: compiled.append(args) or None)
+        aqft = aqft_rank_study([12], range(5, 12), TruncationPolicy(1e-10), rank_ceiling=64)
+        rotation = rotation_scheme_study(
+            [14], ["standard", "base-n:3", "power-law:2", "perturbed-exponent:0.1:7"],
+            TruncationPolicy(1e-10), rank_ceiling=64)
+        assert compiled == []
+        assert [row["max_bond_rank"] for row in aqft.rows] == [16, 32, 61, 63, 48, 31, 18]
+        assert [(row["max_bond_rank"], row["saturated"]) for row in rotation.rows] == [
+            (10, False), (7, False), (65, True), (65, True)]
 
     @pytest.mark.parametrize("scheme", ["standard", "base-n:3"])
     def test_trained_rows_saturate_on_the_final_rank(self, scheme):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qftmpo.circuits as circuits
+import qftmpo.mpo as mpo_module
 from conftest import (
     circuit_from_document,
     fourier_entry,
@@ -542,22 +543,27 @@ class TestCascadeOperator:
         ({}, "bulk-tensor", False),
         ({"rank_ceiling": 4}, "bulk-tensor", True),  # rank 10 at n = 8
         ({"bandwidth": 8}, "bulk-tensor", False),
-        ({"bandwidth": 4}, "gate-compile", False),  # no ceiling, no train
+        # every per-order train at n = 8 is at most 2^4 wide, within _TRAIN_MAX_BOND
+        ({"bandwidth": 4}, "carry-train", False),  # no ceiling needed
         ({"bandwidth": 4, "rank_ceiling": 8}, "carry-train", False),  # 2^3 at the ceiling
-        ({"bandwidth": 4, "rank_ceiling": 7}, "gate-compile", True),  # just past it
+        ({"bandwidth": 4, "rank_ceiling": 7}, "carry-train", True),  # the coupling's rank 8
         ({"bandwidth": 6, "rank_ceiling": 32}, "carry-train", False),
-        ({"bandwidth": 6, "rank_ceiling": 31}, "gate-compile", False),
-        ({"bandwidth": 5, "rank_ceiling": 15}, "gate-compile", True),  # a step over 15
+        ({"bandwidth": 6, "rank_ceiling": 31}, "carry-train", False),  # W = 16
+        ({"bandwidth": 5, "rank_ceiling": 15}, "carry-train", True),  # the coupling's rank 16
         ({"scheme": "standard"}, "bulk-tensor", False),
         ({"scheme": "base-n:3"}, "bulk-tensor", False),
         ({"scheme": RotationScheme("base-n", base=2), "rank_ceiling": 10}, "bulk-tensor", False),
-        ({"scheme": "power-law:2"}, "gate-compile", False),
-        ({"scheme": "power-law:2", "rank_ceiling": 8}, "gate-compile", True),
-        ({"scheme": "perturbed-exponent:0.1:7"}, "gate-compile", False),
+        ({"scheme": "power-law:2"}, "carry-train", False),
+        ({"scheme": "power-law:2", "rank_ceiling": 8}, "carry-train", True),
+        ({"scheme": "perturbed-exponent:0.1:7"}, "carry-train", False),
+        ({"scheme": "perturbed-exponent:0.1:7:per-gate"}, "gate-compile", False),
+        ({"scheme": "perturbed-exponent:0.1:7:per-gate", "rank_ceiling": 8}, "gate-compile",
+         True),
     ], ids=["plain", "plain-ceiling-4", "bandwidth-n", "bandwidth-4", "bandwidth-4-ceiling-8",
             "bandwidth-4-ceiling-7", "bandwidth-6-ceiling-32", "bandwidth-6-ceiling-31",
             "bandwidth-5-ceiling-15", "standard", "base-n-3", "base-n-2-ceiling-10",
-            "power-law-2", "power-law-2-ceiling-8", "perturbed-exponent"])
+            "power-law-2", "power-law-2-ceiling-8", "perturbed-exponent", "per-gate",
+            "per-gate-ceiling-8"])
     def test_dispatch_table(self, options, kind, saturated):
         circuit, trace = cascade_operator(8, STUDY, **options)
         assert trace.construction["kind"] == kind
@@ -576,6 +582,65 @@ class TestCascadeOperator:
     def test_refused_spellings(self, options, says):
         with pytest.raises(ValueError, match=says):
             cascade_operator(8, EXACT, **options)
+
+    @pytest.mark.parametrize("bandwidth,ceiling,kind,saturated", [
+        (8, None, "carry-train", False),  # W = 128, _TRAIN_MAX_BOND
+        (9, 64, "gate-compile", True),  # W = 256, past it and the ceiling
+        (9, 256, "carry-train", False),  # a ceiling of W allows the train
+    ])
+    def test_wide_trains_keep_the_gate_compile(self, bandwidth, ceiling, kind, saturated):
+        _, trace = cascade_operator(16, STUDY, bandwidth=bandwidth, rank_ceiling=ceiling)
+        assert trace.construction["kind"] == kind
+        assert trace.saturated is saturated
+        if not saturated:
+            assert trace.mpo.max_bond_rank == {8: 95, 9: 129}[bandwidth]
+
+    @pytest.mark.parametrize("n,options,taken", [
+        (18, {"bandwidth": 10, "rank_ceiling": 512}, "_carry_sweep"),  # W = 512
+        (20, {"bandwidth": 11, "rank_ceiling": 1024}, "compile_trace"),  # W = 1024
+        (20, {"scheme": "power-law:2", "rank_ceiling": 4096}, "compile_trace"),
+        (20, {"scheme": "power-law:2"}, "compile_trace"),
+    ])
+    def test_no_ceiling_allows_a_train_past_512(self, monkeypatch, n, options, taken):
+        # at W = 1024 the gate compile is the cheaper even when no ceiling stops it
+        class Taken(Exception):
+            pass
+
+        def stop(name):
+            def recorder(*args, **kwargs):
+                raise Taken(name)
+            return recorder
+
+        for name in ("_carry_sweep", "compile_trace"):
+            monkeypatch.setattr(circuits, name, stop(name))
+        with pytest.raises(Taken, match=taken):
+            cascade_operator(n, STUDY, **options)
+
+    @pytest.mark.parametrize("ceiling", [16, 63, 64])
+    def test_coupling_rank_decides_before_the_build(self, monkeypatch, ceiling):
+        # n = 12, b = 8: W = 64 and the widest cut's rank 63; a ceiling
+        # under both is checked on the coupling, and only a train that may
+        # fit under it is built
+        built = []
+
+        def recording(n, turns, policy):
+            built.append(n)
+            return mpo_module._carry_sweep(n, turns, policy)
+
+        monkeypatch.setattr(circuits, "_carry_sweep", recording)
+        _, trace = cascade_operator(12, STUDY, bandwidth=8, rank_ceiling=ceiling)
+        assert trace.saturated is (ceiling < 63)
+        assert built == ([] if ceiling < 63 else [12])
+        assert trace.construction == {"kind": "carry-train"}
+        assert trace.gates_applied == 0
+
+    def test_capped_power_law_train_weight_bounds_its_error(self):
+        n, policy = 10, TruncationPolicy(1e-14, 4)
+        circuit, trace = cascade_operator(n, policy, scheme="power-law:2")
+        assert trace.construction == {"kind": "carry-train"}
+        exact = compile_to_mpo(circuit, EXACT).to_dense()
+        error = np.linalg.norm(trace.mpo.to_dense() - exact) ** 2
+        assert 1e-6 < error <= trace.discarded_weight * (1 + 1e-9)
 
     def test_carry_train_weight_is_its_sweeps(self):
         # the sweep cuts the exact carry train, so its weight bounds the error

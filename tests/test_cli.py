@@ -23,7 +23,7 @@ from qftmpo.circuits import (
     nearest_neighbor_qft_circuit,
 )
 from qftmpo.cli import COMMANDS, _command_args, _emit, _int_list, _Parser, main
-from qftmpo.mpo import _fourier_sweep, fourier_mpo, identity_mpo, load_mpo, save_mpo
+from qftmpo.mpo import _carry_sweep, _fourier_sweep, fourier_mpo, identity_mpo, load_mpo, save_mpo
 from qftmpo.mps import CanonicalMps, load_mps
 from qftmpo.oracle import bit_reversal_permutation, dense_qft_matrix, periodic_peak_probabilities
 from qftmpo.tensor import TruncationPolicy
@@ -455,11 +455,23 @@ class TestBuildApply:
         assert 1e-6 < error <= json.loads(out)["discarded_weight"] * (1 + 1e-9)
 
     def test_gate_paths_report_their_steps_weight(self, capsys, tmp_path):
+        scheme = "perturbed-exponent:0.1:7:per-gate"
+        code, out, _ = run(capsys, "build", "--n", "10", "--scheme", scheme, "--max-rank", "4",
+                           "--out", str(tmp_path / "t.mpo"))
+        assert code == 0
+        assert json.loads(out)["construction"] == {"kind": "gate-compile"}
+        trace = compile_trace(generalized_circuit(10, RotationScheme.parse(scheme)),
+                              TruncationPolicy(1e-14, 4))
+        assert json.loads(out)["discarded_weight"] == trace.discarded_weight / 2**10
+
+    def test_carry_trains_report_their_sweeps_weight(self, capsys, tmp_path):
         code, out, _ = run(capsys, "build", "--n", "10", "--bandwidth", "6", "--max-rank", "4",
                            "--out", str(tmp_path / "t.mpo"))
         assert code == 0
-        trace = compile_trace(aqft_circuit(10, 6), TruncationPolicy(1e-14, 4))
-        assert json.loads(out)["discarded_weight"] == trace.discarded_weight / 2**10
+        assert json.loads(out)["construction"] == {"kind": "carry-train"}
+        turns = [math.pi] + [2.0 * math.pi / 2.0**k for k in range(2, 7)]
+        _, weight = _carry_sweep(10, turns, TruncationPolicy(1e-14, 4))
+        assert json.loads(out)["discarded_weight"] == weight / 2**10
 
     def test_build_matches_gate_compile(self, capsys, tmp_path):
         path = tmp_path / "t.mpo"
@@ -474,10 +486,12 @@ class TestBuildApply:
 
     @pytest.mark.parametrize("n,option,construction", [
         (8, [], {"kind": "bulk-tensor", "nodes": 16}),
-        (8, ["--bandwidth", "4"], {"kind": "gate-compile"}),
-        (8, ["--scheme", "power-law:2"], {"kind": "gate-compile"}),
+        (8, ["--bandwidth", "4"], {"kind": "carry-train"}),
+        (8, ["--scheme", "power-law:2"], {"kind": "carry-train"}),
         (16, ["--scheme", "base-n:3"], {"kind": "bulk-tensor", "base": 3, "nodes": 11}),
-    ], ids=["bulk-tensor", "aqft", "scheme", "base-n-3"])
+        (8, ["--scheme", "perturbed-base:0.1:7:per-gate"], {"kind": "gate-compile"}),
+        (16, ["--bandwidth", "9"], {"kind": "gate-compile"}),  # W = 256
+    ], ids=["bulk-tensor", "aqft", "scheme", "base-n-3", "per-gate", "wide-aqft"])
     def test_build_records_its_construction(self, capsys, tmp_path, n, option, construction):
         path = tmp_path / "t.mpo"
         code, out, _ = run(capsys, "build", "--n", str(n), *option, "--out", str(path))
@@ -545,20 +559,29 @@ class TestBuildApply:
         if digest is not None:
             assert json.loads(out)["fingerprint"] == digest
 
+    def test_bandwidth_build_has_the_gate_compile_ranks(self, capsys, tmp_path):
+        code, out, err = run(capsys, "build", "--n", "16", "--bandwidth", "5",
+                             "--out", str(tmp_path / "a.mpo"))
+        assert code == 0
+        assert "carry train" in err
+        ref = compile_to_mpo(aqft_circuit(16, 5), TruncationPolicy(1e-14))
+        assert json.loads(out)["bond_ranks"] == list(ref.bond_ranks)
+        assert json.loads(out)["fingerprint"] == circuit_fingerprint(aqft_circuit(16, 5))
+
     def test_gate_compile_matches_an_explicit_gate_list(self, capsys, tmp_path):
-        n, bandwidth = 16, 5
+        # a per-gate draw has no carry train: `build` compiles its gates
+        n, rng = 12, np.random.default_rng(7)
         gates = []
         for stage in range(n):
             gates.append(GateSpec("h", (0,)))
             for d in range(n - 1 - stage):
-                if d + 2 <= bandwidth:
-                    angle = 2.0 * math.pi / 2.0 ** (d + 2)
-                    gates.append(GateSpec("cphase", (d, d + 1), angle=angle))
+                angle = 2.0 * math.pi / 2.0 ** (d + 2 + rng.uniform(-0.1, 0.1))
+                gates.append(GateSpec("cphase", (d, d + 1), angle=angle))
                 gates.append(GateSpec("swap", (d, d + 1), side="both"))
         ref = compile_trace(CircuitSpec(n, gates), TruncationPolicy(1e-14)).mpo
         path = tmp_path / "a.mpo"
-        code, out, _ = run(capsys, "build", "--n", str(n), "--bandwidth", str(bandwidth),
-                           "--out", str(path))
+        code, out, _ = run(capsys, "build", "--n", str(n), "--scheme",
+                           "perturbed-exponent:0.1:7:per-gate", "--out", str(path))
         assert code == 0
         assert json.loads(out)["construction"] == {"kind": "gate-compile"}
         got = load_mpo(path)

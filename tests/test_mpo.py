@@ -7,9 +7,12 @@ import pytest
 
 from qftmpo import _canonical
 from qftmpo.circuits import (
+    CircuitSpec,
     GateSpec,
     RotationScheme,
+    _AngleSource,
     _lift,
+    _nn_cascade,
     aqft_circuit,
     compile_to_mpo,
     generalized_circuit,
@@ -20,6 +23,9 @@ from qftmpo.mpo import (
     FOURIER_NODES,
     MAX_OPERATOR_QUBITS,
     CanonicalMpo,
+    _carry_rank,
+    _carry_sweep,
+    _carry_train,
     _chebyshev_bound,
     _fourier_site,
     _lagrange,
@@ -576,3 +582,65 @@ class TestAqftTrain:
     def test_bandwidth_outside_the_register(self, n, bandwidth):
         with pytest.raises(ValueError, match=rf"bandwidth must lie in \[1, {n}\], got {bandwidth}"):
             aqft_mpo(n, bandwidth, EXACT)
+
+
+PER_ORDER_LAWS = ["standard", "power-law:1", "power-law:2", "perturbed-exponent:0.1:7",
+                  "perturbed-base:0.1:7"]
+
+
+def _per_order_turns(law, bandwidth):
+    """The turns theta(1) = pi, theta(2..b) of ``law`` as its circuit draws them."""
+    source = _AngleSource(RotationScheme.parse(law), bandwidth)
+    return [math.pi] + [source.angle(k) for k in range(2, bandwidth + 1)]
+
+
+def _per_order_circuit(n, law, bandwidth):
+    """The cascade of ``law`` keeping the controlled phases of order <= bandwidth."""
+    source = _AngleSource(RotationScheme.parse(law), n)
+    return CircuitSpec.from_stages(n, _nn_cascade(n, source, lambda k: k <= bandwidth),
+                                   "custom", {})
+
+
+class TestCarryTrain:
+    """Every cascade with one angle per order from its phase-carry train
+    (`_carry_sweep`), against the gate compile and its coupling matrix."""
+
+    @pytest.mark.parametrize("law", PER_ORDER_LAWS)
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_dense_value(self, law, n):
+        for bandwidth in range(1, n + 1):
+            op, _ = _carry_sweep(n, _per_order_turns(law, bandwidth), EXACT)
+            ref = compile_to_mpo(_per_order_circuit(n, law, bandwidth), EXACT).to_dense()
+            assert np.max(np.abs(op.to_dense() - ref)) <= 1e-12, bandwidth
+
+    @pytest.mark.parametrize("n,law,bandwidth", [
+        (12, "power-law:2", 12), (12, "perturbed-exponent:0.1:7", 12),
+        (12, "perturbed-base:0.1:7", 12), (14, "power-law:2", 14),
+        (14, "perturbed-base:0.1:7", 14), (14, "standard", 10), (20, "perturbed-exponent:0.1:7", 6),
+        (20, "power-law:2", 6),
+    ])
+    def test_matches_gate_compile(self, n, law, bandwidth):
+        # the train is cut once at 1e-10, the gate compile at each of its
+        # O(n^2) steps: the two part by up to 2.2e-10 of the norm here
+        op, _ = _carry_sweep(n, _per_order_turns(law, bandwidth), TRAIN_POLICY)
+        ref = compile_to_mpo(_per_order_circuit(n, law, bandwidth), TRAIN_POLICY)
+        assert op.bond_ranks == ref.bond_ranks
+        assert difference_norm(op, ref) <= 1e-9 * float(np.linalg.norm(ref.gamma_vectors[0]))
+
+    @pytest.mark.parametrize("n,law,bandwidth", [
+        *((12, "standard", b) for b in range(2, 12)),
+        (14, "power-law:2", 14), (14, "perturbed-exponent:0.1:7", 14), (20, "standard", 9),
+    ])
+    def test_coupling_rank_is_the_widest_bond(self, n, law, bandwidth):
+        turns = _per_order_turns(law, bandwidth)
+        op, _ = _carry_sweep(n, turns, TRAIN_POLICY)
+        assert _carry_rank(n, turns, TRAIN_POLICY) == op.bond_ranks[n // 2 - 1]
+        assert op.max_bond_rank == op.bond_ranks[n // 2 - 1]
+
+    @pytest.mark.parametrize("n,bandwidth", [(1, 1), (2, 2), (7, 7), (8, 3), (9, 9), (64, 7)])
+    def test_bond_widths(self, n, bandwidth):
+        # carry sites left of the junction at n // 2, their mirrors right of it
+        train = _carry_train(n, _per_order_turns("standard", bandwidth))
+        assert [site.shape[2] for site in train[:-1]] == [
+            2 ** min(bandwidth - 1, c + 1, n - c - 1) for c in range(n - 1)]
+        assert train[0].shape[0] == train[-1].shape[2] == 1
