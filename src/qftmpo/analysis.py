@@ -44,6 +44,8 @@ DEFAULT_COMPILE_POLICY = TruncationPolicy(rel_cutoff=1e-14)
 
 def middle_bond(n: int) -> int:
     """Central bond index of an n-site chain (left of the middle site)."""
+    if n < 2:
+        raise ValueError(f"n = {n} has no middle bond: at least 2 qubits are needed")
     return (n - 1) // 2
 
 
@@ -216,6 +218,9 @@ def _convergence_study(study: str, n_list, n_ref: int, policy: TruncationPolicy,
                        distance) -> StudyResult:
     """Rows of ``distance(fourier_mpo(n), reference)`` for each n in
     ``n_list``, against the larger reference size ``n_ref``."""
+    n_list = list(n_list)
+    for n in (*n_list, n_ref):  # a size without a middle bond is refused before any is built
+        middle_bond(n)
     if n_list and n_ref <= max(n_list):
         raise ValueError(f"n_ref ({n_ref}) must exceed the largest size in n_list "
                          f"({max(n_list)})")

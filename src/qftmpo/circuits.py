@@ -429,9 +429,9 @@ def _lift(run: tuple[GateSpec, ...], cache: dict) -> np.ndarray:
     return op
 
 
-def check_rank_ceiling(rank_ceiling: int) -> None:
-    """Refuse a rank ceiling below 1."""
-    if rank_ceiling < 1:
+def check_rank_ceiling(rank_ceiling: int | None) -> None:
+    """Refuse a rank ceiling below 1; None is no ceiling."""
+    if rank_ceiling is not None and rank_ceiling < 1:
         raise ValueError(f"rank_ceiling must be >= 1, got {rank_ceiling}")
 
 
@@ -454,11 +454,9 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
     start = identity_mpo(n)
     sites = train_from_vidal(start._fused_sites(), start.gamma_vectors)
     bonds = list(start.gamma_vectors)
-    eff_policy = policy
-    if rank_ceiling is not None:
-        check_rank_ceiling(rank_ceiling)
-        cap = rank_ceiling + 1 if policy.max_rank is None else min(policy.max_rank, rank_ceiling + 1)
-        eff_policy = TruncationPolicy(policy.rel_cutoff, cap)
+    check_rank_ceiling(rank_ceiling)
+    eff_policy = policy if rank_ceiling is None else TruncationPolicy(
+        policy.rel_cutoff, min(policy.max_rank or rank_ceiling + 1, rank_ceiling + 1))
 
     gates = circuit.gates
     cache: dict = {}
@@ -498,13 +496,9 @@ def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy) -> CanonicalM
     return compile_trace(circuit, policy).mpo
 
 
-# the widest phase-carry train taken whatever the rank ceiling: past it, a
-# gate compile that a ceiling of 16 stops early is the cheaper; and the
-# widest a ceiling can allow: at 2^10 the gate compile is the cheaper even
-# unstopped, and the W x 4 x W junction grows past 64 MB (README has the
-# measured crossover)
-_TRAIN_MAX_BOND = 128
-_CEILING_MAX_BOND = 512
+# the widest phase-carry train: at 2^10 the gate compile is the cheaper even
+# unstopped, and the W x 4 x W junction passes 64 MB (README has the timings)
+_WIDEST_TRAIN = 512
 
 
 def cascade_operator(n: int, policy: TruncationPolicy, *, bandwidth: int | None = None,
@@ -513,27 +507,27 @@ def cascade_operator(n: int, policy: TruncationPolicy, *, bandwidth: int | None 
     """The nearest-neighbour cascade on ``n`` qubits as the user spells it,
     the transform, a ``bandwidth`` (`aqft_circuit`) or a ``scheme``
     (`generalized_circuit`; a string is parsed), and its operator from the
-    cheapest exact construction. That is decided from these arguments,
-    never from the circuit's family label: every spelling of a base-B
+    cheapest exact construction. That depends on the cascade alone, never
+    on its family label or ``rank_ceiling``: every spelling of a base-B
     rotation law (the transform, bandwidth n, standard, base-n:B) takes its
     bulk tensor (`fourier_mpo`); any other cascade with one angle per
     rotation order (a bandwidth b < n, power-law, a perturbed scheme but
     per-gate) its phase-carry train (`aqft_mpo`) when the train's widest
     bond W = 2^{min(b-1, n // 2)} (b = n for a scheme) is at most
-    _TRAIN_MAX_BOND, or at most both ``rank_ceiling`` and
-    _CEILING_MAX_BOND; anything else the gate compile (`compile_trace`).
-    A gate compile is saturated once a step leaves a bond over
-    ``rank_ceiling``, a train when its final operator does. A ceiling
-    under both W and the policy's rank cap is first checked against the
-    widest cut's rank from the coupling alone (`_carry_rank`), and a
-    train over it is saturated before it is built. A saturated trace
-    holds no operator.
+    _WIDEST_TRAIN; anything else the gate compile (`compile_trace`).
+
+    The ceiling decides saturation only: a gate compile is saturated once
+    a step leaves a bond over it, a train when its final operator does,
+    or, for a ceiling under both W and the policy's rank cap, before it
+    is built, once a cut's coupling rank (`_carry_rank`) is over it: cuts
+    c <= n // 2 are read narrowest first, from the first whose window
+    min(b-1, c) could pass the ceiling (rank <= 2^window) up to the
+    widest, c = min(b-1, n // 2). A saturated trace holds no operator.
     """
     check_width(n)
     if bandwidth is not None and scheme is not None:
         raise ValueError("bandwidth and scheme are mutually exclusive")
-    if rank_ceiling is not None:
-        check_rank_ceiling(rank_ceiling)
+    check_rank_ceiling(rank_ceiling)
     # the cascade's rotation law, and the highest order it keeps
     if bandwidth is not None:
         circuit, law, width = aqft_circuit(n, bandwidth), RotationScheme("standard"), bandwidth
@@ -550,13 +544,13 @@ def cascade_operator(n: int, policy: TruncationPolicy, *, bandwidth: int | None 
         # the transform's record predates the base and does not name it
         construction = {"kind": "bulk-tensor", **({"base": base} if base != 2 else {}),
                         "nodes": _node_count(base)}
-    elif not law.per_gate and widest <= max(min(rank_ceiling or 0, _CEILING_MAX_BOND),
-                                            _TRAIN_MAX_BOND):
+    elif not law.per_gate and widest <= _WIDEST_TRAIN:
         source = _AngleSource(law, width)
         turns = [math.pi] + [source.angle(k) for k in range(2, width + 1)]
         construction = {"kind": "carry-train"}
         if (rank_ceiling is not None and rank_ceiling < min(widest, policy.max_rank or widest)
-                and _carry_rank(n, turns, policy) > rank_ceiling):
+                and any(_carry_rank(n, turns, policy, cut) > rank_ceiling
+                        for cut in range(rank_ceiling.bit_length(), min(width - 1, n // 2) + 1))):
             return circuit, CompileTrace(None, True, 0, 0.0, construction)
         mpo, weight = _carry_sweep(n, turns, policy)
     else:

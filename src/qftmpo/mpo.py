@@ -399,12 +399,12 @@ def _carry_train(n: int, turns) -> list[np.ndarray]:
     return [_fused(site) for site in sites]
 
 
-def _carry_rank(n: int, turns, policy: TruncationPolicy) -> int:
+def _carry_rank(n: int, turns, policy: TruncationPolicy, cut: int | None = None) -> int:
     """Bond rank under ``policy`` of the cascade with per-order ``turns``
-    across its widest cut, after site n // 2 - 1, from its coupling matrix
-    (see `aqft_mpo`) without building the train."""
-    span, cut = len(turns) - 1, n // 2
-    coupling = _coupling(min(span, cut), min(span, n - cut), turns[1:])
+    across the cut after site ``cut`` - 1 (default n // 2) from its coupling
+    matrix (`aqft_mpo`), without the train; transposed, the SVD is faster."""
+    span, cut = len(turns) - 1, n // 2 if cut is None else cut
+    coupling = _coupling(min(span, n - cut), min(span, cut), turns[1:])
     return retained_count(_svd_matrix(coupling, compute_uv=False), policy)
 
 
@@ -432,8 +432,8 @@ def aqft_mpo(n: int, bandwidth: int, policy: TruncationPolicy) -> CanonicalMpo:
     Across a cut the operator couples its left input bits to its right
     output bits only through the 2^{mL} x 2^{mR} matrix exp(i L Theta
     R^T) over the crossing bit windows, so its Schmidt values are those
-    of that matrix times one constant: `_carry_rank` reads the widest
-    bond's rank from it alone.
+    of that matrix times one constant: `_carry_rank` reads a bond's rank
+    from it alone.
     """
     check_width(n)
     check_bandwidth(n, bandwidth)

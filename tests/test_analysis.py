@@ -47,6 +47,8 @@ class TestHelpers:
         assert middle_bond(3) == 1
         assert middle_bond(8) == 3
         assert middle_bond(9) == 4
+        with pytest.raises(ValueError, match="n = 1 has no middle bond"):
+            middle_bond(1)
 
     def test_loglinear_slope_exact(self):
         x = np.arange(5)
@@ -185,6 +187,11 @@ class TestSpectrumStudies:
                                              r"size in n_list \(6\)$"):
             study([4, 6], n_ref=n_ref)
 
+    @pytest.mark.parametrize("study", [spectrum_convergence_study, tensor_convergence_study])
+    def test_sizes_from_an_iterator(self, study):
+        # the sizes are read more than once, so an iterator is listed first
+        assert [row["n"] for row in study(iter([4, 6]), n_ref=8).rows] == [4, 6]
+
     def test_middle_tensor_difference_self_is_zero(self):
         mpo = compile_to_mpo(nearest_neighbor_qft_circuit(8), TruncationPolicy(1e-14))
         assert middle_tensor_difference(mpo, mpo) == pytest.approx(0.0, abs=1e-14)
@@ -304,10 +311,10 @@ class TestAqftStudy:
         assert not any(row["saturated"] for row in res.rows)
         assert res.metadata["full_qft_ranks"] == {"12": 10}
 
-    # the trains at n = 12 are at most 2^6 wide; at n = 16 from b = 9 they
-    # are 2^8 wide, over both the ceiling and _TRAIN_MAX_BOND
-    @pytest.mark.parametrize("ceiling,gated", [(64, [(16, 9), (16, 10), (16, 11)]),
-                                               (16, [(16, 9), (16, 10), (16, 11)])])
+    # every train up to 2^9 wide is taken whatever the ceiling: at n = 16
+    # from b = 9 they are 2^8 wide; at n = 22, b = 11 it is 2^10, past
+    # _WIDEST_TRAIN
+    @pytest.mark.parametrize("ceiling,gated", [(64, [(22, 11)]), (16, [(22, 11)])])
     def test_carry_trains_below_the_ceiling(self, monkeypatch, ceiling, gated):
         compiled = []
 
@@ -316,8 +323,8 @@ class TestAqftStudy:
             return compile_trace(circuit, *args, **kwargs)
 
         monkeypatch.setattr(circuits, "compile_trace", recording)
-        aqft_rank_study([12, 16], range(1, 12), TruncationPolicy(1e-10), rank_ceiling=ceiling,
-                        check=False)
+        aqft_rank_study([12, 16, 22], range(1, 12), TruncationPolicy(1e-10),
+                        rank_ceiling=ceiling, check=False)
         assert compiled == gated
 
     @pytest.mark.parametrize("bandwidths,ceiling,builds", [

@@ -536,6 +536,14 @@ class TestFusedSteps:
 STUDY = TruncationPolicy(1e-10)
 
 
+class Built(Exception):
+    """Raised where `cascade_operator` would build its carry train."""
+
+
+def _stop_building(*args, **kwargs):
+    raise Built
+
+
 class TestCascadeOperator:
     """`cascade_operator`: one spelling of the cascade, one construction."""
 
@@ -543,7 +551,7 @@ class TestCascadeOperator:
         ({}, "bulk-tensor", False),
         ({"rank_ceiling": 4}, "bulk-tensor", True),  # rank 10 at n = 8
         ({"bandwidth": 8}, "bulk-tensor", False),
-        # every per-order train at n = 8 is at most 2^4 wide, within _TRAIN_MAX_BOND
+        # every per-order train at n = 8 is at most 2^4 wide, within _WIDEST_TRAIN
         ({"bandwidth": 4}, "carry-train", False),  # no ceiling needed
         ({"bandwidth": 4, "rank_ceiling": 8}, "carry-train", False),  # 2^3 at the ceiling
         ({"bandwidth": 4, "rank_ceiling": 7}, "carry-train", True),  # the coupling's rank 8
@@ -583,17 +591,73 @@ class TestCascadeOperator:
         with pytest.raises(ValueError, match=says):
             cascade_operator(8, EXACT, **options)
 
-    @pytest.mark.parametrize("bandwidth,ceiling,kind,saturated", [
-        (8, None, "carry-train", False),  # W = 128, _TRAIN_MAX_BOND
-        (9, 64, "gate-compile", True),  # W = 256, past it and the ceiling
-        (9, 256, "carry-train", False),  # a ceiling of W allows the train
+    @pytest.mark.parametrize("bandwidth,ceiling,saturated", [
+        (8, None, False),  # W = 128
+        (9, 64, True),  # W = 256, saturated on the coupling
+        (9, 256, False),
+        (9, None, False),
     ])
-    def test_wide_trains_keep_the_gate_compile(self, bandwidth, ceiling, kind, saturated):
+    def test_wide_trains_whatever_the_ceiling(self, bandwidth, ceiling, saturated):
         _, trace = cascade_operator(16, STUDY, bandwidth=bandwidth, rank_ceiling=ceiling)
-        assert trace.construction["kind"] == kind
+        assert trace.construction == {"kind": "carry-train"}
         assert trace.saturated is saturated
         if not saturated:
             assert trace.mpo.max_bond_rank == {8: 95, 9: 129}[bandwidth]
+
+    def test_rank_does_not_depend_on_the_ceiling(self):
+        # W = 512: a gate compile's per-step cuts straddle the cutoff here
+        # (it reads 107); the train cuts once, at any ceiling
+        ranks = [cascade_operator(18, STUDY, scheme="power-law:2", rank_ceiling=ceiling)[1]
+                 .mpo.max_bond_rank for ceiling in (256, 512)]
+        assert ranks == [108, 108]
+
+    @pytest.mark.parametrize("max_rank", [None, 16])
+    @pytest.mark.parametrize("ceiling", [16, 64, 256, 512, None])
+    @pytest.mark.parametrize("n,options", [
+        (16, {"bandwidth": 9}), (18, {"bandwidth": 10}), (16, {"scheme": "power-law:2"}),
+        (18, {"scheme": "perturbed-exponent:0.1:7"}),
+    ], ids=["aqft-256", "aqft-512", "power-law-256", "perturbed-512"])
+    def test_per_order_trains_to_512_at_any_ceiling(self, monkeypatch, n, options, ceiling,
+                                                     max_rank):
+        def compiled(*args, **kwargs):
+            raise AssertionError("a per-order cascade up to W = 512 compiled its gates")
+
+        monkeypatch.setattr(circuits, "_carry_sweep", _stop_building)
+        monkeypatch.setattr(circuits, "compile_trace", compiled)
+        policy = TruncationPolicy(STUDY.rel_cutoff, max_rank)
+        if max_rank is None and ceiling in (16, 64):  # each row's rank is over 64
+            _, trace = cascade_operator(n, policy, rank_ceiling=ceiling, **options)
+            assert trace.saturated and trace.construction == {"kind": "carry-train"}
+        else:
+            with pytest.raises(Built):
+                cascade_operator(n, policy, rank_ceiling=ceiling, **options)
+
+    @pytest.mark.parametrize("n,options,ceiling,cuts,saturated", [
+        (20, {"bandwidth": 10}, 16, [5], True),  # cut 5's rank 32
+        (16, {"scheme": "power-law:2"}, 16, [5], True),
+        (16, {"scheme": "power-law:2"}, 64, [7], True),  # cut 7's rank 86
+        (18, {"scheme": "power-law:2"}, 100, [7, 8], True),  # ranks 88, 106
+        (18, {"scheme": "power-law:2"}, 200, [8, 9], False),  # ranks 106, 108
+        (18, {"bandwidth": 6}, 16, [5], True),  # past b - 1 = 5 every cut is cut 5
+    ])
+    def test_coupling_check_stops_at_the_first_cut_over(self, monkeypatch, n, options,
+                                                        ceiling, cuts, saturated):
+        # a cut of window w has rank at most 2^w: those that cannot pass the
+        # ceiling are skipped, and the widest is read last
+        read = []
+
+        def recording(n, turns, policy, cut=None):
+            read.append(cut)
+            return mpo_module._carry_rank(n, turns, policy, cut)
+
+        monkeypatch.setattr(circuits, "_carry_rank", recording)
+        monkeypatch.setattr(circuits, "_carry_sweep", _stop_building)
+        if saturated:
+            assert cascade_operator(n, STUDY, rank_ceiling=ceiling, **options)[1].saturated
+        else:
+            with pytest.raises(Built):
+                cascade_operator(n, STUDY, rank_ceiling=ceiling, **options)
+        assert read == cuts
 
     @pytest.mark.parametrize("n,options,taken", [
         (18, {"bandwidth": 10, "rank_ceiling": 512}, "_carry_sweep"),  # W = 512

@@ -118,6 +118,19 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if "error: " in line] == [want]
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n-list", "8,1"],
+        ["converge-spectrum", "--n-list", "1", "--n-ref", "4"],
+        ["converge-tensor", "--n-list", "1", "--n-ref", "4"],
+        ["rotation-scan", "--n-list", "1", "--scheme", "power-law:2"],
+    ], ids=lambda argv: argv[0])
+    def test_size_without_a_middle_bond_refused(self, capsys, argv):
+        # one line naming the size, and no row written
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "qftmpo: error: n = 1 has no middle bond: at least 2 qubits are needed\n"
+
     @pytest.mark.parametrize("argv", [["--bogus"], ["--config", "x.cfg", "spectrum"],
                                       ["--", "spectrum", "--n-list", "6"]])
     def test_command_not_first(self, capsys, argv):
@@ -490,8 +503,10 @@ class TestBuildApply:
         (8, ["--scheme", "power-law:2"], {"kind": "carry-train"}),
         (16, ["--scheme", "base-n:3"], {"kind": "bulk-tensor", "base": 3, "nodes": 11}),
         (8, ["--scheme", "perturbed-base:0.1:7:per-gate"], {"kind": "gate-compile"}),
-        (16, ["--bandwidth", "9"], {"kind": "gate-compile"}),  # W = 256
-    ], ids=["bulk-tensor", "aqft", "scheme", "base-n-3", "per-gate", "wide-aqft"])
+        (16, ["--bandwidth", "9"], {"kind": "carry-train"}),  # W = 256
+        (22, ["--bandwidth", "11", "--max-rank", "4"], {"kind": "gate-compile"}),  # W = 1024
+    ], ids=["bulk-tensor", "aqft", "scheme", "base-n-3", "per-gate", "wide-aqft",
+            "widest-aqft"])
     def test_build_records_its_construction(self, capsys, tmp_path, n, option, construction):
         path = tmp_path / "t.mpo"
         code, out, _ = run(capsys, "build", "--n", str(n), *option, "--out", str(path))

@@ -637,6 +637,16 @@ class TestCarryTrain:
         assert _carry_rank(n, turns, TRAIN_POLICY) == op.bond_ranks[n // 2 - 1]
         assert op.max_bond_rank == op.bond_ranks[n // 2 - 1]
 
+    @pytest.mark.parametrize("n,law,bandwidth", [
+        (18, "standard", 10), (16, "power-law:2", 16), (14, "perturbed-exponent:0.1:7", 14),
+    ])
+    def test_coupling_rank_is_every_bond(self, n, law, bandwidth):
+        # what lets a ceiling be checked cut by cut, the narrowest first
+        turns = _per_order_turns(law, bandwidth)
+        op, _ = _carry_sweep(n, turns, TRAIN_POLICY)
+        assert [_carry_rank(n, turns, TRAIN_POLICY, cut) for cut in range(1, n)] == list(
+            op.bond_ranks)
+
     @pytest.mark.parametrize("n,bandwidth", [(1, 1), (2, 2), (7, 7), (8, 3), (9, 9), (64, 7)])
     def test_bond_widths(self, n, bandwidth):
         # carry sites left of the junction at n // 2, their mirrors right of it
