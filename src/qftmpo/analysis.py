@@ -481,7 +481,8 @@ def rotation_scheme_study(n_list, schemes,
     Each scheme replaces the controlled-phase angle law of the cascade.
     Each row's operator and saturation come from
     `circuits.cascade_operator` under ``rank_ceiling``; saturated rows
-    report rank_ceiling + 1 as a lower bound and no tail slope.
+    report rank_ceiling + 1 as a lower bound and no tail slope, as do rows
+    whose middle bond keeps too few weights for a tail (rank 1).
     """
     policy = policy or TruncationPolicy(1e-10)
     check_rank_ceiling(rank_ceiling)
@@ -493,12 +494,13 @@ def rotation_scheme_study(n_list, schemes,
         for scheme in schemes:
             _, trace = cascade_operator(n, policy, scheme=scheme, rank_ceiling=rank_ceiling)
             mpo = trace.mpo
+            slope = math.nan if mpo is None else spectrum_tail_slope(
+                mpo.bond_probability_distribution(middle_bond(n)))
             rows.append({
                 "n": n, "scheme": scheme.label(),
                 "max_bond_rank": rank_ceiling + 1 if mpo is None else mpo.max_bond_rank,
                 "saturated": trace.saturated,
-                "tail_slope": None if mpo is None else spectrum_tail_slope(
-                    mpo.bond_probability_distribution(middle_bond(n))),
+                "tail_slope": None if math.isnan(slope) else slope,
             })
     meta = _base_metadata(policy, rank_ceiling=rank_ceiling,
                           schemes=[s.label() for s in schemes])

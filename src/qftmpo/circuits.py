@@ -24,7 +24,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .mpo import (
     _fourier_sweep,
     _node_count,
     _sweep,
-    check_bandwidth,
     check_width,
     identity_mpo,
 )
@@ -205,11 +203,14 @@ class RotationScheme:
     def parse(cls, text: str) -> "RotationScheme":
         """Parse "standard", "power-law:P", "base-n:B",
         "perturbed-exponent:SCALE:SEED", "perturbed-base:SCALE:SEED"; the
-        perturbed forms take an optional ":per-gate" suffix. Inverse of
-        `label`."""
+        perturbed forms take an optional ":per-gate" suffix, and any other
+        field past a kind's own is refused. Inverse of `label`."""
         parts = text.strip().split(":")
         kind = parts[0]
+        own = {"standard": 1, "power-law": 2, "base-n": 2}.get(kind)
         try:
+            if own is not None and parts[own:]:
+                raise ValueError(f"unknown suffix {parts[own:]}")
             if kind == "standard":
                 return cls(kind)
             if kind == "power-law":
@@ -238,52 +239,38 @@ class RotationScheme:
         return f"{self.kind}:{self.scale}:{self.seed}{suffix}"
 
 
-class _AngleSource:
-    """Resolves the angle for each cascade order, handling perturbations.
-
-    Every scheme but a per-gate one has one angle per order, computed
-    up front in increasing k (so perturbations are drawn in a fixed
-    order); a per-gate scheme draws afresh at each call. An angle that
-    overflows or is not finite is a ValueError naming the scheme and the
-    order.
+def _turns(scheme: RotationScheme, width: int, rng=None) -> list[float]:
+    """The turns [pi, theta(2), ..., theta(width)] of ``scheme``: the
+    Hadamard's, then the controlled phase of each rotation order k, in
+    increasing k, so a perturbed scheme draws its deltas in that order,
+    from ``rng`` when a per-gate cascade passes the generator it draws
+    on, else from a fresh default_rng(seed). An angle that overflows or
+    is not finite is a ValueError naming the scheme and the order.
     """
-
-    def __init__(self, scheme: RotationScheme, max_order: int):
-        self._scheme = scheme
-        self.per_gate = scheme.per_gate
-        self._rng = None
-        if scheme.kind.startswith("perturbed"):
-            self._rng = np.random.default_rng(scheme.seed)
-        self._per_order = {}
-        if not scheme.per_gate:
-            self._per_order = {k: self._draw(k) for k in range(2, max_order + 1)}
-
-    def angle(self, k: int) -> float:
-        if self.per_gate:
-            return self._draw(k)
-        return self._per_order[k]
-
-    def _draw(self, k: int) -> float:
-        s = self._scheme
+    if rng is None and scheme.kind.startswith("perturbed"):
+        rng = np.random.default_rng(scheme.seed)
+    turns = [math.pi]
+    for k in range(2, width + 1):
         try:
-            if s.kind == "standard":
+            if scheme.kind == "standard":
                 angle = 2.0 * math.pi / 2.0**k
-            elif s.kind == "power-law":
-                angle = 2.0 * math.pi / float(k) ** s.exponent
-            elif s.kind == "base-n":
-                angle = 2.0 * math.pi / float(s.base) ** k
+            elif scheme.kind == "power-law":
+                angle = 2.0 * math.pi / float(k) ** scheme.exponent
+            elif scheme.kind == "base-n":
+                angle = 2.0 * math.pi / float(scheme.base) ** k
             else:
-                delta = self._rng.uniform(-s.scale, s.scale)
-                if s.kind == "perturbed-exponent":
+                delta = rng.uniform(-scheme.scale, scheme.scale)
+                if scheme.kind == "perturbed-exponent":
                     angle = 2.0 * math.pi / 2.0 ** (k + delta)
                 else:
                     angle = 2.0 * math.pi / (2.0 + delta) ** k
         except (OverflowError, ZeroDivisionError):
             angle = math.inf
         if not math.isfinite(angle):
-            raise ValueError(f"rotation scheme {s.label()}: the angle at order {k} "
+            raise ValueError(f"rotation scheme {scheme.label()}: the angle at order {k} "
                              f"is not a finite number")
-        return angle
+        turns.append(angle)
+    return turns
 
 
 # ---------------------------------------------------------------- #
@@ -299,18 +286,18 @@ def qft_circuit(n: int) -> CircuitSpec:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    source = _AngleSource(RotationScheme("standard"), n)
+    turns = _turns(RotationScheme("standard"), n)
     gates = []
     for q in range(n):
         gates.append(GateSpec("h", (q,)))
         for t in range(q + 1, n):
-            gates.append(GateSpec("cphase", (q, t), angle=source.angle(t - q + 1)))
+            gates.append(GateSpec("cphase", (q, t), angle=turns[t - q]))
     return CircuitSpec(n, tuple(gates), family="qft", params={"n": n})
 
 
-def _nn_cascade(n: int, angle_source: _AngleSource,
-                keep: Callable[[int], bool]) -> tuple:
-    """Nearest-neighbour cascade, as the stages of `CircuitSpec`. Stage s
+def _nn_cascade(n: int, scheme: RotationScheme, width: int) -> tuple:
+    """Nearest-neighbour cascade of ``scheme`` keeping the controlled
+    phases of order k <= ``width``, as the stages of `CircuitSpec`. Stage s
     puts the active qubit on wire 0, applies its Hadamard, then walks it
     rightward over d < n-1-s: a controlled phase of order d+2 with the
     wire-d neighbour (when kept), then a bookkeeping swap. The finished
@@ -323,19 +310,21 @@ def _nn_cascade(n: int, angle_source: _AngleSource,
     hadamard = ("h", (0,), None, None, "output")
     swaps = [("swap", (d, d + 1), None, None, "both") for d in range(n - 1)]
 
-    def run(length: int):
+    def run(length: int, turns):
         """The run of wire pairs d < length, and its length after each d."""
         gates, ends = [hadamard], [1]
         for d in range(length):
-            if keep(d + 2):
-                gates.append(("cphase", (d, d + 1), angle_source.angle(d + 2), None, "output"))
+            if d + 1 < len(turns):
+                gates.append(("cphase", (d, d + 1), turns[d + 1], None, "output"))
             gates.append(swaps[d])
             ends.append(len(gates))
         return tuple(gates), ends
 
-    if angle_source.per_gate:
-        return tuple((gates, len(gates)) for gates, _ in (run(n - 1 - s) for s in range(n)))
-    whole, ends = run(n - 1)
+    if scheme.per_gate:
+        rng = np.random.default_rng(scheme.seed)
+        runs = (run(n - 1 - s, _turns(scheme, min(width, n - s), rng)) for s in range(n))
+        return tuple((gates, len(gates)) for gates, _ in runs)
+    whole, ends = run(n - 1, _turns(scheme, width))
     return tuple((whole, ends[n - 1 - s]) for s in range(n))
 
 
@@ -344,8 +333,14 @@ def nearest_neighbor_qft_circuit(n: int) -> CircuitSpec:
     Fourier matrix in bit-reversed input ordering."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    stages = _nn_cascade(n, _AngleSource(RotationScheme("standard"), n), lambda k: True)
+    stages = _nn_cascade(n, RotationScheme("standard"), n)
     return CircuitSpec.from_stages(n, stages, "nn-qft", {"n": n})
+
+
+def check_bandwidth(n: int, bandwidth: int) -> None:
+    """Refuse an approximate-transform bandwidth outside 1..n."""
+    if not 1 <= bandwidth <= n:
+        raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
 
 
 def aqft_circuit(n: int, bandwidth: int) -> CircuitSpec:
@@ -359,9 +354,7 @@ def aqft_circuit(n: int, bandwidth: int) -> CircuitSpec:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     check_bandwidth(n, bandwidth)
-    stages = _nn_cascade(
-        n, _AngleSource(RotationScheme("standard"), bandwidth), lambda k: k <= bandwidth
-    )
+    stages = _nn_cascade(n, RotationScheme("standard"), bandwidth)
     return CircuitSpec.from_stages(n, stages, "aqft", {"n": n, "bandwidth": bandwidth})
 
 
@@ -371,7 +364,7 @@ def generalized_circuit(n: int, scheme: RotationScheme) -> CircuitSpec:
     `nearest_neighbor_qft_circuit` exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    stages = _nn_cascade(n, _AngleSource(scheme, n), lambda k: True)
+    stages = _nn_cascade(n, scheme, n)
     return CircuitSpec.from_stages(
         n, stages, "generalized", {"n": n, "scheme": scheme.label()})
 
@@ -510,9 +503,10 @@ def cascade_operator(n: int, policy: TruncationPolicy, *, bandwidth: int | None 
     cheapest exact construction. That depends on the cascade alone, never
     on its family label or ``rank_ceiling``: every spelling of a base-B
     rotation law (the transform, bandwidth n, standard, base-n:B) takes its
-    bulk tensor (`fourier_mpo`); any other cascade with one angle per
+    bulk tensor (`_fourier_sweep`); any other cascade with one angle per
     rotation order (a bandwidth b < n, power-law, a perturbed scheme but
-    per-gate) its phase-carry train (`aqft_mpo`) when the train's widest
+    per-gate) its phase-carry train of the turns `_turns` gives
+    (`_carry_sweep`) when the train's widest
     bond W = 2^{min(b-1, n // 2)} (b = n for a scheme) is at most
     _WIDEST_TRAIN; anything else the gate compile (`compile_trace`).
 
@@ -545,8 +539,7 @@ def cascade_operator(n: int, policy: TruncationPolicy, *, bandwidth: int | None 
         construction = {"kind": "bulk-tensor", **({"base": base} if base != 2 else {}),
                         "nodes": _node_count(base)}
     elif not law.per_gate and widest <= _WIDEST_TRAIN:
-        source = _AngleSource(law, width)
-        turns = [math.pi] + [source.angle(k) for k in range(2, width + 1)]
+        turns = _turns(law, width)
         construction = {"kind": "carry-train"}
         if (rank_ceiling is not None and rank_ceiling < min(widest, policy.max_rank or widest)
                 and any(_carry_rank(n, turns, policy, cut) > rank_ceiling

@@ -16,12 +16,13 @@ machinery is shared with `CanonicalMps`.
 Two kinds of cascade also have direct trains, built in O(n) sites and
 brought to canonical form by one `_sweep` instead of compiled from O(n^2)
 gates: the Fourier transform and every cascade of the base-B rotation law
-from their bulk tensor (`fourier_mpo`), and every cascade whose angle
-depends on the rotation order alone (the bandwidth-b approximate
-transform, the power-law and per-order perturbed laws) from a phase carry
-of at most b - 1 input bits left of a junction site and b - 1 output bits
-right of it (`aqft_mpo`); `circuits.cascade_operator` decides which
-construction a cascade takes.
+from their bulk tensor (`_fourier_sweep`; `fourier_mpo` is the
+transform's), and every cascade whose angle depends on the rotation order
+alone (the bandwidth-b approximate transform, the power-law and per-order
+perturbed laws) from a phase carry of at most b - 1 input bits left of a
+junction site and b - 1 output bits right of it (`_carry_sweep`).
+`circuits.cascade_operator` decides which construction a cascade takes,
+and is the one door to a base-B or carry train.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def _sweep(train, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
 
 def _chebyshev_bound(k: int, base: int = 2) -> float:
     """Bound on the K-node Chebyshev interpolation error of e^{i w s},
-    |w| <= pi / (base - 1)^2, over s in [0, 1] (see `fourier_mpo`)."""
+    |w| <= pi / (base - 1)^2, over s in [0, 1] (see `_fourier_sweep`)."""
     return 2.0 * math.sqrt(2.0) * (math.pi / (4.0 * (base - 1) ** 2)) ** k / math.factorial(k)
 
 
@@ -266,13 +267,20 @@ def _fourier_site(left: np.ndarray, nodes: np.ndarray | None, base: int = 2) -> 
     return site.reshape(len(left), 4, -1)
 
 
-def fourier_mpo(n: int, policy: TruncationPolicy, base: int = 2) -> CanonicalMpo:
+def fourier_mpo(n: int, policy: TruncationPolicy) -> CanonicalMpo:
     """The n-qubit Fourier transform as `compile_to_mpo(
     nearest_neighbor_qft_circuit(n), policy)` returns it (bit-reversed
     input, norm-carrying bond vectors, the same bond ranks), built from its
-    bulk tensor in O(n) instead of from O(n^2) gates; with ``base`` B, the
-    same for the cascade whose controlled phase of order k turns by
-    2 pi / B^k (`generalized_circuit(n, RotationScheme("base-n", base=B))`).
+    bulk tensor in O(n) instead of from O(n^2) gates (`_fourier_sweep`)."""
+    return _fourier_sweep(n, policy)[0]
+
+
+def _fourier_sweep(n: int, policy: TruncationPolicy,
+                   base: int = 2) -> tuple[CanonicalMpo, float]:
+    """The cascade whose controlled phase of order k turns by 2 pi / B^k,
+    B = ``base`` (`generalized_circuit(n, RotationScheme("base-n",
+    base=B))`; the transform at B = 2), as `compile_to_mpo` returns it,
+    from its bulk tensor in O(n), and the discarded weight of its sweep.
 
     Site j holds output bit y_j and input bit x_j, site 0 the most
     significant. Entry (y, x) is 2^{-n/2} exp(i sum_j y_j (pi x_j +
@@ -314,12 +322,6 @@ def fourier_mpo(n: int, policy: TruncationPolicy, base: int = 2) -> CanonicalMpo
     (times 2^{n/2}) of the transform is 4.1e-13 off the closed form at
     n = 1023.
     """
-    return _fourier_sweep(n, policy, base)[0]
-
-
-def _fourier_sweep(n: int, policy: TruncationPolicy,
-                   base: int = 2) -> tuple[CanonicalMpo, float]:
-    """`fourier_mpo` and the discarded weight of its sweep."""
     check_width(n)
     if base < 2:
         raise ValueError(f"the rotation base must be an integer >= 2, got {base}")
@@ -336,12 +338,6 @@ def _fourier_sweep(n: int, policy: TruncationPolicy,
 # ---------------------------------------------------------------- #
 # per-order cascades from their phase carry
 # ---------------------------------------------------------------- #
-
-def check_bandwidth(n: int, bandwidth: int) -> None:
-    """Refuse an approximate-transform bandwidth outside 1..n."""
-    if not 1 <= bandwidth <= n:
-        raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
-
 
 def _coupling(m_left: int, m_right: int, turns) -> np.ndarray:
     """exp(i sum_{a, a'} l_a r_{a'} turns[a + a']) over the indices l of
@@ -402,32 +398,34 @@ def _carry_train(n: int, turns) -> list[np.ndarray]:
 def _carry_rank(n: int, turns, policy: TruncationPolicy, cut: int | None = None) -> int:
     """Bond rank under ``policy`` of the cascade with per-order ``turns``
     across the cut after site ``cut`` - 1 (default n // 2) from its coupling
-    matrix (`aqft_mpo`), without the train; transposed, the SVD is faster."""
+    matrix (`_carry_sweep`), without the train; transposed, the SVD is faster."""
     span, cut = len(turns) - 1, n // 2 if cut is None else cut
     coupling = _coupling(min(span, n - cut), min(span, cut), turns[1:])
     return retained_count(_svd_matrix(coupling, compute_uv=False), policy)
 
 
-def aqft_mpo(n: int, bandwidth: int, policy: TruncationPolicy) -> CanonicalMpo:
-    """The bandwidth-b approximate transform as `compile_to_mpo(
-    aqft_circuit(n, b), policy)` returns it (bit-reversed input,
-    norm-carrying bond vectors), from a phase-carry train in O(n) instead
-    of from O(n^2) gates.
+def _carry_sweep(n: int, turns, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
+    """The nearest-neighbour cascade with per-order ``turns`` as
+    `compile_to_mpo` returns it (bit-reversed input, norm-carrying bond
+    vectors), from a phase-carry train in O(n) instead of from O(n^2)
+    gates, and the discarded weight of its sweep.
 
-    The train covers every nearest-neighbour cascade whose angle depends
-    on the rotation order alone, with the turns theta(1) = pi (the
-    Hadamard's), theta(2), ..., theta(b): entry (y, x) is 2^{-n/2} exp(i
-    sum_{0 <= j-k < b} y_j x_k theta(j-k+1)); here theta(k) = 2 pi / 2^k.
-    Left of the junction site s = n // 2, bond j carries the last min(b -
-    1, j + 1) input bits, and site j is the delta of that carry update
-    times exp(i y_j sum_{0 <= j-k < b} x_k theta(j-k+1)) / sqrt(2). Right
-    of it the roles swap: bond j - 1 carries the next min(b - 1, n - j)
-    output bits leftward, and site j, the carry site of position n-1-j
-    with y and x swapped and its bonds reversed, holds the terms of x_j
-    with y_j and the later output bits. The junction holds the terms that
-    cross it, densely. Bond c is 2^{min(b-1, c+1, n-c-1)} wide, so the
-    widest, after site s - 1, is W = 2^{min(b-1, n // 2)}. One
-    `_canonical.canonicalize_train` sweep cuts the bonds under ``policy``.
+    The train covers every cascade whose angle depends on the rotation
+    order alone, with the turns theta(1) = pi (the Hadamard's), theta(2),
+    ..., theta(b): entry (y, x) is 2^{-n/2} exp(i sum_{0 <= j-k < b} y_j
+    x_k theta(j-k+1)); the bandwidth-b approximate transform has theta(k)
+    = 2 pi / 2^k. Left of the junction site s = n // 2, bond j carries the
+    last min(b - 1, j + 1) input bits, and site j is the delta of that
+    carry update times exp(i y_j sum_{0 <= j-k < b} x_k theta(j-k+1)) /
+    sqrt(2). Right of it the roles swap: bond j - 1 carries the next min(b
+    - 1, n - j) output bits leftward, and site j, the carry site of
+    position n-1-j with y and x swapped and its bonds reversed, holds the
+    terms of x_j with y_j and the later output bits. The junction holds
+    the terms that cross it, densely. Bond c is 2^{min(b-1, c+1, n-c-1)}
+    wide, so the widest, after site s - 1, is W = 2^{min(b-1, n // 2)}.
+    One `_canonical.canonicalize_train` sweep cuts the bonds under
+    ``policy``. No W is refused here: `circuits.cascade_operator`, the
+    package's one caller, keeps W within its `_WIDEST_TRAIN`.
 
     Across a cut the operator couples its left input bits to its right
     output bits only through the 2^{mL} x 2^{mR} matrix exp(i L Theta
@@ -435,15 +433,6 @@ def aqft_mpo(n: int, bandwidth: int, policy: TruncationPolicy) -> CanonicalMpo:
     of that matrix times one constant: `_carry_rank` reads a bond's rank
     from it alone.
     """
-    check_width(n)
-    check_bandwidth(n, bandwidth)
-    turns = [math.pi] + [2.0 * math.pi / 2.0**k for k in range(2, bandwidth + 1)]
-    return _carry_sweep(n, turns, policy)[0]
-
-
-def _carry_sweep(n: int, turns, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
-    """The cascade with per-order ``turns`` (see `aqft_mpo`) and the
-    discarded weight of its sweep."""
     check_width(n)
     return _sweep(_carry_train(n, turns), policy)
 

@@ -275,6 +275,24 @@ class TestStudies:
         rows = parse_csv(out)
         assert {r["scheme"] for r in rows} == {"standard", "base-n:3"}
 
+    def test_rotation_scan_json_has_no_nan(self, capsys):
+        # a rank-1 middle bond has no tail: null, as on a saturated row
+        code, out, _ = run(capsys, "rotation-scan", "--n-list", "4",
+                           "--scheme", "power-law:60", "--format", "json")
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        row = json.loads(out, parse_constant=refuse)["rows"][0]
+        assert (row["max_bond_rank"], row["tail_slope"]) == (1, None)
+
+    def test_rotation_scan_refuses_trailing_fields(self, capsys):
+        code, out, err = run(capsys, "rotation-scan", "--n-list", "6",
+                             "--scheme", "power-law:2:junk")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "power-law:2:junk" in err
+
     def test_ordering_scan(self, capsys):
         code, out, _ = run(capsys, "ordering-scan", "--n", "4", "--format", "json")
         assert code == 0

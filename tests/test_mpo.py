@@ -10,10 +10,11 @@ from qftmpo.circuits import (
     CircuitSpec,
     GateSpec,
     RotationScheme,
-    _AngleSource,
     _lift,
     _nn_cascade,
+    _turns,
     aqft_circuit,
+    cascade_operator,
     compile_to_mpo,
     generalized_circuit,
     nearest_neighbor_qft_circuit,
@@ -28,10 +29,10 @@ from qftmpo.mpo import (
     _carry_train,
     _chebyshev_bound,
     _fourier_site,
+    _fourier_sweep,
     _lagrange,
     _node_count,
     _sweep,
-    aqft_mpo,
     fourier_mpo,
     from_dense_operator,
     hs_inner,
@@ -512,13 +513,13 @@ def _worst_entry_error(op, turns, samples, seed):
 
 
 class TestBaseTrain:
-    """The base-B cascade from its bulk tensor (`fourier_mpo` with a base),
+    """The base-B cascade from its bulk tensor (`_fourier_sweep` with a base),
     against the gate compile and the closed form."""
 
     @pytest.mark.parametrize("base", [3, 5])
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_dense_value(self, base, n):
-        op = fourier_mpo(n, EXACT, base)
+        op, _ = _fourier_sweep(n, EXACT, base)
         op.validate()
         ref = compile_to_mpo(_base_circuit(n, base), EXACT).to_dense()
         assert np.max(np.abs(op.to_dense() - ref)) <= 1e-12
@@ -526,35 +527,40 @@ class TestBaseTrain:
     @pytest.mark.parametrize("base", [3, 5])
     @pytest.mark.parametrize("n", [16, 64])
     def test_matches_gate_compile(self, base, n):
-        op = fourier_mpo(n, TRAIN_POLICY, base)
+        op, _ = _fourier_sweep(n, TRAIN_POLICY, base)
         _assert_matches_compile(op, compile_to_mpo(_base_circuit(n, base), TRAIN_POLICY))
 
     @pytest.mark.parametrize("base", [3, 5])
     def test_closed_form_entries(self, base):
-        op = fourier_mpo(64, EXACT, base)
+        op, _ = _fourier_sweep(64, EXACT, base)
         op.validate()
         assert _worst_entry_error(op, _base_turns(base), 100, 64 + base) <= 1e-12
 
     def test_base_two_is_the_transform(self):
         for policy in (EXACT, TruncationPolicy(1e-14, 4)):
-            op, ref = fourier_mpo(20, policy, 2), fourier_mpo(20, policy)
+            op, ref = _fourier_sweep(20, policy, 2)[0], fourier_mpo(20, policy)
             assert all(np.array_equal(a, b) for a, b in zip(op.site_tensors, ref.site_tensors))
             assert all(np.array_equal(a, b) for a, b in zip(op.gamma_vectors, ref.gamma_vectors))
 
     @pytest.mark.parametrize("base", [1, 0])
     def test_base_below_two(self, base):
         with pytest.raises(ValueError, match=f"rotation base must be an integer >= 2, got {base}"):
-            fourier_mpo(4, EXACT, base)
+            _fourier_sweep(4, EXACT, base)
+
+
+def _aqft_sweep(n, bandwidth, policy):
+    """The bandwidth-b approximate transform from its carry train."""
+    return _carry_sweep(n, _turns(RotationScheme("standard"), bandwidth), policy)[0]
 
 
 class TestAqftTrain:
-    """The approximate transform from its carry (`aqft_mpo`), against the
-    gate compile and the closed form."""
+    """The approximate transform from its carry (`_carry_sweep` of the
+    standard turns), against the gate compile and the closed form."""
 
     @pytest.mark.parametrize("bandwidth", range(1, 8))
     def test_dense_value(self, bandwidth):
         n = max(6, bandwidth)
-        op = aqft_mpo(n, bandwidth, EXACT)
+        op = _aqft_sweep(n, bandwidth, EXACT)
         op.validate()
         ref = compile_to_mpo(aqft_circuit(n, bandwidth), EXACT).to_dense()
         assert np.max(np.abs(op.to_dense() - ref)) <= 1e-12
@@ -562,26 +568,40 @@ class TestAqftTrain:
     @pytest.mark.parametrize("bandwidth", range(1, 8))
     @pytest.mark.parametrize("n", [12, 20])
     def test_matches_gate_compile(self, n, bandwidth):
-        op = aqft_mpo(n, bandwidth, TRAIN_POLICY)
+        op = _aqft_sweep(n, bandwidth, TRAIN_POLICY)
         _assert_matches_compile(op, compile_to_mpo(aqft_circuit(n, bandwidth), TRAIN_POLICY))
 
     @pytest.mark.parametrize("bandwidth", [1, 5, 7])
     def test_closed_form_entries(self, bandwidth):
         # no gate compile at this width: b = 7 alone takes half a minute
-        op = aqft_mpo(64, bandwidth, EXACT)
+        op = _aqft_sweep(64, bandwidth, EXACT)
         op.validate()
         assert op.max_bond_rank <= 2 ** (bandwidth - 1)
         assert _worst_entry_error(op, _aqft_turns(bandwidth), 100, 640 + bandwidth) <= 1e-12
 
     def test_full_bandwidth_is_the_transform(self):
-        op, ref = aqft_mpo(8, 8, EXACT), fourier_mpo(8, EXACT)
+        op, ref = _aqft_sweep(8, 8, EXACT), fourier_mpo(8, EXACT)
         assert op.bond_ranks == ref.bond_ranks
         assert difference_norm(op, ref) <= 1e-12 * float(np.linalg.norm(ref.gamma_vectors[0]))
 
     @pytest.mark.parametrize("n,bandwidth", [(8, 0), (8, 9), (1, 2)])
     def test_bandwidth_outside_the_register(self, n, bandwidth):
         with pytest.raises(ValueError, match=rf"bandwidth must lie in \[1, {n}\], got {bandwidth}"):
-            aqft_mpo(n, bandwidth, EXACT)
+            cascade_operator(n, EXACT, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("n,bandwidth", [*((12, b) for b in range(1, 12)),
+                                             (64, 5), (64, 6), (64, 7)])
+    def test_dispatcher_returns_the_train(self, n, bandwidth):
+        # the one door to a carry train hands back, bit for bit, the sweep
+        # of the turns 2 pi / 2^k written out
+        _, trace = cascade_operator(n, EXACT, bandwidth=bandwidth)
+        turns = [math.pi] + [2.0 * math.pi / 2.0**k for k in range(2, bandwidth + 1)]
+        op, _ = _carry_sweep(n, turns, EXACT)
+        assert trace.construction == {"kind": "carry-train"}
+        assert trace.mpo.bond_ranks == op.bond_ranks
+        assert all(np.array_equal(a, b) for a, b in zip(trace.mpo.site_tensors, op.site_tensors))
+        assert all(np.array_equal(a, b) for a, b in zip(trace.mpo.gamma_vectors,
+                                                        op.gamma_vectors))
 
 
 PER_ORDER_LAWS = ["standard", "power-law:1", "power-law:2", "perturbed-exponent:0.1:7",
@@ -590,14 +610,12 @@ PER_ORDER_LAWS = ["standard", "power-law:1", "power-law:2", "perturbed-exponent:
 
 def _per_order_turns(law, bandwidth):
     """The turns theta(1) = pi, theta(2..b) of ``law`` as its circuit draws them."""
-    source = _AngleSource(RotationScheme.parse(law), bandwidth)
-    return [math.pi] + [source.angle(k) for k in range(2, bandwidth + 1)]
+    return _turns(RotationScheme.parse(law), bandwidth)
 
 
 def _per_order_circuit(n, law, bandwidth):
     """The cascade of ``law`` keeping the controlled phases of order <= bandwidth."""
-    source = _AngleSource(RotationScheme.parse(law), n)
-    return CircuitSpec.from_stages(n, _nn_cascade(n, source, lambda k: k <= bandwidth),
+    return CircuitSpec.from_stages(n, _nn_cascade(n, RotationScheme.parse(law), bandwidth),
                                    "custom", {})
 
 
