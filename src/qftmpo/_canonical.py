@@ -30,7 +30,10 @@ reduced QR supplies Q_j on the bonds too narrow to sketch), so the right
 pass never contracts the state and operator factors again over the
 product bond; if any sketch may have missed part of the range, the whole
 sweep is the exact one. Plain trains are never sketched. One
-right-to-left pass truncates a plain, pair or compressed train alike.
+right-to-left pass truncates a plain, pair or compressed train alike. For
+a plain train whose vector is unchanged by reversing the chain (with its
+physical index permuted), that pass may stop at the centre bond and take
+the left half as the reflection of the right half (``mirror``).
 
 The chain invariants (structure, bond norms, canonical defect) and the
 binary container live here once for both chain kinds; the ``normalize``
@@ -50,6 +53,7 @@ import numpy as np
 from ._version import __version__
 from .errors import DimensionMismatchError, NumericalError
 from .tensor import (
+    NOISE_FLOOR,
     TruncationPolicy,
     _read_exact,
     _svd_matrix,
@@ -64,26 +68,38 @@ from .tensor import (
 SKETCH_SLACK = 1.5
 SKETCH_TAIL = 1e-15
 SKETCH_SEED = 20140603
+MIRROR_TOL = 1e-12  # of lambda_max^2, the gauge check of a mirrored sweep
 
 
-def _split_bond(mat, policy):
-    """SVD a bond matrix and truncate. Returns (u, kept s, vh, dropped weight)."""
+def _cut_bond(mat, policy):
+    """SVD a bond matrix and truncate. Returns (u, kept s, vh, dropped s)."""
     u, s, vh = _svd_matrix(mat)
     k = retained_count(s, policy)
     if k == 0 or s[0] == 0.0:
         raise NumericalError("bond spectrum vanished; chain encodes the zero vector")
-    discarded = float(np.sum(s[k:] ** 2))
-    return u[:, :k], s[:k], vh[:k], discarded
+    return u[:, :k], s[:k], vh[:k], s[k:]
 
 
-def _sketch_holds(sv) -> bool:
-    """The range test of a sketch M Omega = Q R of a matrix M.
+def _split_bond(mat, policy):
+    """SVD a bond matrix and truncate. Returns (u, kept s, vh, dropped weight)."""
+    u, s, vh, dropped = _cut_bond(mat, policy)
+    return u, s, vh, float(np.sum(dropped**2))
 
-    ``sv`` are the descending singular values of R. A smallest value at
-    most SKETCH_TAIL of the largest means the sketch had a column to spare,
-    so its range holds the range of M to that tail. Otherwise the sketch
-    saturated and may have missed part of it.
+
+def _sketch_holds(r) -> bool:
+    """The range test of a sketch M Omega = Q R of a matrix M, given R.
+
+    A smallest singular value of R at most SKETCH_TAIL of the largest means
+    the sketch had a column to spare, so its range holds the range of M to
+    that tail. Otherwise the sketch saturated and may have missed part of
+    it. For a square triangular R every |R_kk| lies between the smallest
+    and the largest singular value, so a diagonal that spans the tail
+    already decides the test; only a sketch it leaves undecided pays an SVD.
     """
+    diag = np.abs(np.diagonal(r))
+    if r.shape[0] == r.shape[1] and diag.min() <= SKETCH_TAIL * diag.max():
+        return True
+    sv = np.linalg.svd(r, compute_uv=False)
     return sv[-1] <= SKETCH_TAIL * sv[0]
 
 
@@ -178,7 +194,7 @@ def _sketched_left_pass(sites):
         m = _left_multiply(factor, site)
         if sketch is not None and min(m.shape) > SKETCH_SLACK * width:
             q, r = np.linalg.qr(m @ sketch)
-            if not _sketch_holds(np.linalg.svd(r, compute_uv=False)):
+            if not _sketch_holds(r):
                 return None
             factor = q.conj().T @ m
         else:
@@ -187,7 +203,40 @@ def _sketched_left_pass(sites):
     return train + [(factor @ _right_multiply(sites[-1], ones)).reshape(-1, d, 1)]
 
 
-def canonicalize_train(tensors, policy, *, normalize):
+def _reflected(site, mirror):
+    """A (l, d, r) site of the reversed chain: its bonds swapped and its
+    physical index permuted by ``mirror``."""
+    return site[:, mirror, :].transpose(2, 1, 0)
+
+
+def _mirror_gauge(raw, work, bond_vectors, carry, mirror):
+    """The unitary D that joins the reflected left half of a chain to its
+    right half at bond h - 1, h = len(``raw``), or None where the
+    reflection does not reproduce the left half.
+
+    The reflections A of the right-isometric sites ``work[n-1]`` ..
+    ``work[n-h]`` are left-isometric. Their overlap with the raw left sites
+    times the right pass's ``carry`` is G = A^dag Q U S, Q U S the left
+    block with its Schmidt values. G = D Lambda, Lambda the vector bond
+    h - 1 takes from bond n - 1 - h, if G^dag G = Lambda^2 to MIRROR_TOL
+    of lambda_max^2 (weighted by Lambda: G / Lambda is far from unitary on
+    columns at the noise floor); D is the unitary polar factor of G.
+    """
+    lam = bond_vectors[len(work) - 1 - len(raw)]
+    if len(lam) != len(bond_vectors[len(raw) - 1]):
+        return None
+    overlap = np.ones((1, 1), dtype=np.complex128)
+    for j, site in enumerate(raw):
+        left = _reflected(work[len(work) - 1 - j], mirror)
+        overlap = left.reshape(-1, left.shape[2]).conj().T @ _left_multiply(overlap, site)
+    g = overlap @ carry
+    if not _weighted_deviation(g.conj().T @ g, lam) <= MIRROR_TOL:
+        return None
+    u, _, vh = _svd_matrix(g)
+    return u @ vh
+
+
+def canonicalize_train(tensors, policy, *, normalize, mirror=None):
     """Bring a raw train into canonical form.
 
     ``tensors`` holds (left, d, right) sites, or (state, operator) factor
@@ -215,6 +264,16 @@ def canonicalize_train(tensors, policy, *, normalize):
     ``normalize`` the bond vectors are rescaled to unit 2-norm and the
     encoded vector to norm 1.
 
+    ``mirror``, for a plain train whose vector is unchanged by reversing
+    the chain and reading each physical index p as ``mirror[p]``, stops
+    the right pass after site h = n // 2: canonical form is unique up to a
+    unitary on each bond, so sites 0 .. h-1 are the reflections of sites
+    n-1 .. n-h, bond j takes the vector and the cut weight of bond n-2-j,
+    and `_mirror_gauge` joins the halves. Unless the policy's cutoff is at
+    most NOISE_FLOOR, every cut so far dropped only values below
+    NOISE_FLOOR of its bond maximum, and the gauge check holds, the pass
+    runs on to bond 0, bit for bit the sweep without ``mirror``.
+
     Returns (gammas, bond_vectors, discarded_weight).
     """
     n = len(tensors)
@@ -231,28 +290,46 @@ def canonicalize_train(tensors, policy, *, normalize):
 
     work = [None] * n
     bond_vectors = [None] * (n - 1)
-    discarded = 0.0
+    cuts = [0.0] * (n - 1)
+    half = n // 2
+    reflect = mirror is not None and policy.rel_cutoff <= NOISE_FLOOR
+    gauge = None
     carry = ones
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
         x = _right_multiply(train[j], carry)
         factor = factors[j - 1]
-        u, s, vh, dropped = _split_bond(x if factor is None else factor @ x, policy)
-        discarded += dropped
+        u, s, vh, dropped = _cut_bond(x if factor is None else factor @ x, policy)
+        cuts[j - 1] = float(np.sum(dropped**2))
+        reflect = reflect and not np.any(dropped >= NOISE_FLOOR * s[0])
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(len(s), -1, carry.shape[1])
         carry = u * s if factor is None else x @ vh.conj().T
-    work[0] = _right_multiply(train[0], carry).reshape(1, -1, carry.shape[1])
+        if reflect and j == half:
+            gauge = _mirror_gauge(train[:half], work, bond_vectors, carry, mirror)
+            if gauge is not None:
+                for b in range(half):
+                    bond_vectors[b], cuts[b] = bond_vectors[n - 2 - b], cuts[n - 2 - b]
+                break
+    else:
+        work[0] = _right_multiply(train[0], carry).reshape(1, -1, carry.shape[1])
+    discarded = sum(cuts[::-1], 0.0)
 
-    # work[0] now carries the full norm; work[1:] are right-isometric with
-    # bond_vectors holding the raw Schmidt coefficients.
+    # unless the left half is a reflection, work[0] now carries the full
+    # norm; every other work[j] is right-isometric, with bond_vectors
+    # holding the raw Schmidt coefficients.
     norm = float(np.linalg.norm(bond_vectors[0] if bond_vectors else work[0]))
     if norm == 0.0:
         raise NumericalError("chain encodes the zero vector")
     stored = bond_vectors
     if normalize:
-        work[0] = work[0] / norm
+        if work[0] is not None:
+            work[0] = work[0] / norm
         stored = [lam / np.linalg.norm(lam) for lam in bond_vectors]
-    gammas = [w / lam for w, lam in zip(work, stored)] + [work[-1]]
+    gammas = [None if w is None else w / lam for w, lam in zip(work, stored)] + [work[-1]]
+    if gauge is not None:
+        for j in range(half):
+            gammas[j] = _reflected(gammas[n - 1 - j], mirror)
+        gammas[half - 1] = gammas[half - 1] @ gauge
     return gammas, stored, discarded
 
 

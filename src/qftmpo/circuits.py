@@ -384,10 +384,12 @@ class CompileTrace:
     ``discarded_weight`` sums the squared singular values cut, in the
     norm-carrying convention (||O||^2 = 2^n for an n-qubit unitary; ``qftmpo
     build`` reports it over 2^n). On a train it is the cut of its one
-    sweep, which bounds the squared Frobenius distance to the untruncated
-    train; zero when its coupling saturates it unbuilt. On the gate
-    compile it is the steps' cut (one exact SVD per step), without the
-    final sweep.
+    sweep, each bond a mirrored sweep reflects counted as the cut it
+    copies, and it bounds the squared Frobenius distance to the
+    untruncated train; zero when its coupling saturates it unbuilt. On the
+    gate compile it is the steps' cut (one exact SVD per step) plus the
+    final sweep's; it tracks the error but is not a bound. A saturated
+    compile stops before its final sweep and counts the steps alone.
     """
 
     mpo: CanonicalMpo | None
@@ -480,8 +482,8 @@ def compile_trace(circuit: CircuitSpec, policy: TruncationPolicy, *,
         if rank_ceiling is not None and peak > rank_ceiling:
             return CompileTrace(None, True, idx, weight)
 
-    mpo, _ = _sweep(sites, policy)
-    return CompileTrace(mpo, False, len(gates), weight)
+    mpo, swept = _sweep(sites, policy)
+    return CompileTrace(mpo, False, len(gates), weight + swept)
 
 
 def compile_to_mpo(circuit: CircuitSpec, policy: TruncationPolicy) -> CanonicalMpo:

@@ -214,10 +214,15 @@ def _contract(block: np.ndarray, sites) -> np.ndarray:
     return block
 
 
-def _sweep(train, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
+def _sweep(train, policy: TruncationPolicy, *,
+           mirrored: bool = False) -> tuple[CanonicalMpo, float]:
     """Canonical operator chain of a fused raw train, in the norm-carrying
-    convention, and the discarded weight of the sweep."""
-    new_t, new_g, weight = _canonical.canonicalize_train(train, policy, normalize=False)
+    convention, and the discarded weight of the sweep. A ``mirrored``
+    train's operator is unchanged by reversing the sites and swapping
+    output and input legs (fused index y x -> x y), which lets the sweep
+    reflect half the chain (`_canonical.canonicalize_train`)."""
+    new_t, new_g, weight = _canonical.canonicalize_train(
+        train, policy, normalize=False, mirror=[0, 2, 1, 3] if mirrored else None)
     return CanonicalMpo(tuple(_unfused(t) for t in new_t), tuple(new_g)), weight
 
 
@@ -308,7 +313,12 @@ def _fourier_sweep(n: int, policy: TruncationPolicy,
     QR pass, then a right pass that truncates each bond under ``policy``)
     gives the canonical chain. The raw train is left-orthogonalized before
     any bond is cut, so the squared Frobenius distance between the train
-    and the result is at most the discarded weight of that sweep.
+    and the result is at most the discarded weight of that sweep. The
+    phase couples y_j to x_k through j - k alone, so reversing the sites
+    and swapping each site's y and x leaves the operator unchanged (at
+    B = 2, the transform is a symmetric matrix), and the sweep is
+    mirrored: where it cuts at the noise floor only, its right pass stops
+    at the centre bond and the left half is the right half's reflection.
 
     K: the error of the K-node Chebyshev interpolant of g(s) = e^{i w s}
     on [0, 1] is at most max|g^(K)| / K! * max_s |prod_m (s - t_m)|, that
@@ -332,7 +342,7 @@ def _fourier_sweep(n: int, policy: TruncationPolicy,
     nodes = (1.0 - np.cos((2 * k + 1) * math.pi / (2 * count))) / (2.0 * (base - 1))
     bulk = _fourier_site(nodes, nodes, base)
     train = [_fourier_site(np.zeros(1), nodes, base)] + [bulk] * (n - 2)
-    return _sweep(train + [_fourier_site(nodes, None, base)], policy)
+    return _sweep(train + [_fourier_site(nodes, None, base)], policy, mirrored=True)
 
 
 # ---------------------------------------------------------------- #
@@ -424,7 +434,9 @@ def _carry_sweep(n: int, turns, policy: TruncationPolicy) -> tuple[CanonicalMpo,
     the terms that cross it, densely. Bond c is 2^{min(b-1, c+1, n-c-1)}
     wide, so the widest, after site s - 1, is W = 2^{min(b-1, n // 2)}.
     One `_canonical.canonicalize_train` sweep cuts the bonds under
-    ``policy``. No W is refused here: `circuits.cascade_operator`, the
+    ``policy``, mirrored as `_fourier_sweep`'s: the operator depends on
+    j - k alone, so reversing the chain with y and x swapped leaves it
+    unchanged. No W is refused here: `circuits.cascade_operator`, the
     package's one caller, keeps W within its `_WIDEST_TRAIN`.
 
     Across a cut the operator couples its left input bits to its right
@@ -434,7 +446,7 @@ def _carry_sweep(n: int, turns, policy: TruncationPolicy) -> tuple[CanonicalMpo,
     from it alone.
     """
     check_width(n)
-    return _sweep(_carry_train(n, turns), policy)
+    return _sweep(_carry_train(n, turns), policy, mirrored=True)
 
 
 def identity_mpo(n: int) -> CanonicalMpo:

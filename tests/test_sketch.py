@@ -193,11 +193,10 @@ def test_no_sketch_holds_is_the_exact_sweep(op20, monkeypatch):
     assert_bitwise_equal(out, exact_sweep(op20, state, EXACT, monkeypatch))
 
 
-@pytest.mark.parametrize("n_sites", [1, 2, 3])
-def test_short_pair_trains(monkeypatch, n_sites):
-    # operator factors with 40 output values per site and a rank-5 inner
-    # structure on 20-wide bonds: every bond is sketched, its sketch
-    # holds, and the right pass runs on the compressed carry alone
+def low_rank_pairs(n_sites):
+    """(state, operator) factor pairs: operator factors with 40 output
+    values per site and a rank-5 inner structure on 20-wide bonds, under
+    random 2-wide state factors."""
     rng = np.random.default_rng(20261019)
 
     def gaussian(*shape):
@@ -213,7 +212,14 @@ def test_short_pair_trains(monkeypatch, n_sites):
         right = gaussian(inner, o_bonds[j + 1]) if j < n_sites - 1 else np.ones((1, 1))
         core = gaussian(left.shape[1], x, 2, right.shape[0])
         ops.append(np.einsum("ci,ixpk,ke->cxpe", left, core, right))
-    sites = list(zip(states, ops))
+    return list(zip(states, ops)), x
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_short_pair_trains(monkeypatch, n_sites):
+    # every bond is sketched, its sketch holds, and the right pass runs on
+    # the compressed carry alone
+    sites, x = low_rank_pairs(n_sites)
     outcomes = range_tests(monkeypatch)
     got_g, got_l, _ = _canonical.canonicalize_train(sites, EXACT, normalize=True)
     assert outcomes == [True] * (n_sites - 1)
@@ -223,6 +229,40 @@ def test_short_pair_trains(monkeypatch, n_sites):
     assert_same_bonds(got_l, ref_l)
     assert abs(1 - train_overlap(got_g, got_l, ref_g, ref_l)) <= 1e-12
     assert _canonical.canonical_defect(got_g, got_l, normalize=True) <= 1e-12
+
+
+def test_held_sketch_runs_no_svd(monkeypatch):
+    # a bond of rank 10 sketched with 20 columns: the trailing diagonal of
+    # the square R is at rounding level, which decides the range test
+    # without the SVD of R
+    sites, _ = low_rank_pairs(3)
+    outcomes = range_tests(monkeypatch)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a held sketch ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert _canonical._sketched_left_pass(sites) is not None
+    assert outcomes == [True, True]
+
+
+def test_range_test_reads_the_diagonal_first(monkeypatch):
+    # min |R_kk| <= SKETCH_TAIL max |R_kk| bounds the singular values of a
+    # square triangular R; a diagonal inside the tail, or a trapezoidal R,
+    # is left to the SVD
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
+    r = np.triu(np.ones((4, 4)))
+    r[3, 3] = 1e-16
+    assert _canonical._sketch_holds(r) and not calls
+    kahan = np.triu(np.full((60, 60), -1.0), 1) + np.eye(60)  # sigma_min ~ 2^-59
+    assert _canonical._sketch_holds(kahan) and len(calls) == 1
+    assert not _canonical._sketch_holds(np.eye(4)) and len(calls) == 2
+    assert not _canonical._sketch_holds(np.triu(np.ones((3, 5)))) and len(calls) == 3
+    wide = np.triu(np.ones((3, 5)))
+    wide[2, 2] = 0.0  # its rows are still independent: no tail
+    assert not _canonical._sketch_holds(wide) and len(calls) == 4
 
 
 @pytest.mark.parametrize("period,cap", [(7, 12), (11, 20), (31, 12), (31, 20)])
