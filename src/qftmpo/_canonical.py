@@ -30,10 +30,9 @@ reduced QR supplies Q_j on the bonds too narrow to sketch), so the right
 pass never contracts the state and operator factors again over the
 product bond; if any sketch may have missed part of the range, the whole
 sweep is the exact one. Plain trains are never sketched. One
-right-to-left pass truncates a plain, pair or compressed train alike. For
-a plain train whose vector is unchanged by reversing the chain (with its
-physical index permuted), that pass may stop at the centre bond and take
-the left half as the reflection of the right half (``mirror``).
+right-to-left pass (`right_pass`) truncates a plain, pair or compressed
+train alike. A palindromic train (`palindrome`) takes a centre-out sweep
+that QRs its left half only (`canonicalize_palindrome`).
 
 The chain invariants (structure, bond norms, canonical defect) and the
 binary container live here once for both chain kinds; the ``normalize``
@@ -68,7 +67,6 @@ from .tensor import (
 SKETCH_SLACK = 1.5
 SKETCH_TAIL = 1e-15
 SKETCH_SEED = 20140603
-MIRROR_TOL = 1e-12  # of lambda_max^2, the gauge check of a mirrored sweep
 
 
 def _cut_bond(mat, policy):
@@ -203,40 +201,7 @@ def _sketched_left_pass(sites):
     return train + [(factor @ _right_multiply(sites[-1], ones)).reshape(-1, d, 1)]
 
 
-def _reflected(site, mirror):
-    """A (l, d, r) site of the reversed chain: its bonds swapped and its
-    physical index permuted by ``mirror``."""
-    return site[:, mirror, :].transpose(2, 1, 0)
-
-
-def _mirror_gauge(raw, work, bond_vectors, carry, mirror):
-    """The unitary D that joins the reflected left half of a chain to its
-    right half at bond h - 1, h = len(``raw``), or None where the
-    reflection does not reproduce the left half.
-
-    The reflections A of the right-isometric sites ``work[n-1]`` ..
-    ``work[n-h]`` are left-isometric. Their overlap with the raw left sites
-    times the right pass's ``carry`` is G = A^dag Q U S, Q U S the left
-    block with its Schmidt values. G = D Lambda, Lambda the vector bond
-    h - 1 takes from bond n - 1 - h, if G^dag G = Lambda^2 to MIRROR_TOL
-    of lambda_max^2 (weighted by Lambda: G / Lambda is far from unitary on
-    columns at the noise floor); D is the unitary polar factor of G.
-    """
-    lam = bond_vectors[len(work) - 1 - len(raw)]
-    if len(lam) != len(bond_vectors[len(raw) - 1]):
-        return None
-    overlap = np.ones((1, 1), dtype=np.complex128)
-    for j, site in enumerate(raw):
-        left = _reflected(work[len(work) - 1 - j], mirror)
-        overlap = left.reshape(-1, left.shape[2]).conj().T @ _left_multiply(overlap, site)
-    g = overlap @ carry
-    if not _weighted_deviation(g.conj().T @ g, lam) <= MIRROR_TOL:
-        return None
-    u, _, vh = _svd_matrix(g)
-    return u @ vh
-
-
-def canonicalize_train(tensors, policy, *, normalize, mirror=None):
+def canonicalize_train(tensors, policy, *, normalize):
     """Bring a raw train into canonical form.
 
     ``tensors`` holds (left, d, right) sites, or (state, operator) factor
@@ -252,85 +217,158 @@ def canonicalize_train(tensors, policy, *, normalize, mirror=None):
     a compressed plain train whose left blocks are isometric, so that
     train needs no factor. If any of its sketches saturates, the whole
     sweep is the exact one, from the first bond, bit for bit. Plain trains
-    are never sketched.
-
-    One right-to-left sweep serves every train. It carries a matrix C
-    instead of the left blocks: with X = site_j * C, the SVD of
-    F_{j-1} X = U S Vh (of X itself where there is no factor) truncates
-    bond j-1 and gives the right-isometric site Vh. The next carry is
-    X Vh^dag, because F_{j-1} X Vh^dag = U S, or U S where there is no
-    factor. The singular values are the Schmidt coefficients across each
-    bond, as if every left block had been made isometric. With
-    ``normalize`` the bond vectors are rescaled to unit 2-norm and the
-    encoded vector to norm 1.
-
-    ``mirror``, for a plain train whose vector is unchanged by reversing
-    the chain and reading each physical index p as ``mirror[p]``, stops
-    the right pass after site h = n // 2: canonical form is unique up to a
-    unitary on each bond, so sites 0 .. h-1 are the reflections of sites
-    n-1 .. n-h, bond j takes the vector and the cut weight of bond n-2-j,
-    and `_mirror_gauge` joins the halves. Unless the policy's cutoff is at
-    most NOISE_FLOOR, every cut so far dropped only values below
-    NOISE_FLOOR of its bond maximum, and the gauge check holds, the pass
-    runs on to bond 0, bit for bit the sweep without ``mirror``.
+    are never sketched. `right_pass` then truncates the train.
 
     Returns (gammas, bond_vectors, discarded_weight).
     """
-    n = len(tensors)
     sites = [
         t if isinstance(t, tuple) else np.asarray(t, dtype=np.complex128) for t in tensors
     ]
-    ones = np.ones((1, 1), dtype=np.complex128)
-    factors = [None] * (n - 1)  # None: the left block is isometric already
     train = _sketched_left_pass(sites)
     if train is None:  # the exact left pass: triangular factors only
-        train, factor = sites, ones
-        for j, site in enumerate(sites[:-1]):
-            factor = factors[j] = np.linalg.qr(_left_multiply(factor, site), mode="r")
+        return right_pass(sites, _qr_factors(sites), policy, normalize=normalize)
+    # None: the left block is isometric already
+    return right_pass(train, [None] * (len(sites) - 1), policy, normalize=normalize)
 
+
+def _qr_factors(sites, known=()):
+    """The triangular factors F_0 .. F_{n-2} of the exact left pass over
+    ``sites``, F_j = R of the QR of F_{j-1} site_j, taking the ``known``
+    first ones as given."""
+    factors = list(known)
+    factor = factors[-1] if factors else np.ones((1, 1), dtype=np.complex128)
+    for site in sites[len(factors):-1]:
+        factor = np.linalg.qr(_left_multiply(factor, site), mode="r")
+        factors.append(factor)
+    return factors
+
+
+def right_pass(train, factors, policy, *, normalize):
+    """The right-to-left pass of `canonicalize_train`: canonical form of a
+    train whose left block up to bond j is Q_j ``factors[j]``, Q_j an
+    isometry; a factor of None stands for the identity, as on a train
+    left-isometric but for its last site.
+
+    The pass carries a matrix C instead of the left blocks: with X =
+    site_j * C, the SVD of F_{j-1} X = U S Vh (of X itself where there is
+    no factor) truncates bond j-1 and gives the right-isometric site Vh.
+    The next carry is X Vh^dag, because F_{j-1} X Vh^dag = U S, or U S
+    where there is no factor. The singular values are the Schmidt
+    coefficients across each bond, as if every left block had been made
+    isometric. With ``normalize`` the bond vectors are rescaled to unit
+    2-norm and the encoded vector to norm 1.
+
+    Returns (gammas, bond_vectors, discarded_weight).
+    """
+    n = len(train)
     work = [None] * n
     bond_vectors = [None] * (n - 1)
     cuts = [0.0] * (n - 1)
-    half = n // 2
-    reflect = mirror is not None and policy.rel_cutoff <= NOISE_FLOOR
-    gauge = None
-    carry = ones
+    carry = np.ones((1, 1), dtype=np.complex128)
     for j in range(n - 1, 0, -1):  # right-to-left: truncate bonds
         x = _right_multiply(train[j], carry)
         factor = factors[j - 1]
         u, s, vh, dropped = _cut_bond(x if factor is None else factor @ x, policy)
         cuts[j - 1] = float(np.sum(dropped**2))
-        reflect = reflect and not np.any(dropped >= NOISE_FLOOR * s[0])
         bond_vectors[j - 1] = s
         work[j] = vh.reshape(len(s), -1, carry.shape[1])
         carry = u * s if factor is None else x @ vh.conj().T
-        if reflect and j == half:
-            gauge = _mirror_gauge(train[:half], work, bond_vectors, carry, mirror)
-            if gauge is not None:
-                for b in range(half):
-                    bond_vectors[b], cuts[b] = bond_vectors[n - 2 - b], cuts[n - 2 - b]
-                break
-    else:
-        work[0] = _right_multiply(train[0], carry).reshape(1, -1, carry.shape[1])
+    work[0] = _right_multiply(train[0], carry).reshape(1, -1, carry.shape[1])
     discarded = sum(cuts[::-1], 0.0)
 
-    # unless the left half is a reflection, work[0] now carries the full
-    # norm; every other work[j] is right-isometric, with bond_vectors
-    # holding the raw Schmidt coefficients.
+    # work[0] now carries the full norm; every other work[j] is
+    # right-isometric, with bond_vectors holding the raw Schmidt coefficients.
     norm = float(np.linalg.norm(bond_vectors[0] if bond_vectors else work[0]))
     if norm == 0.0:
         raise NumericalError("chain encodes the zero vector")
     stored = bond_vectors
     if normalize:
-        if work[0] is not None:
-            work[0] = work[0] / norm
+        work[0] = work[0] / norm
         stored = [lam / np.linalg.norm(lam) for lam in bond_vectors]
-    gammas = [None if w is None else w / lam for w, lam in zip(work, stored)] + [work[-1]]
-    if gauge is not None:
-        for j in range(half):
-            gammas[j] = _reflected(gammas[n - 1 - j], mirror)
-        gammas[half - 1] = gammas[half - 1] @ gauge
+    gammas = [w / lam for w, lam in zip(work, stored)] + [work[-1]]
     return gammas, stored, discarded
+
+
+def _reflected(site, mirror):
+    """A (l, d, r) site of the reversed chain: its bonds swapped and its
+    physical index permuted by ``mirror``."""
+    return site[:, mirror, :].transpose(2, 1, 0)
+
+
+def palindrome(half, centre, mirror):
+    """The train ``half``, ``centre``, then ``half`` reversed with each site
+    `_reflected`: a centre site stands between the halves, and a (chi, chi)
+    centre matrix is absorbed into the first site right of them."""
+    right = [_reflected(site, mirror) for site in half[::-1]]
+    if centre.ndim == 3:
+        return [*half, centre, *right]
+    first = right[0]
+    return [*half, (centre @ first.reshape(len(centre), -1)).reshape(first.shape), *right[1:]]
+
+
+def canonicalize_palindrome(half, centre, policy, *, mirror):
+    """(gammas, bond_vectors, discarded_weight), norm-carrying, of the train
+    `palindrome` assembles: a vector unchanged by reversing the chain and
+    reading each physical index p as ``mirror[p]``, its centre symmetric.
+
+    QRs of ``half`` alone give F_j, the left block up to bond j being Q_j
+    F_j, so the right block from bond n-2-j is F_j^T Q_j^T. The mirror
+    image of `right_pass` runs outward from the centre (a matrix centre as
+    a d = 1 site), from K = F_{h-1}: the SVD U S Vh of the tall block (K
+    site) F^T, F the factor right of the site, cuts that bond and gives the
+    left-isometric site U; K becomes U^dag (K site). The left half is the
+    right half reflected. With V = Vh^dag of the centre's SVD, a matrix
+    centre joins the halves by D = V^T U (its polar factor where a
+    noise-floor multiplet straddles the cut), and a centre site B = F_{h-1}
+    centre F_{h-1}^T becomes V^T B V / (S x S). Where a cut may drop more
+    than noise, the assembled train takes `canonicalize_train`'s exact
+    sweep, bit for bit, from the QR factors of ``half``, its first h: at
+    once for a cutoff above NOISE_FLOOR, at the first outward cut a rank
+    cap binds, which a cap below the block's width learns from the cut's
+    singular values alone.
+    """
+    odd = centre.ndim == 3
+    factors = _qr_factors([*half, centre])
+
+    def exact_sweep():
+        train = palindrome(half, centre, mirror)
+        return right_pass(train, _qr_factors(train, factors), policy, normalize=False)
+
+    if policy.rel_cutoff > NOISE_FLOOR or not half:
+        return exact_sweep()
+    uncapped, cap = TruncationPolicy(policy.rel_cutoff), policy.max_rank
+    sites = [centre if odd else centre[:, None, :]]
+    sites += [_reflected(site, mirror) for site in half[::-1]]
+    factor = k = factors[-1]
+    work, bonds, cuts = [], [], []
+    for site, right in zip(sites, factors[::-1]):  # outward: cut the bond right of each site
+        block = _left_multiply(k, site)
+        mat = block @ right.T
+        if cap is not None and cap < min(mat.shape) and retained_count(
+                _svd_matrix(mat, compute_uv=False), uncapped) > cap:
+            return exact_sweep()
+        u, s, vh, dropped = _cut_bond(mat, uncapped)
+        if cap is not None and len(s) > cap:
+            return exact_sweep()
+        work.append(u.reshape(len(k), -1, len(s)))
+        bonds.append(s)
+        cuts.append(float(np.sum(dropped**2)))
+        k = u.conj().T @ block
+        if len(bonds) == 1:
+            v, first = vh.conj().T, block
+    work.append(_left_multiply(k, sites[-1]).reshape(len(k), -1, 1))
+    right = [w / lam[:, None, None] for w, lam in zip(work[1:], bonds)]
+    left = [_reflected(g, mirror) for g in right[::-1]]
+    if odd:
+        b = (first @ factor.T).reshape(len(factor), -1, len(factor))
+        middle = np.tensordot(v.T, b, axes=1) @ v / bonds[0][:, None, None] / bonds[0]
+        return left + [middle] + right, bonds[::-1] + bonds, 2.0 * sum(cuts)
+    join = v.T @ work[0][:, 0]
+    if not np.allclose(join.conj().T @ join, np.eye(len(join)), rtol=0.0, atol=1e-12):
+        w, _, wh = _svd_matrix(join)
+        join = w @ wh
+    left[-1] = left[-1] @ join
+    return left + right, bonds[:0:-1] + bonds, cuts[0] + 2.0 * sum(cuts[1:])
 
 
 def train_from_vector(vec, n_sites, phys_dim):

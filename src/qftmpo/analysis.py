@@ -33,7 +33,7 @@ from .oracle import (
     periodic_peak_locations,
     periodic_peak_probabilities,
 )
-from .tensor import TruncationPolicy
+from .tensor import NOISE_FLOOR, TruncationPolicy
 
 # squared weights at or below ~(100 x double-precision floor)^2 carry no
 # information; trend fits ignore them
@@ -324,11 +324,13 @@ def hs_error_study(n_list, rank_list, *,
     policy = policy or DEFAULT_COMPILE_POLICY
     rows = []
     slopes = {}
+    canonical = policy.max_rank is None and policy.rel_cutoff <= NOISE_FLOOR  # floor cuts only
     for n in n_list:
         full = fourier_mpo(n, policy)
         errs = {}
         for rank in rank_list:
-            trunc = full.recanonicalize(TruncationPolicy(policy.rel_cutoff, int(rank)))
+            trunc = full.recanonicalize(TruncationPolicy(policy.rel_cutoff, int(rank)),
+                                        canonical=canonical)
             val = hs_inner(trunc, full)
             if abs(val.imag) > 1e-9:
                 raise NumericalError(
@@ -361,6 +363,7 @@ def periodic_study(n_qubits_list, period_list, rank_list, *, offset: int = 0,
     """
     state_policy = TruncationPolicy(1e-14)
     compile_policy = compile_policy or DEFAULT_COMPILE_POLICY
+    canonical = compile_policy.max_rank is None and compile_policy.rel_cutoff <= NOISE_FLOOR
     rows = []
     for n in n_qubits_list:
         full = fourier_mpo(n, compile_policy)
@@ -369,7 +372,8 @@ def periodic_study(n_qubits_list, period_list, rank_list, *, offset: int = 0,
         inputs = {r: CanonicalMps.from_periodic_state(n, r, offset % r).reverse_qubits()
                   for r in period_list}
         for rank in rank_list:
-            mpo = full.recanonicalize(TruncationPolicy(compile_policy.rel_cutoff, int(rank)))
+            mpo = full.recanonicalize(TruncationPolicy(compile_policy.rel_cutoff, int(rank)),
+                                      canonical=canonical)
             for r in period_list:
                 out = mpo.apply_to_mps(inputs[r], state_policy)
                 worst = 0.0

@@ -13,14 +13,14 @@ Internally an operator chain is just a state chain with physical dimension
 4 (output and input legs fused, output slower), so all canonical-form
 machinery is shared with `CanonicalMps`.
 
-Two kinds of cascade also have direct trains, built in O(n) sites and
-brought to canonical form by one `_sweep` instead of compiled from O(n^2)
-gates: the Fourier transform and every cascade of the base-B rotation law
-from their bulk tensor (`_fourier_sweep`; `fourier_mpo` is the
-transform's), and every cascade whose angle depends on the rotation order
-alone (the bandwidth-b approximate transform, the power-law and per-order
-perturbed laws) from a phase carry of at most b - 1 input bits left of a
-junction site and b - 1 output bits right of it (`_carry_sweep`).
+Two kinds of cascade also have direct palindromic trains, built in O(n)
+sites and brought to canonical form by one `_palindrome_sweep` instead of
+compiled from O(n^2) gates: the Fourier transform and every cascade of the
+base-B rotation law from their bulk tensor (`_fourier_sweep`;
+`fourier_mpo` is the transform's), and every cascade whose angle depends
+on the rotation order alone (the bandwidth-b approximate transform, the
+power-law and per-order perturbed laws) from a phase carry of at most
+b - 1 bits on either side of the centre (`_carry_sweep`).
 `circuits.cascade_operator` decides which construction a cascade takes,
 and is the one door to a base-B or carry train.
 """
@@ -169,7 +169,8 @@ class CanonicalMpo:
         new_g, new_l, _ = _canonical.canonicalize_train(train, policy, normalize=True)
         return CanonicalMps(tuple(new_g), tuple(new_l))
 
-    def recanonicalize(self, policy: TruncationPolicy) -> "CanonicalMpo":
+    def recanonicalize(self, policy: TruncationPolicy, *,
+                       canonical: bool = False) -> "CanonicalMpo":
         """Full left-to-right then right-to-left sweep with truncation.
 
         With a rank cap that cuts bonds, the result meets only the right
@@ -181,9 +182,20 @@ class CanonicalMpo:
         chain only as a raw train, bond vectors folded into the left sites
         (`hs_inner`, `apply_to_mps`), is unaffected. Recanonicalizing the
         capped result again without a cap restores both conditions.
+
+        With ``canonical`` the caller vouches that the chain meets both
+        conditions, as a sweep that cut at the noise floor only leaves it,
+        and `_canonical.right_pass` alone truncates it, each bond vector
+        folded into the site on its right. A capped chain must not take it:
+        the 16-qubit transform at cap 8 reads a defect of 2e-15, yet that
+        pass moves its bond vectors by 1e-11.
         """
-        train = _canonical.train_from_vidal(self._fused_sites(), self.gamma_vectors)
-        return _sweep(train, policy)[0]
+        sites, bonds = self._fused_sites(), self.gamma_vectors
+        if not canonical:
+            return _sweep(_canonical.train_from_vidal(sites, bonds), policy)[0]
+        train = sites[:1] + [lam[:, None, None] * g for lam, g in zip(bonds, sites[1:])]
+        return _chain(*_canonical.right_pass(train, [None] * len(bonds), policy,
+                                             normalize=False))[0]
 
     def to_dense(self) -> np.ndarray:
         """Read-only dense matrix of the operator (guarded by the dense-size limit).
@@ -214,16 +226,24 @@ def _contract(block: np.ndarray, sites) -> np.ndarray:
     return block
 
 
-def _sweep(train, policy: TruncationPolicy, *,
-           mirrored: bool = False) -> tuple[CanonicalMpo, float]:
+def _sweep(train, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
     """Canonical operator chain of a fused raw train, in the norm-carrying
-    convention, and the discarded weight of the sweep. A ``mirrored``
-    train's operator is unchanged by reversing the sites and swapping
-    output and input legs (fused index y x -> x y), which lets the sweep
-    reflect half the chain (`_canonical.canonicalize_train`)."""
-    new_t, new_g, weight = _canonical.canonicalize_train(
-        train, policy, normalize=False, mirror=[0, 2, 1, 3] if mirrored else None)
-    return CanonicalMpo(tuple(_unfused(t) for t in new_t), tuple(new_g)), weight
+    convention, and the discarded weight of the sweep."""
+    return _chain(*_canonical.canonicalize_train(train, policy, normalize=False))
+
+
+def _palindrome_sweep(half, centre, policy: TruncationPolicy) -> tuple[CanonicalMpo, float]:
+    """`_sweep` of the train ``half``, ``centre``, ``half`` reflected, an
+    operator unchanged by reversing the sites and swapping output and
+    input legs (`_canonical.canonicalize_palindrome`)."""
+    return _chain(*_canonical.canonicalize_palindrome(half, centre, policy, mirror=MIRROR))
+
+
+MIRROR = [0, 2, 1, 3]  # the fused index y x of the swapped legs x y
+
+
+def _chain(sites, bond_vectors, weight) -> tuple[CanonicalMpo, float]:
+    return CanonicalMpo(tuple(_unfused(t) for t in sites), tuple(bond_vectors)), weight
 
 
 # ---------------------------------------------------------------- #
@@ -246,30 +266,39 @@ FOURIER_NODES = _node_count(2)
 
 def _lagrange(s: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Lagrange basis P_m(s) of ``nodes``: one row per point, one column per
-    node. Products, not the barycentric quotient, so s may be a node."""
+    node. Products, not the barycentric quotient, so s may be a node; each
+    row is divided by its sum, which is 1 but for rounding, so a site that
+    repeats along a chain does not compound that rounding into a scale."""
     off = ~np.eye(len(nodes), dtype=bool)
     num = np.prod(np.where(off, np.subtract.outer(s, nodes)[:, None, :], 1.0), axis=-1)
     den = np.prod(np.where(off, np.subtract.outer(nodes, nodes), 1.0), axis=-1)
-    return num / den
+    basis = num / den
+    return basis / basis.sum(axis=1, keepdims=True)
 
 
-def _fourier_site(left: np.ndarray, nodes: np.ndarray | None, base: int = 2) -> np.ndarray:
+def _fourier_site(left: np.ndarray, nodes: np.ndarray, base: int = 2) -> np.ndarray:
     """Fused site e^{i pi [a (2y/B + 1/(B(B-1))) + x y (1 - 2/B) - t/(B-1)]}
-    P_m(a/B) / sqrt(2), a = t + x, over the left bond's points t, output
-    bit y, input bit x and right node m, for the base B = ``base``; without
-    ``nodes`` (the last site) the right bond has dimension 1, P_m = 1 and
-    no e^{i pi a / (B(B-1))} is carried. The first site is the row t = 0.
+    P_m(a/B), a = t + x, over the left bond's points t, output bit y, input
+    bit x and right node m, for the base B = ``base``; the 1/sqrt(2) of
+    each site is left to `_fourier_sweep`. The first site is the row t = 0.
     At B = 2 the phase is e^{i pi [(t + x)(y + 1/2) - t]}."""
     a = left[:, None] + np.arange(2.0)  # (t, x): B times the next cut's u
-    y = np.arange(2.0)[:, None] * (2.0 / base) + (
-        0.0 if nodes is None else 1.0 / (base * (base - 1)))
+    y = np.arange(2.0)[:, None] * (2.0 / base) + 1.0 / (base * (base - 1))
     # the Hadamard's e^{i pi x y} past the rotation law's 2 pi x y / B; zero at B = 2
     own = np.outer(np.arange(2.0), np.arange(2.0)) * (1.0 - 2.0 / base)  # (y, x)
     phase = a[:, None, :] * y - left[:, None, None] / (base - 1) + own
-    site = np.exp(1j * math.pi * phase)[..., None] / math.sqrt(2.0)  # (t, y, x, m)
-    if nodes is not None:
-        site = site * _lagrange((a / base).ravel(), nodes).reshape(len(left), 1, 2, -1)
+    site = np.exp(1j * math.pi * phase)[..., None]  # (t, y, x, m)
+    site = site * _lagrange((a / base).ravel(), nodes).reshape(len(left), 1, 2, -1)
     return site.reshape(len(left), 4, -1)
+
+
+def _fourier_centre(points: np.ndarray, base: int = 2) -> np.ndarray:
+    """The odd centre of the base-B train (`_fourier_sweep`), the fused site
+    e^{i pi [2 (t t' + (t y + x t')) / B + x y - (t + t')/(B-1)]} between
+    left point t and right point t', symmetric to the last bit."""
+    t, y, x, r = np.ix_(points, np.arange(2.0), np.arange(2.0), points)
+    phase = 2 * (t * r + (t * y + x * r)) / base + x * y - (t + r) / (base - 1)
+    return np.exp(1j * math.pi * phase).reshape(len(points), 4, -1)
 
 
 def fourier_mpo(n: int, policy: TruncationPolicy) -> CanonicalMpo:
@@ -292,57 +321,57 @@ def _fourier_sweep(n: int, policy: TruncationPolicy,
     2 pi sum_{k < j} x_k B^{k-j-1})), and across the cut after site c the
     two halves couple through exp(2 pi i u v), with u = sum_{k <= c} x_k
     B^{k-c-1} and v = sum_{j > c} y_j B^{c-j}, both in [0, 1/(B-1)). Write
-    the coupling as e^{i pi u/(B-1)} exp(2 pi i u (v - 1/(2(B-1)))). The
-    left sites carry e^{i pi u/(B-1)} exactly, and the right block, a
-    function of u through exp(2 pi i u (v - 1/(2(B-1)))) times factors free
-    of u, is interpolated in u at the K Chebyshev nodes t_m = (1 -
-    cos((2m + 1) pi / 2K)) / (2(B-1)) of [0, 1/(B-1)], with Lagrange basis
-    P_m. From one cut to the next u -> u' = (u + x_{c+1}) / B; the site
-    couples its output bit to the left cut through e^{2 pi i t y / B},
-    takes its own input bit through the Hadamard's e^{i pi x y}, and
-    multiplies by e^{i pi (u' - t)/(B-1)}, t the node of its left cut. That
-    gives the same tensor at every bulk site and every n; at B = 2,
+    it as e^{i pi (u + v)/(B-1)} G(u, v), with G(u, v) = e^{i pi (2 u v -
+    (u + v)/(B-1))}, a constant times exp(2 pi i (u - mu)(v - mu)), mu =
+    1/(2(B-1)). The left sites carry e^{i pi u/(B-1)} exactly, and interpolate
+    G in u at the K Chebyshev nodes t_m = (1 - cos((2m + 1) pi / 2K)) /
+    (2(B-1)) of [0, 1/(B-1)], with Lagrange basis P_m. From one cut to the
+    next u -> u' = (u + x_{c+1}) / B; the site couples its output bit to
+    the left cut through e^{2 pi i t y / B}, takes its own input bit
+    through the Hadamard's e^{i pi x y}, and multiplies by e^{i pi (u' -
+    t)/(B-1)}, t the node of its left cut. That gives the same tensor at
+    every bulk site and every n; at B = 2,
 
         T[m', y, x, m] = e^{i pi [(t_{m'} + x)(y + 1/2) - t_{m'}]}
                          P_m((t_{m'} + x) / 2) / sqrt(2),
 
     the interpolative construction of Chen & Lindsey (2024) on the centred
     coupling (`_fourier_site` has the phase at any B). The first site is
-    the row t = 0, and the last site, which interpolates nothing, carries
-    no e^{i pi u'/(B-1)}. One `_canonical.canonicalize_train` sweep (a left
-    QR pass, then a right pass that truncates each bond under ``policy``)
-    gives the canonical chain. The raw train is left-orthogonalized before
-    any bond is cut, so the squared Frobenius distance between the train
-    and the result is at most the discarded weight of that sweep. The
-    phase couples y_j to x_k through j - k alone, so reversing the sites
-    and swapping each site's y and x leaves the operator unchanged (at
-    B = 2, the transform is a symmetric matrix), and the sweep is
-    mirrored: where it cuts at the noise floor only, its right pass stops
-    at the centre bond and the left half is the right half's reflection.
+    the row t = 0. The phase couples y_j to x_k through j - k alone, so
+    reversing the sites and swapping each site's y and x leaves the
+    operator unchanged (at B = 2, the transform is a symmetric matrix):
+    the train is a palindrome, its right half the left half reflected,
+    which interpolates G in v at the same nodes, about the centre G(t_m,
+    t_m') on the middle bond or, for odd n, `_fourier_centre`. One
+    `_palindrome_sweep` gives the canonical chain. The tensor repeats, so
+    its rounding would add up along the chain: the sites' 2^{-n/2} is one
+    factor 2^{-n/4} on each end site, the basis rows sum to 1 (`_lagrange`)
+    and the nodes lie on the grid of 1 + t.
 
     K: the error of the K-node Chebyshev interpolant of g(s) = e^{i w s}
     on [0, 1] is at most max|g^(K)| / K! * max_s |prod_m (s - t_m)|, that
     is |w|^K / K! * 2 * 4^{-K} for each of the real and imaginary parts.
-    In s = (B-1) u, w = 2 pi (v - 1/(2(B-1))) / (B-1), so |w| <= pi /
-    (B-1)^2 and |g - p| <= 2 sqrt(2) (pi / (4 (B-1)^2))^K / K!. At B = 2
-    that is 5.7e-14 at K = 15 and 2.8e-15 at K = 16 (the uncentred
+    In s = (B-1) u, w = 2 pi (v - mu) / (B-1), so |w| <= pi / (B-1)^2,
+    the same in v, and |g - p| <= 2 sqrt(2) (pi / (4 (B-1)^2))^K / K!. At
+    B = 2 that is 5.7e-14 at K = 15 and 2.8e-15 at K = 16 (the uncentred
     coupling, |w| <= 2 pi, needs K = 20). K is the smallest count with the
     bound at most NOISE_FLOOR: FOURIER_NODES = 16 at B = 2, 11 at B = 3, 8
-    at B = 5. The bound holds per cut; the worst of 200 sampled entries
-    (times 2^{n/2}) of the transform is 4.1e-13 off the closed form at
-    n = 1023.
+    at B = 5. The bound holds per cut and per side; the worst of 200
+    sampled entries (times 2^{n/2}) of the transform is 3.2e-13 off the
+    closed form at n = 512 and 2.2e-13 at n = 1023.
     """
     check_width(n)
     if base < 2:
         raise ValueError(f"the rotation base must be an integer >= 2, got {base}")
     if n == 1:
-        return _sweep([_fourier_site(np.zeros(1), None, base)], policy)
+        return _palindrome_sweep([], _fourier_centre(np.zeros(1), base) / math.sqrt(2.0), policy)
     count = _node_count(base)
-    k = np.arange(count)
-    nodes = (1.0 - np.cos((2 * k + 1) * math.pi / (2 * count))) / (2.0 * (base - 1))
-    bulk = _fourier_site(nodes, nodes, base)
-    train = [_fourier_site(np.zeros(1), nodes, base)] + [bulk] * (n - 2)
-    return _sweep(train + [_fourier_site(nodes, None, base)], policy, mirrored=True)
+    t = (1.0 - np.cos((2 * np.arange(count) + 1) * math.pi / (2 * count))) / (2.0 * (base - 1))
+    t = (t + 1.0) - 1.0  # on the grid of 1 + t, so that t + x is exact
+    first = _fourier_site(np.zeros(1), t, base) * 2.0 ** (-n / 4)  # and its reflection
+    centre = (_fourier_centre(t, base) if n % 2 else
+              np.exp(1j * math.pi * (2 * np.outer(t, t) - np.add.outer(t, t) / (base - 1))))
+    return _palindrome_sweep([first] + [_fourier_site(t, t, base)] * (n // 2 - 1), centre, policy)
 
 
 # ---------------------------------------------------------------- #
@@ -357,11 +386,13 @@ def _coupling(m_left: int, m_right: int, turns) -> np.ndarray:
     theta = padded[np.add.outer(np.arange(m_left), np.arange(m_right))]
     bits_l = (np.arange(2**m_left)[:, None] >> np.arange(m_left)) & 1
     bits_r = (np.arange(2**m_right)[:, None] >> np.arange(m_right)) & 1
-    return np.exp(1j * (bits_l @ theta @ bits_r.T))
+    phase = bits_l @ theta @ bits_r.T
+    # square: symmetric to the last bit, as a palindromic centre must be
+    return np.exp(1j * ((phase + phase.T) / 2 if m_left == m_right else phase))
 
 
 def _carry_site(carried: int, kept: int, turns) -> np.ndarray:
-    """Unfused (c, y, x, c') site left of the junction whose left bond
+    """Unfused (c, y, x, c') site left of the centre whose left bond
     carries the ``carried`` latest input bits before its own (the latest
     least significant) and whose right bond keeps the ``kept`` latest, its
     own included: the delta of that carry update times exp(i y_j sum_a
@@ -386,23 +417,23 @@ def _junction_site(m_left: int, m_right: int, turns) -> np.ndarray:
     return joined.reshape(2**m_left, 2, 2**m_right, 2).transpose(0, 3, 1, 2) / math.sqrt(2.0)
 
 
-def _carry_train(n: int, turns) -> list[np.ndarray]:
-    """Fused raw train of the cascade with per-order ``turns``: carry sites
-    left of the junction at n // 2, and right of it the carry site of the
-    mirrored position with y and x swapped and its bonds reversed."""
-    span, s = len(turns) - 1, n // 2
+def _carry_train(n: int, turns) -> tuple[list[np.ndarray], np.ndarray]:
+    """Palindromic raw train (half, centre) of the cascade with per-order
+    ``turns`` (`_carry_sweep`): the fused carry sites left of the centre,
+    and the fused junction site or the middle-bond coupling."""
+    span, half = len(turns) - 1, n // 2
     made: dict = {}
 
     def carry(j):
         shape = (min(span, j), min(span, j + 1))
         if shape not in made:
-            made[shape] = _carry_site(*shape, turns)
+            made[shape] = _fused(_carry_site(*shape, turns))
         return made[shape]
 
-    sites = ([carry(j) for j in range(s)]
-             + [_junction_site(min(span, s), min(span, n - 1 - s), turns)]
-             + [carry(n - 1 - j).transpose(3, 2, 1, 0) for j in range(s + 1, n)])
-    return [_fused(site) for site in sites]
+    w = min(span, half)
+    if n % 2:
+        return [carry(j) for j in range(half)], _fused(_junction_site(w, w, turns))
+    return [carry(j) for j in range(half)], _coupling(w, w, turns[1:])
 
 
 def _carry_rank(n: int, turns, policy: TruncationPolicy, cut: int | None = None) -> int:
@@ -424,20 +455,19 @@ def _carry_sweep(n: int, turns, policy: TruncationPolicy) -> tuple[CanonicalMpo,
     order alone, with the turns theta(1) = pi (the Hadamard's), theta(2),
     ..., theta(b): entry (y, x) is 2^{-n/2} exp(i sum_{0 <= j-k < b} y_j
     x_k theta(j-k+1)); the bandwidth-b approximate transform has theta(k)
-    = 2 pi / 2^k. Left of the junction site s = n // 2, bond j carries the
-    last min(b - 1, j + 1) input bits, and site j is the delta of that
-    carry update times exp(i y_j sum_{0 <= j-k < b} x_k theta(j-k+1)) /
-    sqrt(2). Right of it the roles swap: bond j - 1 carries the next min(b
-    - 1, n - j) output bits leftward, and site j, the carry site of
-    position n-1-j with y and x swapped and its bonds reversed, holds the
-    terms of x_j with y_j and the later output bits. The junction holds
-    the terms that cross it, densely. Bond c is 2^{min(b-1, c+1, n-c-1)}
-    wide, so the widest, after site s - 1, is W = 2^{min(b-1, n // 2)}.
-    One `_canonical.canonicalize_train` sweep cuts the bonds under
-    ``policy``, mirrored as `_fourier_sweep`'s: the operator depends on
-    j - k alone, so reversing the chain with y and x swapped leaves it
-    unchanged. No W is refused here: `circuits.cascade_operator`, the
-    package's one caller, keeps W within its `_WIDEST_TRAIN`.
+    = 2 pi / 2^k. Left of the centre, bond j carries the last min(b - 1,
+    j + 1) input bits, and site j < n // 2 is the delta of that carry
+    update times exp(i y_j sum_{0 <= j-k < b} x_k theta(j-k+1)) / sqrt(2).
+    Right of it the train is the left half reflected: site j is site
+    n-1-j with y and x swapped and its bonds reversed. The centre holds
+    the terms that cross it, densely: for odd n a junction site, for even
+    n the symmetric coupling of the w = min(b - 1, n / 2) input bits left
+    of the middle bond to the w output bits right of it. Bond c is
+    2^{min(b-1, c+1, n-c-1)} wide, so the widest is W = 2^{min(b-1, n //
+    2)}. One `_palindrome_sweep` cuts the bonds under ``policy``, as
+    `_fourier_sweep`'s: the operator depends on j - k alone. No W is
+    refused here: `circuits.cascade_operator`, the package's one caller,
+    keeps W within its `_WIDEST_TRAIN`.
 
     Across a cut the operator couples its left input bits to its right
     output bits only through the 2^{mL} x 2^{mR} matrix exp(i L Theta
@@ -446,7 +476,7 @@ def _carry_sweep(n: int, turns, policy: TruncationPolicy) -> tuple[CanonicalMpo,
     from it alone.
     """
     check_width(n)
-    return _sweep(_carry_train(n, turns), policy, mirrored=True)
+    return _palindrome_sweep(*_carry_train(n, turns), policy)
 
 
 def identity_mpo(n: int) -> CanonicalMpo:

@@ -1,10 +1,10 @@
-"""The mirrored sweep of `_canonical.canonicalize_train`, which reflects the
-right half of a chain whose operator is unchanged by site reversal with
-output and input legs swapped, against the full sweep of the same train,
-past the dense caps: the bulk tensor of the transform and its base-3 kin,
-and phase-carry trains. Where the reflection may not hold (a binding cap,
-a cutoff above the noise floor, an asymmetric train) the sweep is the full
-one, bit for bit."""
+"""Palindromic trains and their centre-out sweep
+(`_canonical.canonicalize_palindrome`), which QRs the left half alone and
+reflects the right half it sweeps, against the full sweep of the assembled
+train (`_canonical.palindrome`), past the dense caps: the bulk tensor of
+the transform and its base-B kin, and phase-carry trains. Where a cut may
+drop more than noise (a binding cap, a cutoff above the noise floor) the
+sweep is the full one, bit for bit."""
 
 import numpy as np
 import pytest
@@ -12,35 +12,51 @@ import pytest
 from conftest import difference_norm
 from qftmpo import _canonical, circuits, mpo
 from qftmpo.circuits import RotationScheme, _turns, compile_trace, nearest_neighbor_qft_circuit
-from qftmpo.mpo import _sweep
+from qftmpo.mpo import MIRROR, _sweep
 from qftmpo.tensor import TruncationPolicy
 
 EXACT = TruncationPolicy(1e-14)
 
 
 def swept(monkeypatch, build, *args):
-    """The chain ``build`` returns and the raw train it handed to
-    `mpo._sweep`, which must ask for the mirrored sweep."""
+    """The chain and weight ``build`` returns, and the (half, centre) it
+    handed to `mpo._palindrome_sweep`."""
     trains = []
-    real = mpo._sweep
+    real = mpo._palindrome_sweep
 
-    def spy(train, policy, *, mirrored=False):
-        assert mirrored
-        trains.append(train)
-        return real(train, policy, mirrored=mirrored)
+    def spy(half, centre, policy):
+        trains.append((half, centre))
+        return real(half, centre, policy)
 
-    monkeypatch.setattr(mpo, "_sweep", spy)
+    monkeypatch.setattr(mpo, "_palindrome_sweep", spy)
     op, weight = build(*args)
     (train,) = trains
     return op, weight, train
 
 
-def assert_matches_full_sweep(op, train, policy):
-    full, _ = _sweep(train, policy)
+def assert_palindrome(half, centre):
+    # site n-1-j is site j reflected, to the last bit, but for the site an
+    # even train absorbs its centre matrix into; the centre is symmetric
+    train = _canonical.palindrome(half, centre, MIRROR)
+    n = len(train)
+    assert n // 2 == len(half)
+    assert all(a is b for a, b in zip(train, half))
+    for j, site in enumerate(half[:n // 2 - (centre.ndim == 2)]):
+        assert np.array_equal(train[n - 1 - j], _canonical._reflected(site, MIRROR))
+    if centre.ndim == 2:
+        assert np.array_equal(centre, centre.T)
+    else:
+        assert np.array_equal(centre, _canonical._reflected(centre, MIRROR))
+
+
+def assert_matches_full_sweep(op, half, centre, policy):
+    full, _ = _sweep(_canonical.palindrome(half, centre, MIRROR), policy)
     assert op.bond_ranks == full.bond_ranks
     for lam, ref in zip(op.gamma_vectors, full.gamma_vectors):
         assert np.max(np.abs(lam - ref)) <= 1e-12 * ref[0]
-    assert difference_norm(op, full) <= 1e-12 * float(np.linalg.norm(full.gamma_vectors[0]))
+    # ||O||: the norm any bond vector carries, or the one site's
+    norm = np.linalg.norm(full.gamma_vectors[0] if op.n_qubits > 1 else full.site_tensors[0])
+    assert difference_norm(op, full) <= 1e-12 * norm
     op.validate()
     # the signature of the reflection: bond j holds bond n-2-j's very vector
     bonds = op.gamma_vectors
@@ -56,39 +72,41 @@ def carry_turns(law, bandwidth):
     return _turns(RotationScheme.parse(law), bandwidth)
 
 
-@pytest.mark.parametrize("base", [2, 3])
-@pytest.mark.parametrize("n", [2, 3, 5, 32, 33, 64, 255, 1023])
+@pytest.mark.parametrize("base", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 33, 64, 255, 1023])
 def test_bulk_tensor(monkeypatch, n, base):
-    op, _, train = swept(monkeypatch, mpo._fourier_sweep, n, EXACT, base)
-    assert_matches_full_sweep(op, train, EXACT)
+    op, _, (half, centre) = swept(monkeypatch, mpo._fourier_sweep, n, EXACT, base)
+    assert_palindrome(half, centre)
+    assert_matches_full_sweep(op, half, centre, EXACT)
 
 
 @pytest.mark.parametrize("law,bandwidth,n", [
-    *(("standard", 5, n) for n in (12, 13, 17, 20, 24)),
-    *(("standard", 9, n) for n in (12, 13, 24)),
+    *(("standard", 5, n) for n in (12, 13, 17, 18, 20, 24)),
+    *(("standard", 9, n) for n in (12, 13, 18, 24)),
     # at n = 18 the widest bond is 512, the widest train a cascade takes
     *(("power-law:2", n, n) for n in (12, 13, 18)),
 ])
 def test_carry_train(monkeypatch, law, bandwidth, n):
-    op, _, train = swept(monkeypatch, mpo._carry_sweep, n, carry_turns(law, bandwidth), EXACT)
-    assert_matches_full_sweep(op, train, EXACT)
+    op, _, (half, centre) = swept(
+        monkeypatch, mpo._carry_sweep, n, carry_turns(law, bandwidth), EXACT)
+    assert_palindrome(half, centre)
+    assert_matches_full_sweep(op, half, centre, EXACT)
 
 
-def test_right_pass_stops_at_the_centre(monkeypatch):
-    # ceil(n/2) bond SVDs instead of n - 1, and one polar factor
-    shapes = []
-    real = _canonical._svd_matrix
-
-    def spy(mat, compute_uv=True):
-        shapes.append(mat.shape)
-        return real(mat, compute_uv)
-
-    monkeypatch.setattr(_canonical, "_svd_matrix", spy)
+def test_qr_pass_covers_the_left_half(monkeypatch):
+    # n // 2 QRs instead of n - 1, and n // 2 SVDs, one of them the
+    # centre's; an even chain's join may take one polar factor more
+    qrs, svds = [], []
+    real_qr, real_svd = np.linalg.qr, _canonical._svd_matrix
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: qrs.append(1) or real_qr(*args, **kw))
+    monkeypatch.setattr(_canonical, "_svd_matrix",
+                        lambda *args, **kw: svds.append(1) or real_svd(*args, **kw))
     for n in (32, 33):
-        shapes.clear()
-        op = mpo.fourier_mpo(n, EXACT)
-        assert len(shapes) == (n + 1) // 2 + 1
-        assert shapes[-1] == (op.bond_ranks[n // 2 - 1],) * 2
+        qrs.clear()
+        svds.clear()
+        mpo.fourier_mpo(n, EXACT)
+        assert len(qrs) == n // 2
+        assert n // 2 <= len(svds) <= n // 2 + (n % 2 == 0)
 
 
 @pytest.mark.parametrize("policy", [TruncationPolicy(1e-14, 4), TruncationPolicy(1e-10)],
@@ -100,33 +118,40 @@ def test_right_pass_stops_at_the_centre(monkeypatch):
     lambda policy: mpo._carry_sweep(14, carry_turns("power-law:2", 14), policy),
 ], ids=["bulk", "bulk-base3", "carry", "carry-power-law"])
 def test_truncating_policies_take_the_full_sweep(monkeypatch, build, policy):
-    op, weight, train = swept(monkeypatch, build, policy)
-    full, full_weight = _sweep(train, policy)
+    op, weight, (half, centre) = swept(monkeypatch, build, policy)
+    full, full_weight = _sweep(_canonical.palindrome(half, centre, MIRROR), policy)
     assert_bitwise_equal(op, full)
     assert weight == full_weight
 
 
-@pytest.mark.parametrize("site", [3, 9])
-def test_asymmetric_train_takes_the_full_sweep(monkeypatch, site):
-    # one perturbed site, left or right of the centre, breaks the symmetry:
-    # the gauge check runs and refuses, and the sweep runs on to bond 0
-    train = list(mpo._carry_train(12, carry_turns("standard", 5)))
-    train[site] = train[site] * np.array([1.0, 1.0, 1.0, 1.1])[None, :, None]
-    gauges = []
-    real = _canonical._mirror_gauge
-    monkeypatch.setattr(_canonical, "_mirror_gauge",
-                        lambda *args: gauges.append(real(*args)) or gauges[-1])
-    op, weight = _sweep(train, EXACT, mirrored=True)
-    assert gauges == [None]
-    full, full_weight = _sweep(train, EXACT)
+def test_binding_cap_takes_the_full_sweep(monkeypatch):
+    # a cap of 8 binds on the first 13 of the 16 cuts of the outward pass;
+    # the sweep gives way at the first, the centre's, told by its singular
+    # values alone, and keeps the 16 QR factors of the half, the assembled
+    # train's first: 16 + 15 QRs and 1 + 31 SVDs, not a whole outward pass
+    # and a new sweep (16 + 31 each)
+    qrs, svds = [], []
+    real_qr, real_svd = np.linalg.qr, _canonical._svd_matrix
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: qrs.append(1) or real_qr(*args, **kw))
+    monkeypatch.setattr(_canonical, "_svd_matrix",
+                        lambda *args, **kw: svds.append(1) or real_svd(*args, **kw))
+    op, weight, (half, centre) = swept(monkeypatch, mpo._fourier_sweep, 32,
+                                      TruncationPolicy(1e-14, 8))
+    assert (len(qrs), len(svds)) == (31, 32)
+    uncapped = mpo.fourier_mpo(32, EXACT).bond_ranks
+    assert [rank > 8 for rank in uncapped[15:]] == [True] * 13 + [False] * 3
+    full, full_weight = _sweep(_canonical.palindrome(half, centre, MIRROR),
+                               TruncationPolicy(1e-14, 8))
     assert_bitwise_equal(op, full)
     assert weight == full_weight
+    assert max(op.bond_ranks) == 8
 
 
 @pytest.mark.parametrize("n", [32, 33])
 def test_reflected_bonds_count_their_source_cut(monkeypatch, n):
-    # the half pass cuts bonds n-2 .. n//2 - 1; every bond's weight is that
-    # of the cut its vector came from, the reflected ones included
+    # the outward pass cuts bonds n//2 - 1 + n % 2 .. n-2; every bond's
+    # weight is that of the cut its vector came from, the reflected ones
+    # included, and an even chain's centre counts once
     cuts = []
     real = _canonical._cut_bond
 
@@ -137,10 +162,10 @@ def test_reflected_bonds_count_their_source_cut(monkeypatch, n):
 
     monkeypatch.setattr(_canonical, "_cut_bond", spy)
     _, weight = mpo._fourier_sweep(n, EXACT)
-    assert len(cuts) == (n + 1) // 2
-    by_bond = dict(zip(range(n - 2, -1, -1), cuts))
+    assert len(cuts) == n // 2
+    by_bond = dict(zip(range(n - 1 - len(cuts), n - 1), cuts))
     per_bond = [by_bond[max(b, n - 2 - b)] for b in range(n - 1)]
-    assert weight == pytest.approx(sum(per_bond), rel=1e-12)
+    assert weight == pytest.approx(sum(per_bond), rel=1e-12, abs=0.0)
     assert weight > 0.0
 
 

@@ -22,6 +22,7 @@ from qftmpo.circuits import (
 from qftmpo.errors import DimensionMismatchError, NumericalError
 from qftmpo.mpo import (
     FOURIER_NODES,
+    MIRROR,
     MAX_OPERATOR_QUBITS,
     CanonicalMpo,
     _carry_rank,
@@ -340,6 +341,38 @@ class TestHsInner:
 
 
 class TestRecanonicalize:
+    def test_canonical_chain_takes_the_right_pass_alone(self, monkeypatch):
+        # a chain swept at the noise floor needs no QR pass: one SVD per bond
+        op = fourier_mpo(16, EXACT)
+        policy = TruncationPolicy(1e-14, 6)
+        ref = op.recanonicalize(policy)
+        qrs, svds = [], []
+        real_qr, real_svd = np.linalg.qr, _canonical._svd_matrix
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qrs.append(1) or real_qr(*a, **kw))
+        monkeypatch.setattr(_canonical, "_svd_matrix",
+                            lambda *a, **kw: svds.append(1) or real_svd(*a, **kw))
+        got = op.recanonicalize(policy, canonical=True)
+        assert (len(qrs), len(svds)) == (0, 15)
+        assert got.bond_ranks == ref.bond_ranks
+        for lam, want in zip(got.gamma_vectors, ref.gamma_vectors):
+            assert np.max(np.abs(lam - want)) <= 1e-12 * want[0]
+        assert abs(hs_inner(got, op) - hs_inner(ref, op)) <= 1e-12
+
+    @pytest.mark.parametrize("cap", [3, 8])
+    def test_restores_a_capped_chain(self, cap):
+        # a capped chain meets the right conditions only (at cap 8 its
+        # defect reads 2e-15, yet a right pass alone moves its bond vectors
+        # by 1e-11); recanonicalizing it without a cap is the full sweep of
+        # its train and restores both
+        capped = fourier_mpo(16, TruncationPolicy(1e-14, cap))
+        again = capped.recanonicalize(EXACT)
+        train = _canonical.train_from_vidal(capped._fused_sites(), capped.gamma_vectors)
+        ref = _sweep(train, EXACT)[0]
+        assert again.bond_ranks == ref.bond_ranks == capped.bond_ranks
+        for got, want in zip(again.gamma_vectors, ref.gamma_vectors):
+            assert np.array_equal(got, want)
+        assert again.canonical_defect() <= 1e-12
+
     def test_rank_truncation(self, rng):
         # build a rank-4 operator, truncate to rank 2
         gate = random_unitary(rng, 4)
@@ -667,8 +700,9 @@ class TestCarryTrain:
 
     @pytest.mark.parametrize("n,bandwidth", [(1, 1), (2, 2), (7, 7), (8, 3), (9, 9), (64, 7)])
     def test_bond_widths(self, n, bandwidth):
-        # carry sites left of the junction at n // 2, their mirrors right of it
-        train = _carry_train(n, _per_order_turns("standard", bandwidth))
+        # carry sites left of the centre, their reflections right of it
+        train = _canonical.palindrome(*_carry_train(n, _per_order_turns("standard", bandwidth)),
+                                      MIRROR)
         assert [site.shape[2] for site in train[:-1]] == [
             2 ** min(bandwidth - 1, c + 1, n - c - 1) for c in range(n - 1)]
         assert train[0].shape[0] == train[-1].shape[2] == 1
